@@ -7,7 +7,7 @@ Preserved entry point so existing invocations keep working::
     PYTHONPATH=src python benchmarks/perf_bench.py --check-equality
 
 The same captures are available through the CLI as ``repro bench run``
-(plus ``compare`` / ``merge`` / ``ab`` verbs).
+(plus ``compare`` / ``merge`` verbs).
 """
 
 from __future__ import annotations

@@ -174,7 +174,6 @@ def cross_validate(
     variant: str = "",
     sample_size: int = 1,
     seed: int = 0,
-    fidelity: str = "analytical",
 ) -> Optional[DivergenceReport]:
     """Cross-validate a seeded sample of cells and persist the report.
 
@@ -185,7 +184,6 @@ def cross_validate(
     """
     if not mixes or sample_size <= 0:
         return None
-    engine = _surrogate_engine(fidelity)
     rng = random.Random(seed)
     count = min(sample_size, len(mixes))
     indices = sorted(rng.sample(range(len(mixes)), count))
@@ -193,13 +191,13 @@ def cross_validate(
     for index in indices:
         mix = mixes[index]
         surrogate = campaign.run_mix(
-            mix, config.with_engine(engine), quanta=quanta, variant=variant
+            mix, config.with_engine("analytic"), quanta=quanta, variant=variant
         )
         oracle = campaign.run_mix(
             mix, config.with_engine("event"), quanta=quanta, variant=variant
         )
-        entries.extend(compare_results(surrogate, oracle, fidelity))
-    report = DivergenceReport(fidelity=fidelity, entries=entries)
+        entries.extend(compare_results(surrogate, oracle))
+    report = DivergenceReport(fidelity="analytical", entries=entries)
     persist_report(campaign, report, variant=variant)
     return report
 
@@ -213,15 +211,6 @@ def persist_report(
     payload = dict(report.to_json())
     payload["key"] = f"{campaign.experiment}:{variant}"
     campaign.store.put_divergence(payload)
-
-
-def _surrogate_engine(fidelity: str) -> str:
-    from repro.analytic.runner import ENGINE_FOR_FIDELITY
-
-    engine = ENGINE_FOR_FIDELITY.get(fidelity)
-    if engine is None:
-        raise ValueError(f"unknown fidelity {fidelity!r}")
-    return engine
 
 
 __all__ = [

@@ -4,8 +4,8 @@ The paper's deployment story is datacenter-scale: ASM slowdown
 estimates driving fair co-location and pricing across many tenants
 (ASM-QoS, Section 7). This package composes every robustness layer the
 repo has built into that system: a fleet of simulated multi-core nodes
-(each node is one campaign cell running the existing simulator, event
-or columnar engine), a deterministic tenant job stream, and a
+(each node is one campaign cell running the event simulator or the
+analytic tier), a deterministic tenant job stream, and a
 slowdown-aware scheduler that places, migrates, and bills tenants from
 per-node ASM estimates.
 

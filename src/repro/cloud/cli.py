@@ -16,6 +16,7 @@ import json
 import os
 from typing import Any, Dict, List, Optional, Sequence
 
+from repro.analytic.runner import FIDELITY_TIERS
 from repro.cloud.spec import (
     BILLING_MODES,
     FleetChaosSpec,
@@ -58,13 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="confidence floor (default: policy floor)")
     run.add_argument("--hog-fraction", type=float, default=0.0)
     run.add_argument("--billing", choices=BILLING_MODES, default="fair")
-    run.add_argument("--engine", choices=("event", "columnar"),
-                     default="event")
-    run.add_argument("--fidelity", choices=("analytical", "columnar", "event"),
-                     default="",
+    run.add_argument("--fidelity", choices=FIDELITY_TIERS, default="event",
                      help="fidelity tier for node rounds; 'analytical' is "
-                          "the closed-form surrogate (see docs/fidelity.md); "
-                          "default: --engine governs")
+                          "the closed-form surrogate (see docs/fidelity.md)")
     run.add_argument("--workers", type=int, default=1)
     run.add_argument("--kill-rate", type=float, default=0.0)
     run.add_argument("--straggler-rate", type=float, default=0.0)
@@ -109,7 +106,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         placement=args.placement,
         hog_fraction=args.hog_fraction,
         billing=args.billing,
-        engine=args.engine,
         fidelity=args.fidelity,
         confidence_floor=(
             args.floor

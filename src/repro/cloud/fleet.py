@@ -7,8 +7,8 @@ One fleet run is a sequence of *rounds*. Each round:
 3. arrivals enter admission; the controller admits (or sheds) them;
 4. the scheduler places admitted tenants — ASM-aware, or naive
    bin-packing when last round's fleet confidence is below the floor;
-5. every occupied up node runs one campaign cell (the existing
-   simulator, event or columnar engine) through
+5. every occupied up node runs one campaign cell (the event
+   simulator, or the analytic tier) through
    :func:`repro.parallel.run_cells` — parallel fan-out is bit-identical
    to serial, and results checkpoint into the campaign store;
 6. per-tenant estimates/confidence/ground truth are read back; SLA
@@ -34,7 +34,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.cloud.billing import BillingRecord, billing_key, charge_for
+from repro.cloud.billing import BillingRecord, charge_for
 from repro.cloud.chaos import STRAGGLER_CONFIDENCE_CAP, FleetChaos, NodeEvents
 from repro.cloud.node import node_mix, node_model_factories, worst_case_slowdown_bound
 from repro.cloud.scheduler import FleetScheduler, node_breaker_key
@@ -178,12 +178,10 @@ class FleetSupervisor:
         workers: int = 1,
     ) -> None:
         self.spec = spec
-        # The declared fidelity tier overrides the engine ("" keeps it):
-        # node rounds then dispatch through repro.analytic instead of a
-        # simulator, and the store fingerprints the resolved engine.
-        self.config = resolve_fidelity(
-            config.with_engine(spec.engine), spec.fidelity
-        )
+        # The declared fidelity tier sets the engine: "analytical" node
+        # rounds dispatch through repro.analytic instead of the simulator,
+        # and the store fingerprints the resolved engine.
+        self.config = resolve_fidelity(config, spec.fidelity)
         self.campaign = campaign
         # Node failures must degrade the round, not abort the fleet.
         self.campaign.keep_going = True

@@ -89,13 +89,11 @@ class FleetSpec:
     hog_fraction: float = 0.0
     base_rate: float = 1.0
     billing: str = "fair"
-    engine: str = "event"
-    # Fidelity tier for the node rounds ("analytical" | "columnar" |
-    # "event", see docs/fidelity.md). Empty means ``engine`` governs.
+    # Fidelity tier for the node rounds (see docs/fidelity.md).
     # "analytical" runs every node round through the closed-form
     # surrogate (repro.analytic): placement/SLA/billing still read the
     # "asm" estimates, but telemetry chaos has nothing to corrupt.
-    fidelity: str = ""
+    fidelity: str = "event"
     migration_max_attempts: int = 3
     migration_backoff_rounds: float = 1.0
     chaos: FleetChaosSpec = field(default_factory=FleetChaosSpec)
@@ -137,12 +135,10 @@ class FleetSpec:
             raise ValueError("hog_fraction must be in [0, 1]")
         if self.base_rate <= 0:
             raise ValueError("base_rate must be positive")
-        if self.engine not in ("event", "columnar"):
-            raise ValueError("engine must be 'event' or 'columnar'")
-        if self.fidelity and self.fidelity not in FIDELITY_TIERS:
+        if self.fidelity not in FIDELITY_TIERS:
             raise ValueError(
                 f"unknown fidelity {self.fidelity!r}; "
-                f"valid: {', '.join(FIDELITY_TIERS)} (or '' for engine)"
+                f"valid: {', '.join(FIDELITY_TIERS)}"
             )
         if self.migration_max_attempts < 1:
             raise ValueError("migration_max_attempts must be >= 1")

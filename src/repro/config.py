@@ -151,13 +151,11 @@ class SystemConfig:
     # at full scale amortise this; short scaled epochs need the explicit
     # exclusion (0 disables it — the paper-faithful setting).
     epoch_warmup_cycles: int = 0
-    # Execution backend: "event" (the per-callback engine, the default and
-    # the correctness oracle), "columnar" (repro.vector: batched array
-    # passes, bit-identical counters — see DESIGN.md §9) or "analytic"
-    # (repro.analytic: closed-form surrogate, no simulation at all — see
-    # docs/fidelity.md). Kept as the last field so campaign-store
-    # fingerprints of pre-existing configs are unchanged (see
-    # repro.resilience.faults.config_fingerprint).
+    # Execution tier: "event" (the per-callback engine, the default and
+    # the correctness oracle) or "analytic" (repro.analytic: closed-form
+    # surrogate, no simulation at all — see docs/fidelity.md). Kept as the
+    # last field so campaign-store fingerprints of pre-existing configs
+    # are unchanged (see repro.resilience.faults.config_fingerprint).
     engine: str = "event"
 
     def with_cores(self, num_cores: int) -> "SystemConfig":
@@ -197,10 +195,9 @@ class SystemConfig:
             raise ValueError("quantum must be a whole number of epochs")
         if not 0 <= self.epoch_warmup_cycles < self.epoch_cycles:
             raise ValueError("epoch warmup must be shorter than the epoch")
-        if self.engine not in ("event", "columnar", "analytic"):
+        if self.engine not in ("event", "analytic"):
             raise ValueError(
-                "engine must be 'event', 'columnar' or 'analytic', "
-                f"got {self.engine!r}"
+                f"engine must be 'event' or 'analytic', got {self.engine!r}"
             )
 
 

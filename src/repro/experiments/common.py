@@ -120,9 +120,8 @@ def survey_errors(
     counter bank (see :mod:`repro.telemetry`); ``None`` means perfect
     telemetry.
 
-    ``fidelity`` selects the execution tier ("analytical" | "columnar" |
-    "event", see docs/fidelity.md); empty leaves ``config.engine`` in
-    charge. At the analytical tier the per-estimator machinery does not
+    ``fidelity`` selects the execution tier ("analytical" | "event", see
+    docs/fidelity.md); empty leaves ``config.engine`` in charge. At the analytical tier the per-estimator machinery does not
     run — only the closed-form "asm"/"analytic" estimates exist, and
     other requested models simply collect no errors. An analytical
     survey under a campaign with a store additionally cross-validates a

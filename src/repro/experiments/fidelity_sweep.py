@@ -1,17 +1,15 @@
 """Fidelity sweep: the same cells at every tier, accuracy vs runtime.
 
-Runs one set of workload mixes at all three fidelity tiers (see
-docs/fidelity.md) — ``analytical`` (closed form, :mod:`repro.analytic`),
-``columnar`` (batched arrays, :mod:`repro.vector`) and ``event`` (the
-per-callback oracle) — and reports, per tier, the wall time and the
-slowdown divergence from the event oracle:
+Runs one set of workload mixes at both fidelity tiers (see
+docs/fidelity.md) — ``analytical`` (closed form, :mod:`repro.analytic`)
+and ``event`` (the per-callback oracle) — and reports, per tier, the
+wall time and the slowdown divergence from the event oracle:
 
-* ``asm`` rows compare the tier's ASM slowdown *estimates* against the
-  oracle's measured slowdowns (the analytic tier's estimate IS its
-  output; for simulated tiers this is ordinary model error);
-* ``actual`` rows compare the tier's *measured* slowdowns against the
-  oracle's. The columnar tier is bit-exact, so its ``actual`` row is the
-  zero-divergence sanity check of the whole harness.
+* ``asm`` rows compare the analytic tier's ASM slowdown *estimates*
+  against the oracle's measured slowdowns (the analytic tier's estimate
+  IS its output);
+* ``actual`` rows compare the analytic tier's *measured* slowdowns
+  against the oracle's.
 
 Under a campaign with a store, each tier's divergence report is also
 persisted to ``divergence.jsonl`` (variant ``fid:<tier>``), readable
@@ -114,7 +112,7 @@ def run(
     campaign=None,
     workers: int = 1,
 ) -> FidelitySweepResult:
-    """Run ``num_mixes`` mixes at all three tiers and compare them."""
+    """Run ``num_mixes`` mixes at both tiers and compare them."""
     from repro.parallel import CellSpec, run_cells
     from repro.resilience.campaign import Campaign
 

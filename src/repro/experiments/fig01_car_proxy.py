@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.config import SystemConfig, scaled_config
 from repro.experiments.common import format_table
@@ -92,11 +92,8 @@ def run(
     cycles: int = 400_000,
     config: SystemConfig = None,
     seed: int = 5,
-    engine: Optional[str] = None,
 ) -> CarProxyResult:
     config = config or scaled_config()
-    if engine:
-        config = config.with_engine(engine)
     result = CarProxyResult()
     for app in apps:
         spec = spec_by_name(app)

@@ -59,11 +59,8 @@ def run(
     seed: int = 42,
     campaign=None,
     workers: int = 1,
-    engine: Optional[str] = None,
 ) -> ErrorDistributionResult:
     config = config or scaled_config()
-    if engine:
-        config = config.with_engine(engine)
     mixes = default_mixes(num_mixes, config.num_cores, seed=seed)
     survey = survey_errors(
         mixes,

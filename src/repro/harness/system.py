@@ -20,10 +20,7 @@ and its requests get highest priority at the memory controller.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
-    from repro.vector.batch import BatchPlane
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig
 from repro.cpu.core import Core
@@ -249,27 +246,16 @@ class System:
         self.config = config
         self.telemetry = telemetry
         self.obs = obs
-        # Execution backend (DESIGN.md §9): the columnar engine keeps the
-        # full scalar Engine contract, and the batch plane lets models
-        # consume staged request columns instead of per-access callbacks.
-        self.batch_plane: Optional["BatchPlane"] = None
-        if config.engine == "columnar":
-            from repro.vector.batch import BatchPlane as _BatchPlane
-            from repro.vector.engine import ColumnarEngine
-
-            self.engine: Engine = ColumnarEngine()
-            self.batch_plane = _BatchPlane(config.num_cores)
-        elif config.engine == "analytic":
+        if config.engine == "analytic":
             # The analytic tier has no event loop at all; silently falling
-            # through to the scalar engine would simulate a cell the caller
+            # through to the event engine would simulate a cell the caller
             # asked to estimate in closed form.
             raise ValueError(
                 "engine 'analytic' cells never construct a System; run them "
                 "through repro.analytic (Campaign.run_mix / run_cells "
                 "dispatch on config.engine)"
             )
-        else:
-            self.engine = Engine()
+        self.engine = Engine()
         self.controller = MemoryController(
             self.engine, config.dram, config.num_cores, scheduler
         )
@@ -285,17 +271,6 @@ class System:
         # owner's alone-like behaviour is now measurable.
         self.measure_listeners: List[Callable[[int], None]] = []
         self.quantum_listeners: List[Callable[[], None]] = []
-        if self.batch_plane is not None:
-            plane = self.batch_plane
-            plane.bind(self.hierarchy)
-            # Flush hooks come FIRST in every listener list (models attach
-            # later and append): a staged span is always handed to batch
-            # consumers before any model callback mutates the state that
-            # classified it (ASM's ``_measuring``), which is what makes
-            # batched counter updates bit-identical to per-access ones.
-            self.epoch_listeners.append(plane.flush_owner)
-            self.measure_listeners.append(plane.flush_owner)
-            self.quantum_listeners.append(plane.flush)
         self.epoch_weights: Optional[List[float]] = None
         self.current_epoch_owner = -1
         self._epoch_rng = random.Random(seed ^ 0x5EED)

@@ -4,7 +4,7 @@ Exit codes: 0 clean (or everything suppressed/grandfathered), 1 findings
 (or wall-time budget exceeded), 2 usage or internal error.
 
 The tree is parsed exactly once: per-file rules run per module, then the
-whole-program rules (NDT001/UNIT001/PUR001/DUAL001) run over one
+whole-program rules (NDT001/UNIT001/PUR001) run over one
 :class:`~repro.lintkit.flow.project.Project` built from every parsed
 file. ``--changed-only`` still parses the full tree — project rules need
 the whole symbol table to resolve calls — and only *reports* findings in
@@ -40,8 +40,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description=(
             "AST-based simulator-invariant linter for the ASM reproduction "
             "(determinism, integer cycle accounting, hits+misses==accesses "
-            "conservation, picklable parallel payloads, whole-program "
-            "nondeterminism taint and scalar<->columnar pairing)."
+            "conservation, picklable parallel payloads and whole-program "
+            "nondeterminism taint)."
         ),
     )
     parser.add_argument(

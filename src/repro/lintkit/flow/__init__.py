@@ -21,9 +21,6 @@ This package gives rules a *project* view:
 * :mod:`~repro.lintkit.flow.purity` — module-global side-effect
   analysis (PUR001) of everything reachable from parallel worker
   payloads.
-* :mod:`~repro.lintkit.flow.pairs` — the scalar<->columnar pair
-  registry facts (DUAL001) keeping ``repro.vector`` kernels structurally
-  in sync with their event-loop oracles.
 * :mod:`~repro.lintkit.flow.rules` — the :class:`ProjectRule`
   subclasses wiring the analyses into the lint driver.
 
@@ -32,8 +29,7 @@ call graph for a fixed number of passes (:data:`~repro.lintkit.flow.
 callgraph.MAX_PASSES`), nested function scopes are not descended into,
 and unresolvable calls drop to "unknown" rather than guessing. The rules
 err on the side of silence; declared facts (``# lint: pure``,
-``# lint: unit[...]``, the ``SCALAR_ORACLES`` registry) let code state
-what analysis cannot see. See ``docs/lintkit.md``.
+``# lint: unit[...]``) let code state what analysis cannot see. See ``docs/lintkit.md``.
 """
 
 from repro.lintkit.flow.project import (

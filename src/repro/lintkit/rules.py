@@ -24,10 +24,6 @@ IO001     persistence layers never open files for writing bare: every
           durable write routes through ``repro.durability.atomic``
           (append_line / atomic_write_text / durable_stream) so a
           crash can tear at most an uncommitted trailing line
-VEC001    the columnar backend's hot passes (``repro.vector``) never
-          loop over column arrays element by element — per-element work
-          belongs in the kernel layer (``repro.vector.columns``), which
-          is the only module exempt
 NDT001    whole-program nondeterminism taint: wall-clock / global-RNG /
           ``id()`` / set-order values must not flow — through any chain
           of calls and returns — into campaign-store writes, run keys,
@@ -38,12 +34,9 @@ UNIT001   dimension inference: cycle / event / byte / fraction
 PUR001    parallel purity: functions reachable from pool worker
           payloads never mutate module-global state (per-process
           copies silently diverge)
-DUAL001   every public columnar kernel declares its scalar event-loop
-          oracle in ``SCALAR_ORACLES`` and stays structurally in sync
-          with it (see :mod:`repro.vector.oracles`)
 ========  ============================================================
 
-The last four are :class:`~repro.lintkit.base.ProjectRule` subclasses
+The last three are :class:`~repro.lintkit.base.ProjectRule` subclasses
 living in :mod:`repro.lintkit.flow.rules`; they are imported at the
 bottom of this module so one import registers the full rule set.
 """
@@ -914,139 +907,7 @@ class Io001BarePersistenceWrite(Rule):
                 )
 
 
-# ----------------------------------------------------------------------
-# VEC001: per-element loops over columns in the columnar hot passes
-
-#: The kernel layer is where per-element fallback loops are *supposed* to
-#: live (they are the pure-Python mirror of the numpy kernels); every
-#: other repro.vector module must compose kernels instead.
-_VEC001_EXEMPT_MODULES = frozenset({"repro.vector.columns"})
-
-#: Variable/attribute names that conventionally hold column arrays in
-#: the columnar backend (repro.vector's own naming discipline).
-_VEC001_COLUMN_NAMES = frozenset(
-    {
-        "addrs",
-        "banks",
-        "channels",
-        "completions",
-        "cores",
-        "cycles",
-        "flags",
-        "hits",
-        "kinds",
-        "latencies",
-        "mask",
-        "masks",
-        "rows",
-        "sampled",
-        "seqs",
-        "set_idx",
-        "tags",
-    }
-)
-_VEC001_COLUMN_SUFFIXES = ("_col", "_cols", "_mask", "_masks", "_flags", "_idx")
-
-
-def _vec001_column_name(node: Optional[ast.expr]) -> Optional[str]:
-    """The column-conventional name an expression refers to, else None."""
-    if isinstance(node, ast.Name):
-        name = node.id
-    elif isinstance(node, ast.Attribute):
-        name = node.attr
-    else:
-        return None
-    if name in _VEC001_COLUMN_NAMES or name.endswith(_VEC001_COLUMN_SUFFIXES):
-        return name
-    return None
-
-
-def _vec001_iterated_column(iter_node: ast.expr) -> Optional[str]:
-    """The column a loop iterable walks element by element, else None.
-
-    Catches direct iteration (``for x in addrs``), index loops
-    (``range(len(addrs))``) and the wrapping iterators that merely
-    disguise them (``enumerate`` / ``zip`` / ``reversed`` / ``iter``).
-    """
-    name = _vec001_column_name(iter_node)
-    if name is not None:
-        return name
-    if not isinstance(iter_node, ast.Call):
-        return None
-    func = iter_node.func
-    if not isinstance(func, ast.Name):
-        return None
-    if func.id not in ("range", "enumerate", "zip", "reversed", "iter"):
-        return None
-    for arg in iter_node.args:
-        if (
-            isinstance(arg, ast.Call)
-            and isinstance(arg.func, ast.Name)
-            and arg.func.id == "len"
-            and arg.args
-        ):
-            name = _vec001_column_name(arg.args[0])
-            if name is not None:
-                return name
-        name = _vec001_column_name(arg)
-        if name is not None:
-            return name
-    return None
-
-
-@register
-class Vec001PerElementColumnLoop(Rule):
-    """Per-element Python loop over a column array in a columnar hot pass.
-
-    The columnar backend's entire performance case is that hot-path work
-    runs as whole-array kernel calls (``repro.vector.columns``), which
-    dispatch to numpy when available. A ``for`` loop (or comprehension)
-    walking a column element by element inside ``repro.vector`` silently
-    reverts that pass to scalar speed — and still passes every test,
-    because the fallback kernels produce identical results. Compose
-    kernels instead (``col.take`` / ``col.group_by`` / ``col.count_true``
-    / ...), or move genuinely elementwise logic into the kernel layer,
-    the one module exempt from this rule.
-    """
-
-    code = "VEC001"
-    summary = "per-element Python loop over a column in a columnar hot pass"
-    packages = ("repro.vector",)
-
-    def applies_to(self, module: str) -> bool:
-        if module in _VEC001_EXEMPT_MODULES:
-            return False
-        return super().applies_to(module)
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.For):
-                name = _vec001_iterated_column(node.iter)
-                if name is not None:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"per-element for-loop over column {name!r} in a "
-                        "columnar hot pass; compose repro.vector.columns "
-                        "kernels (or move the elementwise logic into the "
-                        "kernel layer)",
-                    )
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
-            ):
-                for gen in node.generators:
-                    name = _vec001_iterated_column(gen.iter)
-                    if name is not None:
-                        yield self.finding(
-                            ctx,
-                            node,
-                            f"comprehension over column {name!r} in a "
-                            "columnar hot pass; compose repro.vector.columns "
-                            "kernels instead",
-                        )
-
-
-# Registers NDT001 / UNIT001 / PUR001 / DUAL001. Imported last: the
+# Registers NDT001 / UNIT001 / PUR001. Imported last: the
 # flow rules import the package constants defined above.
 from repro.lintkit.flow import rules as _flow_rules  # noqa: E402,F401
 
@@ -1063,5 +924,4 @@ __all__ = [
     "Pkl001UnpicklableParallelPayload",
     "RAW_COUNTER_ATTRS",
     "Tel001RawCounterRead",
-    "Vec001PerElementColumnLoop",
 ]

@@ -17,16 +17,13 @@ degradation path of :class:`~repro.models.base.EstimateGuard`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional
+from typing import List, Optional
 
 from repro.cache.auxtag import AuxiliaryTagStore
 from repro.harness.system import System
 from repro.mem.request import MemRequest
 from repro.models.base import SlowdownModel
 from repro.models.perrequest import PerRequestAccounting
-
-if TYPE_CHECKING:
-    from repro.vector.batch import RequestBatch
 
 
 class PtcaModel(SlowdownModel):
@@ -69,13 +66,7 @@ class PtcaModel(SlowdownModel):
         self._miss_busy = bank.external(
             "miss_busy", lambda core: acct.miss_busy_cycles(core)
         )
-        # Columnar backend: counter updates come from staged batches (the
-        # per-request latency accounting stays scalar — it keys off the
-        # memory controller's service callbacks, not the access stream).
-        if system.batch_plane is not None:
-            system.batch_plane.register(self._on_batch)
-        else:
-            system.hierarchy.access_listeners.append(self._on_access)
+        system.hierarchy.access_listeners.append(self._on_access)
 
     def _request_is_sampled(self, request: MemRequest) -> bool:
         ats = self.ats[request.core]
@@ -92,28 +83,6 @@ class PtcaModel(SlowdownModel):
         self._sampled_accesses.add(core)
         if not hit and outcome.hit:
             self._sampled_contention.add(core)
-
-    def _on_batch(self, batch: "RequestBatch") -> None:
-        """Columnar equivalent of :meth:`_on_access` for one staged span.
-
-        Contention is ``sampled and ATS-hit and shared-miss`` — a pure
-        elementwise predicate, so the per-core counts are order-free sums
-        and batching them is bit-identical to per-access increments.
-        """
-        from repro.vector import columns as col
-
-        for core, idx in batch.groups_by_core():
-            addrs = col.take(batch.addrs, idx)
-            hits_mask = col.take(batch.hits, idx)
-            self._total_accesses.add(core, len(idx))
-            sampled, ats_hit = self.ats[core].access_batch(col.tolist(addrs))
-            sampled_mask = col.mask_column(sampled)
-            self._sampled_accesses.add(core, col.count_true(sampled_mask))
-            contention = col.logical_and(
-                col.logical_and(sampled_mask, col.mask_column(ats_hit)),
-                col.logical_not(hits_mask),
-            )
-            self._sampled_contention.add(core, col.count_true(contention))
 
     def estimate_slowdowns(self) -> List[float]:
         """Per-core PTCA slowdown from cache- and memory-delay cycles."""

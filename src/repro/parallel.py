@@ -105,9 +105,9 @@ class CellSpec:
     scheduler_builder: Optional[Callable[..., Any]] = None
     scheduler_builder_args: Tuple[Any, ...] = ()
     telemetry: Optional[TelemetrySpec] = None
-    # Fidelity tier ("analytical" | "columnar" | "event", see
-    # docs/fidelity.md). Empty means unset: ``config.engine`` governs, so
-    # pre-fidelity call sites and ``--engine columnar`` are unchanged.
+    # Fidelity tier ("analytical" | "event", see docs/fidelity.md). Empty
+    # means unset: ``config.engine`` governs, so pre-fidelity call sites
+    # are unchanged.
     fidelity: str = ""
 
 

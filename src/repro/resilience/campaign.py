@@ -96,8 +96,8 @@ def mix_from_json(data: dict) -> WorkloadMix:
 
 def result_to_json(result: RunResult) -> dict:
     return {
-        # Which execution backend computed the cell. Purely informational
-        # (the cell key already folds the backend in via the config
+        # Which execution tier computed the cell. Purely informational
+        # (the cell key already folds the tier in via the config
         # fingerprint when non-default); old records without it read back
         # fine because result_from_json rebuilds config from its argument.
         "engine": result.config.engine,

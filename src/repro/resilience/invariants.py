@@ -34,7 +34,7 @@ few percent of run time.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.harness.system import System
 from repro.models.asm import AsmModel

@@ -77,6 +77,16 @@ def test_fig11_experiment_runs(capsys, tmp_path):
     assert "naive-qos" in capsys.readouterr().out
 
 
+def test_cli_fidelity_flag_warns_when_unsupported(capsys, tmp_path):
+    code = main([
+        "fig11", "--quanta", "1",
+        "--fidelity", "analytical",
+        "--campaign-dir", str(tmp_path / "c"),
+    ])
+    assert code == 0
+    assert "does not support --fidelity" in capsys.readouterr().err
+
+
 def test_parser_accepts_retry_flags():
     args = build_parser().parse_args(
         ["fig02", "--max-retries", "2", "--retry-backoff", "0.01",

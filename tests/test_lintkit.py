@@ -26,13 +26,11 @@ RULE_FIXTURES = {
     "TEL001": (4, "repro.models.fixture"),
     "DOC001": (4, "repro.obs.fixture"),
     "IO001": (4, "repro.resilience.fixture"),
-    "VEC001": (5, "repro.vector.fixture"),
     # Flow rules (repro.lintkit.flow): whole-program, so lint_text's
     # one-module project is the entire universe the analysis sees.
     "NDT001": (4, "repro.harness.fixture"),
     "UNIT001": (4, "repro.cpu.fixture"),
     "PUR001": (3, "fixture_module"),
-    "DUAL001": (3, "repro.vector.fixture.passes"),
 }
 
 

@@ -1,367 +1,46 @@
-"""Tests for the columnar backend's kernels, passes and staging plane.
-
-Every kernel test runs under both backends (numpy when available, and the
-pure-Python fallback via ``force_fallback``) — the fallback is what CI's
-dependency-free legs exercise, so the two must agree everywhere.
-"""
-
-import random
+"""Checks on ``SystemConfig.engine``, the field that records a cell's tier,
+and on the DRAM timing the analytic tier takes for granted."""
 
 import pytest
 
-from repro.config import CacheConfig, DramConfig, SystemConfig, scaled_config
-from repro.vector import columns as col
-from repro.vector import passes
-from repro.vector.batch import BatchPlane, RequestBatch, merge_streams, split_by_core
-
-
-@pytest.fixture(params=["fallback", "numpy"] if col.HAVE_NUMPY else ["fallback"])
-def backend(request):
-    col.force_fallback(request.param == "fallback")
-    yield request.param
-    col.force_fallback(False)
-
-
-def _rng(seed=1234):
-    return random.Random(seed)
-
-
-# ----------------------------------------------------------------------
-# Kernels
-
-
-def test_backend_reporting(backend):
-    assert col.backend() == ("python" if backend == "fallback" else "numpy")
-
-
-def test_elementwise_kernels_match_python(backend):
-    rng = _rng()
-    data = [rng.randrange(1 << 30) for _ in range(257)]
-    c = col.column(data)
-    assert col.tolist(c) == data
-    assert col.size(c) == len(data)
-    assert col.tolist(col.mod(c, 64)) == [v % 64 for v in data]
-    assert col.tolist(col.floordiv(c, 64)) == [v // 64 for v in data]
-    assert col.tolist(col.add_scalar(c, 7)) == [v + 7 for v in data]
-    assert col.tolist(col.mul_scalar(c, 3)) == [v * 3 for v in data]
-    other = col.column(list(reversed(data)))
-    assert col.tolist(col.add(c, other)) == [
-        a + b for a, b in zip(data, reversed(data))
-    ]
-    assert col.tolist(col.sub(c, other)) == [
-        a - b for a, b in zip(data, reversed(data))
-    ]
-    total = 0
-    expected_cumsum = []
-    for v in data:
-        total += v
-        expected_cumsum.append(total)
-    assert col.tolist(col.cumsum(c)) == expected_cumsum
-
-
-def test_mask_kernels_match_python(backend):
-    rng = _rng(5)
-    data = [rng.randrange(8) for _ in range(100)]
-    c = col.column(data)
-    mask = col.eq_scalar(c, 3)
-    expected = [v == 3 for v in data]
-    assert [bool(b) for b in col.tolist(col.mask_to_column(mask))] == expected
-    assert col.count_true(mask) == sum(expected)
-    inv = col.logical_not(mask)
-    assert col.count_true(inv) == len(data) - sum(expected)
-    both = col.logical_and(mask, col.eq_scalar(c, 3))
-    assert col.count_true(both) == sum(expected)
-    assert col.true_indices(mask) == [i for i, v in enumerate(expected) if v]
-
-
-def test_take_stable_order_group_by(backend):
-    rng = _rng(9)
-    keys = [rng.randrange(5) for _ in range(64)]
-    c = col.column(keys)
-    order = col.stable_order(c)
-    sorted_keys = [keys[i] for i in order]
-    assert sorted_keys == sorted(keys)
-    # Stability: equal keys keep original relative order.
-    for k in set(keys):
-        positions = [i for i in order if keys[i] == k]
-        assert positions == sorted(positions)
-    assert col.tolist(col.take(c, list(order))) == sorted_keys
-
-    groups = list(col.group_by(c))
-    assert [k for k, _ in groups] == sorted(set(keys))
-    for k, idx in groups:
-        assert [keys[i] for i in idx] == [k] * len(idx)
-        assert list(idx) == sorted(idx)  # original order within the group
-
-
-def test_eq_prev_and_scatter(backend):
-    data = [3, 3, 5, 5, 5, 2]
-    c = col.column(data)
-    assert [bool(b) for b in col.tolist(col.mask_to_column(col.eq_prev(c)))] == [
-        False, True, False, True, True, False,
-    ]
-    mask = col.mask_column([True, False, True])
-    scattered = col.scatter_mask(6, [5, 1, 0], mask)
-    assert [bool(b) for b in col.tolist(col.mask_to_column(scattered))] == [
-        True, False, False, False, False, True,
-    ]
-
-
-def test_merge_order_breaks_ties_by_seq(backend):
-    cycles = col.column([7, 3, 7, 3])
-    seqs = col.column([2, 1, 0, 3])
-    assert list(col.merge_order(cycles, seqs)) == [1, 3, 2, 0]
-
-
-def test_concat_and_full(backend):
-    a, b = col.column([1, 2]), col.column([3])
-    assert col.tolist(col.concat([a, b])) == [1, 2, 3]
-    assert col.tolist(col.full(3, 9)) == [9, 9, 9]
-    m = col.concat_masks([col.mask_column([True]), col.mask_column([False])])
-    assert [bool(x) for x in col.tolist(col.mask_to_column(m))] == [True, False]
-
-
-def test_firing_arithmetic(backend):
-    assert col.firing_count(10, 50, 7) == len(range(10, 50, 7))
-    assert col.tolist(col.firing_cycles(10, 6, 7)) == list(range(10, 52, 7))
-
-
-# ----------------------------------------------------------------------
-# LLC / ATS passes
-
-
-def _cache():
-    return CacheConfig(size_bytes=64 * 1024, associativity=4, latency=10)
-
-
-def test_llc_classify_matches_config(backend):
-    cache = _cache()
-    addrs = [_rng(3).randrange(1 << 24) for _ in range(50)]
-    set_idx, tags = passes.llc_classify(col.column(addrs), cache)
-    assert col.tolist(set_idx) == [cache.set_index(a) for a in addrs]
-    assert col.tolist(tags) == [a // cache.num_sets for a in addrs]
-
-
-def test_sampled_set_mask(backend):
-    set_idx = col.column(list(range(16)))
-    mask = passes.sampled_set_mask(set_idx, 4)
-    assert col.true_indices(mask) == [0, 4, 8, 12]
-    all_mask = passes.sampled_set_mask(set_idx, 1)
-    assert col.count_true(all_mask) == 16
-
-
-def test_ats_access_batch_equals_scalar_access(backend):
-    from repro.cache.auxtag import AuxiliaryTagStore
-
-    cache = _cache()
-    rng = _rng(77)
-    addrs = [rng.randrange(4096) for _ in range(600)]
-
-    scalar = AuxiliaryTagStore(cache, sampled_sets=32)
-    outcomes = [scalar.access(a) for a in addrs]
-
-    batched = AuxiliaryTagStore(cache, sampled_sets=32)
-    sampled, hits = batched.access_batch(addrs)
-
-    assert sampled == [o.sampled for o in outcomes]
-    assert hits == [o.hit for o in outcomes]
-    for attr in ("sampled_hits", "sampled_misses", "way_hits", "total_accesses"):
-        assert getattr(batched, attr) == getattr(scalar, attr)
-    # Tag state too: a subsequent identical access stream behaves the same.
-    follow = [rng.randrange(4096) for _ in range(100)]
-    assert [scalar.access(a).hit for a in follow] == list(
-        batched.access_batch(follow)[1]
-    )
-
-
-def test_ats_access_batch_interleaved_spans(backend):
-    """Splitting one stream into arbitrary spans never changes state."""
-    from repro.cache.auxtag import AuxiliaryTagStore
-
-    cache = _cache()
-    rng = _rng(31)
-    addrs = [rng.randrange(2048) for _ in range(400)]
-    one = AuxiliaryTagStore(cache, sampled_sets=16)
-    one.access_batch(addrs)
-    many = AuxiliaryTagStore(cache, sampled_sets=16)
-    i = 0
-    while i < len(addrs):
-        span = rng.randrange(1, 37)
-        many.access_batch(addrs[i : i + span])
-        i += span
-    assert one.sampled_hits == many.sampled_hits
-    assert one.way_hits == many.way_hits
-
-
-# ----------------------------------------------------------------------
-# DRAM passes vs the scalar oracle
-
-
-def _dram():
-    return DramConfig()
-
-
-def test_dram_locate_matches_mapping(backend):
-    from repro.mem.dram import DramMapping
-
-    dram = DramConfig(channels=2, ranks_per_channel=2)
-    mapping = DramMapping(dram)
-    addrs = [_rng(8).randrange(1 << 26) for _ in range(200)]
-    channels, banks, rows = passes.dram_locate(col.column(addrs), dram)
-    expected = [mapping.locate(a) for a in addrs]
-    assert list(zip(col.tolist(channels), col.tolist(banks), col.tolist(rows))) == expected
-
-
-def test_row_buffer_scan_matches_service_request(backend):
-    """The grouped scan reproduces the bank state machine of the scalar
-    oracle for a fresh-bank back-to-back drain."""
-    from repro.mem.dram import Channel, service_request
-    from repro.mem.request import MemRequest
-
-    dram = _dram()
-    rng = _rng(13)
-    # Single channel: many requests, few rows per bank to force all three
-    # transition classes.
-    reqs = []
-    for _ in range(300):
-        bank = rng.randrange(dram.banks_per_rank)
-        row = rng.randrange(3)
-        reqs.append((bank, row))
-
-    channel = Channel(dram.banks_per_rank)
-    now = 0
-    oracle = []
-    for bank, row in reqs:
-        request = MemRequest(0, 0, is_write=False, arrival_time=now)
-        request.bank = bank
-        request.row = row
-        completion, row_hit, _ = service_request(channel, request, now, dram)
-        oracle.append((completion, row_hit))
-        now = completion
-
-    keys = col.column([b for b, _ in reqs])
-    rows = col.column([r for _, r in reqs])
-    hits, closed, conflicts = passes.row_buffer_scan(keys, rows)
-    hits_l = [bool(b) for b in col.tolist(col.mask_to_column(hits))]
-    closed_l = [bool(b) for b in col.tolist(col.mask_to_column(closed))]
-    conflicts_l = [bool(b) for b in col.tolist(col.mask_to_column(conflicts))]
-
-    assert hits_l == [h for _, h in oracle]
-    # The three classes partition the batch.
-    for h, c, x in zip(hits_l, closed_l, conflicts_l):
-        assert h + c + x == 1
-
-    latencies = passes.row_latencies(hits, closed, dram)
-    completions = passes.replay_completions(latencies, dram, start=0)
-    assert col.tolist(completions) == [c for c, _ in oracle]
+from repro.config import DramConfig, SystemConfig, scaled_config
 
 
 def test_replay_assumption_holds_for_ddr3_timing():
-    """tRAS never binds back-to-back: tRCD + CL + burst >= tRAS."""
-    dram = _dram()
+    """tRAS never binds back-to-back: tRCD + CL + burst >= tRAS.
+
+    The analytic tier's closed-form bank service time leaves tRAS out on
+    this ground."""
+    dram = DramConfig()
     assert dram.trcd + dram.cas_latency + dram.burst_time >= dram.tras
 
 
-# ----------------------------------------------------------------------
-# Batch plane and merge round-trip
-
-
-class _Hierarchy:
-    def __init__(self):
-        self.access_listeners = []
-
-
-def test_batch_plane_stages_and_flushes(backend):
-    plane = BatchPlane(2)
-    host = _Hierarchy()
-    plane.bind(host)
-    assert host.access_listeners == []  # lazy until a consumer registers
-    seen = []
-    plane.register(seen.append)
-    assert host.access_listeners == [plane.stage]
-
-    plane.stage(0, 100, False, True, 5)
-    plane.stage(1, 200, True, False, 6)
-    plane.flush()
-    assert len(seen) == 1
-    batch = seen[0]
-    assert col.tolist(batch.addrs) == [100, 200]
-    assert col.tolist(batch.cores) == [0, 1]
-    assert [bool(h) for h in col.tolist(col.mask_to_column(batch.hits))] == [
-        True, False,
-    ]
-    assert plane.requests_staged == 2 and plane.batches_flushed == 1
-    plane.flush()  # empty flush is a no-op
-    assert len(seen) == 1
-    plane.flush_owner(3)  # adapter ignores the owner
-    assert len(seen) == 1
-
-
-def test_groups_by_core_orders_within_core(backend):
-    batch = RequestBatch(
-        cycles=col.column([1, 2, 3, 4]),
-        addrs=col.column([10, 20, 30, 40]),
-        cores=col.column([1, 0, 1, 0]),
-        kinds=col.mask_column([False] * 4),
-        hits=col.mask_column([True] * 4),
-    )
-    groups = dict((core, list(idx)) for core, idx in batch.groups_by_core())
-    assert groups == {0: [1, 3], 1: [0, 2]}
-
-
-def test_split_merge_round_trip(backend):
-    rng = _rng(21)
-    n = 500
-    cycles_list = sorted(rng.randrange(10_000) for _ in range(n))
-    batch = RequestBatch(
-        cycles=col.column(cycles_list),
-        addrs=col.column([rng.randrange(1 << 20) for _ in range(n)]),
-        cores=col.column([rng.randrange(4) for _ in range(n)]),
-        kinds=col.mask_column([rng.random() < 0.3 for _ in range(n)]),
-        hits=col.mask_column([rng.random() < 0.6 for _ in range(n)]),
-    )
-    merged = merge_streams(split_by_core(batch))
-    for field in ("cycles", "addrs", "cores"):
-        assert col.tolist(getattr(merged, field)) == col.tolist(
-            getattr(batch, field)
-        )
-    for field in ("kinds", "hits"):
-        assert [bool(b) for b in col.tolist(col.mask_to_column(getattr(merged, field)))] == [
-            bool(b) for b in col.tolist(col.mask_to_column(getattr(batch, field)))
-        ]
-
-
-# ----------------------------------------------------------------------
-# Config plumbing
-
-
 def test_engine_field_validates():
-    SystemConfig(engine="columnar").validate()
+    SystemConfig(engine="event").validate()
+    SystemConfig(engine="analytic").validate()
     with pytest.raises(ValueError):
         SystemConfig(engine="gpu").validate()
-    assert scaled_config().with_engine("columnar").engine == "columnar"
+    assert scaled_config().with_engine("analytic").engine == "analytic"
 
 
 def test_config_fingerprint_unchanged_by_engine_field():
     """The engine field must not invalidate pre-existing campaign stores:
-    default-engine configs fingerprint exactly as before the field existed
-    (digests captured on the pre-change tree), and the columnar variant
-    gets its own key."""
+    event-tier configs fingerprint exactly as before the field existed,
+    and the analytic tier gets a key of its own."""
     from repro.resilience.faults import config_fingerprint
 
     assert config_fingerprint(SystemConfig()) == "cd734d0265708e27"
     assert config_fingerprint(scaled_config()) == "80f750177cde756e"
     assert config_fingerprint(scaled_config(8)) == "c7608857799a8f65"
-    columnar = scaled_config().with_engine("columnar")
-    assert config_fingerprint(columnar) == "e78ac93833d1d461"
-    assert config_fingerprint(columnar) != config_fingerprint(scaled_config())
+    analytic = scaled_config().with_engine("analytic")
+    assert config_fingerprint(analytic) == "4cbf092cf2453142"
 
 
 def test_alone_cache_key_excludes_engine():
-    """Alone profiles are engine-independent and shared across backends."""
+    """Alone profiles are tier-independent and shared across tiers."""
     from repro.harness.runner import AloneRunCache
 
     cache = AloneRunCache()
     event_key = cache._config_key(scaled_config())
-    columnar_key = cache._config_key(scaled_config().with_engine("columnar"))
-    assert event_key == columnar_key
+    analytic_key = cache._config_key(scaled_config().with_engine("analytic"))
+    assert event_key == analytic_key

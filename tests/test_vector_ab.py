@@ -1,99 +1,11 @@
-"""A/B harness, CLI ``--engine`` flag, and ``repro bench`` verb tests.
-
-The expensive full drill (``repro bench ab``) runs in CI; here the same
-machinery is exercised at reduced scale — small quanta, two cores — so
-the bit-identity contract is enforced on every test run.
-"""
+"""Tests for the ``repro bench`` verbs and the BENCH JSON capture file."""
 
 import json
 
 import pytest
 
 from repro.cli import main as cli_main
-from repro.config import scaled_config
-from repro.perfbench import bench_main, merge_results
-from repro.telemetry.spec import TelemetrySpec
-from repro.vector.ab import AbReport, check_merge_order, compare_mixes, compare_runs
-from repro.workloads.mixes import random_mixes
-
-
-def _small_config(num_cores=2):
-    return scaled_config(num_cores).with_quantum(100_000, 5_000)
-
-
-# ----------------------------------------------------------------------
-# A/B harness
-
-
-def test_compare_runs_bit_identical():
-    mix = random_mixes(1, 2, seed=5)[0]
-    report = compare_runs(mix, _small_config(), quanta=2)
-    assert report.ok, report.summary()
-    assert report.compared == 2
-    assert "bit-identical" in report.summary()
-
-
-def test_compare_runs_with_telemetry_faults():
-    # Faults are injected deterministically at counter-read time, so a
-    # faulted run must still be bit-identical across engines.
-    mix = random_mixes(1, 2, seed=6)[0]
-    spec = TelemetrySpec.parse("dropped-read:0.1", seed=3)
-    report = compare_runs(mix, _small_config(), quanta=1, telemetry=spec)
-    assert report.ok, report.summary()
-
-
-def test_compare_mixes_merges_reports():
-    report = compare_mixes(2, 2, quanta=1, config=_small_config(), seed=9)
-    assert report.ok, report.summary()
-    assert report.compared == 2  # one record per mix per quantum
-
-
-def test_check_merge_order_round_trip():
-    report = check_merge_order(config=_small_config(), cycles=20_000, seed=7)
-    assert report.ok, report.summary()
-    assert report.compared > 0  # the run produced accesses to round-trip
-
-
-def test_ab_report_merge_prefixes_labels():
-    top = AbReport(label="ab")
-    child = AbReport(label="run:mix0", compared=3)
-    child.mismatches.append("quantum 0 field 'shared_ipc' differs")
-    top.merge(child)
-    assert not top.ok
-    assert top.compared == 3
-    assert top.mismatches == ["run:mix0: quantum 0 field 'shared_ipc' differs"]
-    assert "MISMATCH" in top.summary()
-
-
-# ----------------------------------------------------------------------
-# CLI --engine flag
-
-
-def test_cli_engine_columnar_end_to_end(capsys, tmp_path):
-    code = cli_main([
-        "fig02", "--mixes", "1", "--quanta", "1",
-        "--engine", "columnar",
-        "--campaign-dir", str(tmp_path / "c"),
-    ])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "asm_err%" in out
-
-
-def test_cli_engine_flag_warns_when_unsupported(capsys, tmp_path):
-    code = cli_main([
-        "fig11", "--quanta", "1",
-        "--engine", "columnar",
-        "--campaign-dir", str(tmp_path / "c"),
-    ])
-    assert code == 0
-    err = capsys.readouterr().err
-    assert "does not support --engine" in err
-
-
-def test_cli_engine_flag_validates_choices(capsys):
-    with pytest.raises(SystemExit):
-        cli_main(["fig02", "--engine", "gpu"])
+from repro.perfbench import BenchFileError, bench_main, merge_files, merge_results
 
 
 def test_cli_list_mentions_bench(capsys):
@@ -101,15 +13,11 @@ def test_cli_list_mentions_bench(capsys):
     assert "bench" in capsys.readouterr().out
 
 
-# ----------------------------------------------------------------------
-# repro bench verbs
-
-
 def test_bench_run_micro_only_captures_json(capsys, tmp_path):
     out = tmp_path / "bench.json"
     code = bench_main([
         "run", "--micro-only",
-        "--micro-events", "2000", "--columnar-events", "5000",
+        "--micro-events", "2000",
         "--label", "test", "--notes", "test-host",
         "--out", str(out),
     ])
@@ -119,10 +27,6 @@ def test_bench_run_micro_only_captures_json(capsys, tmp_path):
     assert "python" in data["platform"]
     micro = data["engine_microbench"]["test"]
     assert micro["events_per_s"] > 0
-    columnar = data["columnar_microbench"]["test"]
-    assert columnar["events_per_s"] > 0
-    assert columnar["backend"] in ("numpy", "python")
-    assert columnar["equivalent_to_event_engine"] is True
 
 
 def test_bench_compare_reports_ratio(capsys, tmp_path):
@@ -142,6 +46,24 @@ def test_bench_compare_reports_ratio(capsys, tmp_path):
     assert bench_main(["compare", "old", "nope", "--json", str(out)]) == 2
 
 
+def test_bench_compare_min_ratio_needs_the_gated_metric(capsys, tmp_path):
+    # A wall-time section has no events_per_s: the gate must refuse to
+    # pass it instead of passing whatever its numbers are.
+    out = tmp_path / "bench.json"
+    merge_results(out, "sweep", {"serial_wall_s": 10.0}, "old")
+    merge_results(out, "sweep", {"serial_wall_s": 30.0}, "new")
+    code = bench_main([
+        "compare", "old", "new", "--json", str(out),
+        "--section", "sweep", "--min-ratio", "0.9",
+    ])
+    assert code == 2
+    assert "'sweep'" in capsys.readouterr().err
+    # Without the gate the comparison itself still works.
+    assert bench_main([
+        "compare", "old", "new", "--json", str(out), "--section", "sweep",
+    ]) == 0
+
+
 def test_bench_merge_folds_files(capsys, tmp_path):
     a, b, dest = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "all.json"
     merge_results(a, "engine_microbench", {"events_per_s": 1.0}, "hostA")
@@ -153,36 +75,25 @@ def test_bench_merge_folds_files(capsys, tmp_path):
     assert "sweep" in merged
 
 
-def test_bench_ab_exit_codes(capsys, monkeypatch):
-    import repro.vector.ab as ab_mod
+def test_corrupt_bench_file_is_never_overwritten(capsys, tmp_path):
+    out = tmp_path / "bench.json"
+    merge_results(out, "sweep", {"serial_wall_s": 3.0}, "history")
+    corrupt = out.read_text()[:-10]  # a truncated write
+    out.write_text(corrupt)
+    source = tmp_path / "new.json"
+    merge_results(source, "engine_microbench", {"events_per_s": 1.0}, "new")
 
-    captured_kwargs = {}
+    with pytest.raises(BenchFileError):
+        merge_results(out, "engine_microbench", {"events_per_s": 1.0}, "new")
+    with pytest.raises(BenchFileError):
+        merge_files([source], out)
+    assert out.read_text() == corrupt
 
-    def fake_run_ab(**kwargs):
-        captured_kwargs.update(kwargs)
-        return AbReport(label="ab", compared=5)
-
-    monkeypatch.setattr(ab_mod, "run_ab", fake_run_ab)
-    code = bench_main([
-        "ab", "--mixes", "3", "--quanta", "1", "--cores", "2",
-        "--seed", "11", "--skip-experiments", "--telemetry-faults", "",
-    ])
-    assert code == 0
-    assert "bit-identical" in capsys.readouterr().out
-    assert captured_kwargs == {
-        "num_mixes": 3,
-        "quanta": 1,
-        "num_cores": 2,
-        "seed": 11,
-        "include_experiments": False,
-        "telemetry_faults": None,
-    }
-
-    def failing_run_ab(**kwargs):
-        report = AbReport(label="ab", compared=1)
-        report.mismatches.append("quantum 0 diverged")
-        return report
-
-    monkeypatch.setattr(ab_mod, "run_ab", failing_run_ab)
-    assert bench_main(["ab"]) == 1
-    assert "MISMATCH" in capsys.readouterr().out
+    for argv in (
+        ["run", "--micro-only", "--out", str(out)],
+        ["merge", str(source), "--into", str(out)],
+        ["compare", "history", "new", "--json", str(out)],
+    ):
+        assert bench_main(argv) == 2
+        assert str(out) in capsys.readouterr().err
+    assert out.read_text() == corrupt

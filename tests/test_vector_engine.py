@@ -1,18 +1,10 @@
-"""ColumnarEngine contract tests.
+"""Bucket-queue edge cases of the scheduler, parametrized by engine.
 
-Two halves:
-
-* **Scalar parity** — every bucket-queue edge case is parametrized over
-  both :class:`~repro.engine.Engine` and
-  :class:`~repro.vector.engine.ColumnarEngine`: with no streams the
-  columnar engine *is* the event engine, and these tests pin the corners
-  (same-cycle schedule-during-drain ordering, ``stop()`` mid-bucket
-  preservation, the first-event deadline sample) that the batched plane
-  must never disturb.
-* **Stream semantics** — the windowed dispatch contract: coverage of
-  every firing exactly once, vec-before-scalar ordering at a shared
-  cycle, monotonic time, event accounting (including exception paths),
-  and validation.
+These pin the corners a faster engine must never disturb: same-cycle
+schedule-during-drain ordering, ``stop()`` mid-bucket preservation and
+the first-event deadline sample. :class:`~repro.engine.Engine` is the
+only engine; the parameter keeps each case's ID naming the engine it
+ran on.
 """
 
 import time
@@ -20,16 +12,11 @@ import time
 import pytest
 
 from repro.engine import DeadlineExceeded, Engine
-from repro.vector.engine import ColumnarEngine
 
 
-@pytest.fixture(params=[Engine, ColumnarEngine], ids=["event", "columnar"])
+@pytest.fixture(params=[Engine], ids=["event"])
 def engine(request):
     return request.param()
-
-
-# ----------------------------------------------------------------------
-# Scalar parity: the bucket-queue edge cases, both engines
 
 
 def test_events_run_in_time_order(engine):
@@ -113,142 +100,3 @@ def test_run_until_and_empty_queue(engine):
     engine.run(until=1000)
     assert log == ["early", "boundary"]
     assert engine.now == 1000
-
-
-# ----------------------------------------------------------------------
-# Stream semantics
-
-
-def test_streams_require_explicit_horizon():
-    engine = ColumnarEngine()
-    engine.schedule_stream(5, callback=lambda: None)
-    with pytest.raises(ValueError, match="requires 'until'"):
-        engine.run()
-
-
-def test_stream_validation():
-    engine = ColumnarEngine()
-    with pytest.raises(ValueError, match="period"):
-        engine.schedule_stream(0, callback=lambda: None)
-    with pytest.raises(ValueError, match="exactly one"):
-        engine.schedule_stream(5)
-    with pytest.raises(ValueError, match="exactly one"):
-        engine.schedule_stream(
-            5, callback=lambda: None, vec_callback=lambda s, c, p: None
-        )
-    with pytest.raises(ValueError, match="cannot start"):
-        engine.schedule_stream(5, callback=lambda: None, start=-1)
-
-
-def test_vec_windows_cover_every_firing_exactly_once():
-    # Windows are truncated by scalar streams and bucket events, but the
-    # union of all windows must be every firing in [start, until), each
-    # exactly once, in order.
-    engine = ColumnarEngine()
-    seen = []
-    engine.schedule_stream(
-        7, vec_callback=lambda s, c, p: seen.extend(range(s, s + c * p, p))
-    )
-    engine.schedule_stream(23, callback=lambda: None)
-    for t in (50, 100, 150):
-        engine.schedule(t, lambda: None)
-    engine.run(until=500)
-    assert seen == list(range(7, 500, 7))
-    assert engine.now == 500
-    assert not engine.stopped_early
-    assert not engine.drained_early
-
-
-def test_same_cycle_order_vec_then_scalar_stream_then_bucket():
-    engine = ColumnarEngine()
-    log = []
-    engine.schedule_stream(
-        10, vec_callback=lambda s, c, p: log.append(("vec", s, c))
-    )
-    engine.schedule_stream(10, callback=lambda: log.append(("sstream", engine.now)))
-    engine.schedule(10, lambda: log.append(("bucket", engine.now)))
-    engine.run(until=11)
-    assert log == [("vec", 10, 1), ("sstream", 10), ("bucket", 10)]
-
-
-def test_now_is_monotonic_across_windows():
-    engine = ColumnarEngine()
-    nows = []
-    engine.schedule_stream(3, vec_callback=lambda s, c, p: nows.append(engine.now))
-    engine.schedule_stream(5, vec_callback=lambda s, c, p: nows.append(engine.now))
-    engine.schedule_stream(11, callback=lambda: nows.append(engine.now))
-    engine.run(until=200)
-    assert nows == sorted(nows)
-
-
-def test_events_executed_counts_firings_and_consumed_override():
-    engine = ColumnarEngine()
-    engine.schedule_stream(5, vec_callback=lambda s, c, p: None)  # 1 per firing
-    engine.run(until=100)
-    assert engine.events_executed == len(range(5, 100, 5))
-
-    engine = ColumnarEngine()
-    engine.schedule_stream(5, vec_callback=lambda s, c, p: c * 3)
-    engine.run(until=100)
-    assert engine.events_executed == 3 * len(range(5, 100, 5))
-
-    engine = ColumnarEngine()
-    engine.schedule_stream(5, callback=lambda: None)
-    engine.schedule(17, lambda: None)
-    engine.run(until=100)
-    assert engine.events_executed == len(range(5, 100, 5)) + 1
-
-
-def test_scalar_stream_can_stop_and_resume():
-    engine = ColumnarEngine()
-    fired = []
-
-    def cb():
-        fired.append(engine.now)
-        if engine.now == 15:
-            engine.stop()
-
-    engine.schedule_stream(5, callback=cb)
-    engine.run(until=100)
-    assert fired == [5, 10, 15]
-    assert engine.now == 15
-    assert engine.stopped_early
-    assert engine.events_executed == 3
-    engine.run(until=31)
-    assert fired == [5, 10, 15, 20, 25, 30]
-    assert engine.now == 31
-    assert not engine.stopped_early
-
-
-def test_raising_vec_callback_keeps_prior_accounting():
-    engine = ColumnarEngine()
-    counted = []
-
-    def boom(s, c, p):
-        raise RuntimeError("injected")
-
-    engine.schedule_stream(1, vec_callback=lambda s, c, p: counted.append(c))
-    engine.schedule_stream(7, vec_callback=boom)
-    with pytest.raises(RuntimeError):
-        engine.run(until=100)
-    # The first stream's whole window was executed and stays counted.
-    assert counted == [99]
-    assert engine.events_executed == 99
-
-
-def test_deadline_fires_inside_stream_run():
-    engine = ColumnarEngine()
-    engine.schedule_stream(1, vec_callback=lambda s, c, p: time.sleep(0.05))
-    with pytest.raises(DeadlineExceeded):
-        engine.run(until=10_000, wall_deadline=time.monotonic() + 0.01)
-
-
-def test_stream_population_equivalence_with_event_engine():
-    # The microbenchmark's two populations (self-rescheduling callbacks
-    # vs streams) execute the same number of logical events.
-    from repro.perfbench import microbench_equivalence
-
-    result = microbench_equivalence(horizon=20_000)
-    assert result["identical"]
-    assert result["scalar_events"] == result["columnar_events"] > 0
-    assert result["scalar_total"] == result["columnar_total"]

@@ -3,10 +3,11 @@
 
 Scans the given markdown files (or the repo's documentation set by
 default) for inline links and images, and verifies that every *relative*
-target exists on disk. External schemes (http/https/mailto), pure
-anchors and bare autolinks are ignored; a ``#fragment`` suffix on a
-relative target is stripped before the existence check. Link targets
-inside fenced code blocks are ignored.
+target exists on disk. A ``#fragment`` on a link to a markdown file, or a
+bare ``#anchor`` link, must match the GitHub-style slug of one of that
+file's ATX (``#``) headings. External schemes (http/https/mailto) and
+bare autolinks are ignored, and so are links and headings inside fenced
+code blocks.
 
 Exit status: 0 if every relative link resolves, 1 otherwise (each broken
 link is reported as ``file:line: broken link -> target``).
@@ -26,6 +27,7 @@ DEFAULT_FILES = (
     "docs/architecture.md",
     "docs/models.md",
     "docs/fidelity.md",
+    "docs/lintkit.md",
 )
 
 #: inline links/images: [text](target) / ![alt](target); stops at the
@@ -35,18 +37,51 @@ LINK_RE = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)(?:\s+\"[^\"]*\")?\)")
 
 EXTERNAL = ("http://", "https://", "mailto:", "ftp://")
 
+#: ATX heading: up to three spaces, 1-6 '#', then the heading text.
+HEADING_RE = re.compile(r"^ {0,3}#{1,6}[ \t]+(.*?)(?:[ \t]+#+)?[ \t]*$")
+#: Inline link or image inside heading text: only its text is rendered.
+INLINE_LINK_RE = re.compile(r"!?\[([^\]]*)\]\([^)]*\)")
+
+
+def iter_lines(text):
+    """Yield (line_number, line) for every line outside fenced code."""
+    in_fence = False
+    for number, line in enumerate(text.splitlines(), start=1):
+        if line.lstrip().startswith(("```", "~~~")):
+            in_fence = not in_fence
+            continue
+        if not in_fence:
+            yield number, line
+
 
 def iter_links(text):
     """Yield (line_number, target) for every inline link outside fences."""
-    in_fence = False
-    for number, line in enumerate(text.splitlines(), start=1):
-        if line.lstrip().startswith("```"):
-            in_fence = not in_fence
-            continue
-        if in_fence:
-            continue
+    for number, line in iter_lines(text):
         for match in LINK_RE.finditer(line):
             yield number, match.group(1)
+
+
+def slugify(heading):
+    """GitHub's anchor for a heading: lowercase, punctuation dropped,
+    each space a hyphen."""
+    text = INLINE_LINK_RE.sub(r"\1", heading).strip().lower()
+    return re.sub(r"[^\w\- ]", "", text).replace(" ", "-")
+
+
+def anchors(text):
+    """Every heading anchor of a markdown document; repeated headings get
+    ``-1``, ``-2``, ... suffixes as on GitHub."""
+    seen = {}
+    found = set()
+    for _, line in iter_lines(text):
+        match = HEADING_RE.match(line)
+        if not match:
+            continue
+        slug = slugify(match.group(1))
+        count = seen.get(slug, 0)
+        seen[slug] = count + 1
+        found.add(f"{slug}-{count}" if count else slug)
+    return found
 
 
 def check_file(path: Path, repo_root: Path):
@@ -54,16 +89,20 @@ def check_file(path: Path, repo_root: Path):
     broken = []
     text = path.read_text(encoding="utf-8")
     for line, target in iter_links(text):
-        if target.startswith(EXTERNAL) or target.startswith("#"):
+        if target.startswith(EXTERNAL):
             continue
-        resolved = target.split("#", 1)[0]
+        resolved, _, fragment = target.partition("#")
         if not resolved:
-            continue
-        if resolved.startswith("/"):
+            candidate = path
+        elif resolved.startswith("/"):
             candidate = repo_root / resolved.lstrip("/")
         else:
             candidate = path.parent / resolved
         if not candidate.exists():
+            broken.append((line, target))
+        elif fragment and candidate.suffix == ".md" and fragment not in anchors(
+            candidate.read_text(encoding="utf-8")
+        ):
             broken.append((line, target))
     return broken
 
