@@ -6,14 +6,13 @@ import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
-from repro.analytic.runner import resolve_fidelity, run_analytic
 from repro.config import SystemConfig, scaled_config
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.resilience.campaign import Campaign
     from repro.telemetry.spec import TelemetrySpec
 from repro.harness import metrics
-from repro.harness.runner import AloneRunCache, ModelFactory, RunResult, run_workload
+from repro.harness.runner import ModelFactory, RunResult
 from repro.models.asm import AsmModel
 from repro.models.fst import FstModel
 from repro.models.mise import MiseModel
@@ -99,123 +98,64 @@ class ErrorSurvey:
 def survey_errors(
     mixes: Sequence[WorkloadMix],
     config: SystemConfig,
-    model_factories: Optional[Dict[str, ModelFactory]] = None,
     quanta: int = 2,
-    alone_cache: Optional[AloneRunCache] = None,
-    scheduler_factory: Optional[Callable] = None,
     campaign: Optional["Campaign"] = None,
     variant: str = "",
     *,
     workers: int = 1,
-    model_builder: Optional[Callable[..., Dict[str, ModelFactory]]] = None,
+    model_builder: Callable[..., Dict[str, ModelFactory]],
     model_builder_args: Sequence = (),
-    scheduler_builder: Optional[Callable] = None,
-    scheduler_builder_args: Sequence = (),
     telemetry: Optional["TelemetrySpec"] = None,
     fidelity: str = "",
 ) -> ErrorSurvey:
-    """Run every mix and collect estimation errors for every model.
+    """Run every mix as one campaign cell and collect every model's
+    estimation errors.
+
+    Each mix becomes a :class:`~repro.parallel.CellSpec` whose models come
+    from the module-level recipe ``model_builder(*model_builder_args)``,
+    and the cells run through :func:`repro.parallel.run_cells` — serially,
+    or across ``workers`` processes with identical results. Under a
+    :class:`repro.resilience.campaign.Campaign`, previously completed mixes
+    resume from its store, failing mixes are captured (and skipped when
+    the campaign keeps going) instead of aborting the survey, and
+    ``variant`` disambiguates multiple surveys within one experiment.
+    Without one, the survey makes a campaign with no store, and a failing
+    mix raises.
 
     ``telemetry`` injects deterministic counter faults into every model's
     counter bank (see :mod:`repro.telemetry`); ``None`` means perfect
     telemetry.
 
     ``fidelity`` selects the execution tier ("analytical" | "event", see
-    docs/fidelity.md); empty leaves ``config.engine`` in charge. At the analytical tier the per-estimator machinery does not
-    run — only the closed-form "asm"/"analytic" estimates exist, and
-    other requested models simply collect no errors. An analytical
-    survey under a campaign with a store additionally cross-validates a
-    seeded sample of its cells against the event oracle and persists the
-    divergence report (:mod:`repro.analytic.crossval`).
-
-    With a :class:`repro.resilience.campaign.Campaign`, each mix runs under
-    its fault-isolation/checkpoint discipline: previously completed mixes
-    are resumed from the store, failing mixes are captured (and skipped
-    when the campaign keeps going) instead of aborting the survey, and
-    ``variant`` disambiguates multiple surveys within one experiment.
-
-    ``workers > 1`` fans the mixes out across worker processes (see
-    :mod:`repro.parallel`); results are identical to a serial survey. The
-    parallel path needs picklable recipes instead of closures: a
-    module-level ``model_builder`` called as
-    ``model_builder(*model_builder_args)`` (and likewise for the
-    scheduler). When only a builder is given, the serial path uses it too.
+    docs/fidelity.md); empty leaves ``config.engine`` in charge. At the
+    analytical tier the per-estimator machinery does not run — only the
+    closed-form "asm"/"analytic" estimates exist, and other requested
+    models simply collect no errors. An analytical survey under a campaign
+    with a store additionally cross-validates a seeded sample of its cells
+    against the event oracle and persists the divergence report
+    (:mod:`repro.analytic.crossval`).
     """
-    config = resolve_fidelity(config, fidelity)
-    if model_factories is None:
-        if model_builder is None:
-            raise ValueError(
-                "survey_errors needs model_factories or a model_builder"
-            )
-        model_factories = model_builder(*model_builder_args)
-    survey = ErrorSurvey(model_names=list(model_factories))
-    if workers > 1:
-        if model_builder is None:
-            raise ValueError(
-                "workers > 1 requires a picklable module-level model_builder"
-            )
-        if scheduler_factory is not None and scheduler_builder is None:
-            raise ValueError(
-                "workers > 1 requires a picklable scheduler_builder "
-                "instead of scheduler_factory"
-            )
-        from repro.parallel import CellSpec
-        from repro.resilience.campaign import Campaign
+    from repro.parallel import CellSpec
+    from repro.resilience.campaign import Campaign
 
-        camp = campaign if campaign is not None else Campaign("adhoc-survey")
-        cells = [
-            CellSpec(
-                mix=mix,
-                config=config,
-                quanta=quanta,
-                variant=variant,
-                model_builder=model_builder,
-                model_builder_args=tuple(model_builder_args),
-                scheduler_builder=scheduler_builder,
-                scheduler_builder_args=tuple(scheduler_builder_args),
-                telemetry=telemetry,
-            )
-            for mix in mixes
-        ]
-        for result in camp.run_cells(cells, workers=workers):
-            if result is not None:
-                survey.add_run(result)
-        _crossval_if_analytic(campaign, mixes, config, quanta, variant, fidelity)
-        return survey
-    # Explicit None check: an empty AloneRunCache is falsy (len == 0).
-    if alone_cache is not None:
-        cache = alone_cache
-    elif campaign is not None:
-        cache = campaign.alone_cache()
-    else:
-        cache = AloneRunCache()
-    for mix in mixes:
-        if campaign is not None:
-            result = campaign.run_mix(
-                mix,
-                config,
-                quanta=quanta,
-                variant=variant,
-                model_factories=model_factories,
-                scheduler_factory=scheduler_factory,
-                alone_cache=cache,
-                telemetry=telemetry,
-            )
-            if result is None:
-                continue
-        elif config.engine == "analytic":
-            result = run_analytic(mix, config, quanta=quanta)
-        else:
-            result = run_workload(
-                mix,
-                config,
-                model_factories=model_factories,
-                scheduler_factory=scheduler_factory,
-                quanta=quanta,
-                alone_cache=cache,
-                telemetry=telemetry,
-            )
-        survey.add_run(result)
+    survey = ErrorSurvey(model_names=list(model_builder(*model_builder_args)))
+    cells = [
+        CellSpec(
+            mix=mix,
+            config=config,
+            quanta=quanta,
+            variant=variant,
+            model_builder=model_builder,
+            model_builder_args=tuple(model_builder_args),
+            telemetry=telemetry,
+            fidelity=fidelity,
+        )
+        for mix in mixes
+    ]
+    camp = campaign if campaign is not None else Campaign("adhoc-survey")
+    for result in camp.run_cells(cells, workers=workers):
+        if result is not None:
+            survey.add_run(result)
     _crossval_if_analytic(campaign, mixes, config, quanta, variant, fidelity)
     return survey
 

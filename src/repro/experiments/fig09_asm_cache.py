@@ -20,7 +20,6 @@ from typing import Dict, Optional, Sequence
 
 from repro.config import SystemConfig, scaled_config
 from repro.experiments.common import default_mixes, fairness_of_runs, format_table
-from repro.harness.runner import AloneRunCache, run_workload
 from repro.models.asm import AsmModel
 from repro.policies.asm_cache import AsmCachePolicy
 from repro.policies.mcfq import McfqPolicy
@@ -68,7 +67,11 @@ def run(
     """``llc_bytes_per_core`` > 0 scales the LLC with the core count (the
     paper's larger-cache 16-core study, Section 7.1.2 fourth observation),
     avoiding the one-way-per-core granularity floor at 16 cores."""
+    from repro.resilience.campaign import Campaign
+
     config = config or scaled_config()
+    # Without a campaign: one with no store, so a failing run raises.
+    campaign = campaign if campaign is not None else Campaign("fig09")
     mixes_per_count = mixes_per_count or {4: 5, 8: 3, 16: 2}
     result = CachePartitioningResult()
     for cores in core_counts:
@@ -76,24 +79,16 @@ def run(
         if llc_bytes_per_core:
             cfg = cfg.with_llc_size(llc_bytes_per_core * cores)
         mixes = default_mixes(mixes_per_count.get(cores, 3), cores, seed=seed + cores)
-        cache = campaign.alone_cache() if campaign else AloneRunCache()
         for scheme, kwargs in _schemes(cfg).items():
-            if campaign is not None:
-                runs = [
-                    campaign.run_mix(
-                        mix,
-                        cfg,
-                        quanta=quanta,
-                        variant=f"{cores}cores-{scheme}",
-                        alone_cache=cache,
-                        **kwargs,
-                    )
-                    for mix in mixes
-                ]
-            else:
-                runs = [
-                    run_workload(mix, cfg, quanta=quanta, alone_cache=cache, **kwargs)
-                    for mix in mixes
-                ]
+            runs = [
+                campaign.run_mix(
+                    mix,
+                    cfg,
+                    quanta=quanta,
+                    variant=f"{cores}cores-{scheme}",
+                    **kwargs,
+                )
+                for mix in mixes
+            ]
             result.outcomes[(cores, scheme)] = fairness_of_runs(runs)
     return result

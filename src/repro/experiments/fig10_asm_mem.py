@@ -12,7 +12,6 @@ from typing import Dict, Optional, Sequence
 
 from repro.config import SystemConfig, scaled_config
 from repro.experiments.common import default_mixes, fairness_of_runs, format_table
-from repro.harness.runner import AloneRunCache, run_workload
 from repro.mem.schedulers import BlissScheduler, ParbsScheduler, TcmScheduler
 from repro.models.asm import AsmModel
 from repro.policies.asm_mem import AsmMemPolicy
@@ -58,30 +57,26 @@ def run(
     seed: int = 42,
     campaign=None,
 ) -> BandwidthPartitioningResult:
+    from repro.resilience.campaign import Campaign
+
     config = config or scaled_config()
+    # Without a campaign: one with no store, so a failing run raises.
+    campaign = campaign if campaign is not None else Campaign("fig10")
     mixes_per_count = mixes_per_count or {4: 5, 8: 3, 16: 2}
     result = BandwidthPartitioningResult()
     for cores in core_counts:
         cfg = config.with_cores(cores)
         mixes = default_mixes(mixes_per_count.get(cores, 3), cores, seed=seed + cores)
-        cache = campaign.alone_cache() if campaign else AloneRunCache()
         for scheme, kwargs in _schemes(cfg).items():
-            if campaign is not None:
-                runs = [
-                    campaign.run_mix(
-                        mix,
-                        cfg,
-                        quanta=quanta,
-                        variant=f"{cores}cores-{scheme}",
-                        alone_cache=cache,
-                        **kwargs,
-                    )
-                    for mix in mixes
-                ]
-            else:
-                runs = [
-                    run_workload(mix, cfg, quanta=quanta, alone_cache=cache, **kwargs)
-                    for mix in mixes
-                ]
+            runs = [
+                campaign.run_mix(
+                    mix,
+                    cfg,
+                    quanta=quanta,
+                    variant=f"{cores}cores-{scheme}",
+                    **kwargs,
+                )
+                for mix in mixes
+            ]
             result.outcomes[(cores, scheme)] = fairness_of_runs(runs)
     return result

@@ -20,6 +20,7 @@ from repro.experiments.common import (
     format_table,
     survey_errors,
 )
+from repro.harness.runner import ModelFactory
 from repro.models.asm import AsmModel
 
 
@@ -41,6 +42,11 @@ class QuantumEpochResult:
         )
 
 
+def asm_models(config: SystemConfig) -> Dict[str, ModelFactory]:
+    """Table 3's one estimator: ASM with the config's sampled ATS."""
+    return {"asm": lambda: AsmModel(sampled_sets=config.ats_sampled_sets)}
+
+
 def run(
     quantum_lengths: Sequence[int] = (200_000, 1_000_000, 2_000_000),
     epoch_lengths: Sequence[int] = (1_000, 5_000, 20_000, 50_000),
@@ -48,14 +54,15 @@ def run(
     config: Optional[SystemConfig] = None,
     seed: int = 42,
 ) -> QuantumEpochResult:
+    from repro.resilience.campaign import Campaign
+
     config = config or scaled_config()
     result = QuantumEpochResult()
     budget = max(quantum_lengths)  # equal simulated time per cell
-    # One alone-run cache across all cells: within a quantum-length row the
-    # simulated horizon is identical, so ground truth is fully shared.
-    from repro.harness.runner import AloneRunCache
-
-    alone_cache = AloneRunCache()
+    # One campaign, so one alone-run cache, across all cells: within a
+    # quantum-length row the simulated horizon is identical, so ground
+    # truth is fully shared.
+    campaign = Campaign("table3")
     for quantum in quantum_lengths:
         for epoch in epoch_lengths:
             if quantum % epoch:
@@ -66,9 +73,10 @@ def run(
             survey = survey_errors(
                 mixes,
                 cfg,
-                {"asm": lambda c=cfg: AsmModel(sampled_sets=c.ats_sampled_sets)},
                 quanta=quanta,
-                alone_cache=alone_cache,
+                campaign=campaign,
+                model_builder=asm_models,
+                model_builder_args=(cfg,),
             )
             result.errors[(quantum, epoch)] = survey.mean_error("asm")
     return result

@@ -12,10 +12,10 @@ globals rebound (``global X`` + assignment) or mutated in place
 (``CACHE[k] = v``, ``REGISTRY.append(...)``) — including effects of
 resolvable callees, bounded by the shared fixed point. It then finds
 *payloads*: function references passed to ``submit``/``map``/
-``starmap``/``apply_async`` or as ``model_builder``/``scheduler_builder``
-recipe kwargs. Payload positions propagate through the call graph, so
-a dispatcher like ``run_cells -> _run_tasks(fn, ...) -> pool.submit(fn)``
-marks ``run_cells``'s argument as a payload too.
+``starmap``/``apply_async`` or as ``model_builder`` recipe kwargs.
+Payload positions propagate through the call graph, so a dispatcher like
+``run_cells -> _run_tasks(fn, ...) -> pool.submit(fn)`` marks
+``run_cells``'s argument as a payload too.
 
 ``# lint: pure`` on a def line asserts the function (and what it calls)
 has no module-global effects; the analysis trusts it and stops there.
@@ -38,7 +38,7 @@ from repro.lintkit.flow.project import (
 #: Executor/pool methods that take a function to run in a worker.
 SUBMIT_ATTRS = frozenset({"apply_async", "map", "starmap", "submit"})
 #: Recipe kwargs whose values execute inside workers (see repro.parallel).
-RECIPE_KWARGS = frozenset({"model_builder", "scheduler_builder"})
+RECIPE_KWARGS = frozenset({"model_builder"})
 
 #: In-place mutator methods on containers. A call ``G.append(...)`` on a
 #: module global G is an effect even though nothing is assigned.

@@ -390,7 +390,7 @@ class Cyc001TrueDivisionIntoCycles(Rule):
 #: Call-site attributes that submit work to a process pool.
 _SUBMIT_ATTRS = frozenset({"submit", "map", "starmap", "apply_async"})
 #: CellSpec keyword recipes that are pickled by reference.
-_RECIPE_KWARGS = frozenset({"model_builder", "scheduler_builder"})
+_RECIPE_KWARGS = frozenset({"model_builder"})
 
 
 class _LocalDefs(ast.NodeVisitor):
@@ -445,8 +445,8 @@ class Pkl001UnpicklableParallelPayload(Rule):
     boundary pickles by *reference*: module-level names only. A lambda or
     a def nested in a function imports fine, runs fine serially, then
     raises ``PicklingError`` only when ``--workers`` is used — the rule
-    rejects it at review time instead. CellSpec's ``model_builder`` /
-    ``scheduler_builder`` recipes have the same contract.
+    rejects it at review time instead. CellSpec's ``model_builder``
+    recipe has the same contract.
     """
 
     code = "PKL001"

@@ -1,57 +1,60 @@
-"""Parallel fan-out of independent campaign cells across worker processes.
+"""The one executor for campaign cells, serial or across worker processes.
 
 A *cell* is one (mix, config, quanta, variant) simulation together with the
-recipes for its slowdown models and memory scheduler. Cells of a sweep are
-independent of each other, so a campaign can fan them out across a
-:class:`~concurrent.futures.ProcessPoolExecutor`:
+recipe for its slowdown models. Every batch of cells — a
+:meth:`Campaign.run_mix` call, a survey, a ``--workers N`` sweep, a fleet
+round — goes through the same three steps:
 
-1. **Resume** — cells already in the campaign's checkpoint store are
-   deserialized in the parent; only the rest are dispatched.
-2. **Alone profiles** — the expensive alone-run profiles the cells depend
-   on are deduplicated by cache key (one application may appear in many
-   mixes), computed once each in the pool, persisted through the campaign's
-   alone-run cache, and shipped to the cell workers pre-seeded.
-3. **Cells** — each worker simulates one full cell and returns a picklable
-   payload: the :class:`~repro.harness.runner.RunResult` on success, or the
-   exception's type/message/traceback/diagnosis on failure. The parent
-   merges results into the checkpoint store **in submission order**, so a
-   parallel sweep commits the same records, and surveys accumulate floats
-   in the same order, as a serial one — ``workers=N`` is bit-identical to
-   ``workers=1``.
+1. **Plan** — each cell's declared fidelity is folded into its config and
+   its store key is computed; cells already in the checkpoint store are
+   resumed (``resume``). The alone-run profiles the rest need are collected
+   once each, from the campaign's alone-run cache or store, or computed (in
+   the pool when ``workers > 1``) and persisted. One cache lookup counts
+   per (cell, core), so the summary's cache statistics are the same at any
+   worker count. A profile that fails to compute is left out; the cell's
+   attempt recomputes it and fails through the retry path.
+2. **Attempt** — :func:`_attempt` runs one cell once. It is the only place
+   that chooses between :func:`~repro.analytic.runner.run_analytic` and
+   :func:`~repro.harness.runner.run_workload`, and it returns a picklable
+   payload: the result, or the exception's type/message/traceback/diagnosis.
+3. **Settle** — a result is persisted and counted. A failure feeds the
+   circuit breaker, then is retried under the campaign's
+   :class:`~repro.durability.retry.RetryPolicy` (attempts left, circuit
+   closed, per-cell wall-clock budget not exhausted; deterministic backoff
+   before the next attempt) or given up: a replayable
+   :class:`~repro.resilience.faults.RunFailure`, plus a
+   :class:`~repro.durability.retry.DegradedCell` when the policy can retry.
 
-Failure discipline matches :meth:`Campaign.run_mix`: a failing cell becomes
-a replayable :class:`~repro.resilience.faults.RunFailure`; with
-``keep_going`` the sweep continues (the cell yields ``None``), otherwise
-:class:`WorkerRunError` re-raises it in the parent with the worker's
-traceback. A worker that dies outright (the pool breaks) is recorded as a
-``WorkerCrash`` failure, the pool is rebuilt, and the surviving cells are
-resubmitted.
+``workers=1`` runs in-process over one-cell batches, so each cell commits,
+backs off and spends its budget before the next one starts. A pool run
+attempts all pending cells of a round across a
+:class:`~concurrent.futures.ProcessPoolExecutor` and settles them **in
+submission order**, so it commits the same records, and surveys accumulate
+floats in the same order, as a serial run — ``workers=N`` is bit-identical
+to ``workers=1``. A cell that needed a retry commits in a later round than
+its neighbours, so the pool's *store append order* can then differ; the
+store is keyed last-record-wins and results stay bit-identical.
 
-Failed cells are then *retried* under the campaign's
-:class:`~repro.durability.retry.RetryPolicy`: each fan-out round is
-followed by a round of the cells whose failures the supervisor still
-considers worth attempting (attempts left, circuit breaker closed,
-per-cell wall-clock budget not exhausted), with deterministic backoff
-between rounds. A transient ``WorkerCrash`` typically succeeds on the
-next round; a deterministic failure repeats, trips the breaker, and is
-recorded (failure + :class:`~repro.durability.retry.DegradedCell`)
-without burning the remaining attempt budget. The default policy
-(``max_attempts=1``) runs exactly one round — the pre-supervision
-behaviour. Retried cells commit in a later round than their neighbours,
-so *store append order* can differ from a serial sweep; the store is
-keyed last-record-wins, and returned results stay bit-identical.
+A serial give-up without ``keep_going`` re-raises the original exception;
+a pool give-up raises :class:`WorkerRunError` with the worker's traceback.
+A worker that dies outright (the pool breaks) is a ``WorkerCrash`` failure:
+the pool is rebuilt and the surviving cells resubmitted. Store I/O errors
+are never captured as cell failures.
 
-Model/scheduler recipes must be **module-level callables** (pickled by
-reference): ``model_builder(*model_builder_args)`` must return the
-``{name: factory}`` dict ``run_workload`` expects, and
-``scheduler_builder(*scheduler_builder_args)`` a Scheduler instance.
+Model recipes must be **module-level callables** (pickled by reference):
+``model_builder(*model_builder_args)`` returns the ``{name: factory}`` dict
+``run_workload`` expects. The in-process arguments of
+:meth:`Campaign.run_mix` (factories, system hooks) never enter a
+:class:`CellSpec`.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import time
 import traceback as _traceback
+from collections import Counter
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
@@ -61,6 +64,7 @@ from typing import (
     Callable,
     Dict,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -102,8 +106,6 @@ class CellSpec:
     variant: str = ""
     model_builder: Optional[Callable[..., Dict[str, ModelFactory]]] = None
     model_builder_args: Tuple[Any, ...] = ()
-    scheduler_builder: Optional[Callable[..., Any]] = None
-    scheduler_builder_args: Tuple[Any, ...] = ()
     telemetry: Optional[TelemetrySpec] = None
     # Fidelity tier ("analytical" | "event", see docs/fidelity.md). Empty
     # means unset: ``config.engine`` governs, so pre-fidelity call sites
@@ -128,16 +130,9 @@ def build_model_factories(spec: CellSpec) -> Optional[Dict[str, ModelFactory]]:
     return spec.model_builder(*spec.model_builder_args)
 
 
-def build_scheduler_factory(spec: CellSpec) -> Optional[Callable[[], Any]]:
-    builder = spec.scheduler_builder
-    if builder is None:
-        return None
-    args = spec.scheduler_builder_args
-    return lambda: builder(*args)
-
-
 # ----------------------------------------------------------------------
-# Worker-side entry points (module-level so they pickle by reference).
+# Attempt side: runs in-process or in a worker (module-level, so the pool
+# pickles these by reference).
 
 def _error_payload(exc: BaseException) -> Dict[str, Any]:
     diagnosis = getattr(exc, "diagnosis", None)
@@ -163,7 +158,7 @@ def _profile_worker(task: ProfileTask) -> Dict[str, Any]:
 
 @dataclass(frozen=True)
 class _CellTask:
-    """Everything a worker needs to run one cell, fully picklable."""
+    """Everything an attempt needs to run one cell, fully picklable."""
 
     spec: CellSpec
     profiles: Tuple[Tuple[ProfileKey, AloneProfile], ...]
@@ -172,48 +167,69 @@ class _CellTask:
     profile: bool = False
 
 
-def _cell_worker(task: _CellTask) -> Dict[str, Any]:
+def _attempt(
+    task: _CellTask, run_kwargs: Optional[Mapping[str, Any]] = None
+) -> Dict[str, Any]:
+    """Run one cell once; the only place that picks the fidelity tier.
+
+    ``run_kwargs`` are the in-process ``run_workload`` arguments of a
+    :meth:`Campaign.run_mix` call. A failure's payload also holds the
+    exception itself under ``"exc"``, for a serial give-up to re-raise.
+    """
     spec = task.spec
+    captured: List[RunProfile] = []
+    sink = captured.append if task.profile else None
+    run_metrics: Optional[MetricsRegistry] = None
     try:
-        cache = AloneRunCache()
-        cache.absorb(task.profiles)
-        captured: List[RunProfile] = []
-        run_metrics = MetricsRegistry() if task.profile else None
         if spec.config.engine == "analytic":
+            # Closed form: no System, scheduler, telemetry or alone runs.
             result = run_analytic(
-                spec.mix,
-                spec.config,
-                quanta=spec.quanta,
-                profile_sink=captured.append if task.profile else None,
+                spec.mix, spec.config, quanta=spec.quanta, profile_sink=sink
             )
         else:
+            cache = AloneRunCache()
+            cache.absorb(task.profiles)
+            kwargs: Dict[str, Any] = dict(run_kwargs or {})
+            factories = build_model_factories(spec)
+            if factories is not None:
+                kwargs["model_factories"] = factories
+            # Fresh per attempt: a failed attempt's counters must not leak
+            # into a retried cell's persisted metrics.
+            run_metrics = MetricsRegistry() if task.profile else None
             result = run_workload(
                 spec.mix,
                 spec.config,
-                model_factories=build_model_factories(spec),
-                scheduler_factory=build_scheduler_factory(spec),
                 quanta=spec.quanta,
                 alone_cache=cache,
                 check_invariants=task.check_invariants,
                 wall_clock_budget_s=task.wall_clock_budget_s,
                 telemetry=spec.telemetry,
-                profile_sink=captured.append if task.profile else None,
+                profile_sink=sink,
                 run_metrics=run_metrics,
+                **kwargs,
             )
-        payload: Dict[str, Any] = {"ok": True, "result": result}
-        if captured:
-            payload["wall_s"] = captured[0].wall_time_s
-            payload["events"] = captured[0].events_executed
-        if run_metrics is not None:
-            # Snapshots are plain dicts: picklable as-is.
-            payload["metrics"] = run_metrics.snapshots
-        return payload
     except Exception as exc:  # noqa: BLE001 - isolated and reported
-        return {"ok": False, **_error_payload(exc)}
+        return {"ok": False, "exc": exc, **_error_payload(exc)}
+    payload: Dict[str, Any] = {"ok": True, "result": result}
+    if captured:
+        payload["wall_s"] = captured[0].wall_time_s
+        payload["events"] = captured[0].events_executed
+    if run_metrics is not None:
+        # Snapshots are plain dicts: picklable as-is.
+        payload["metrics"] = run_metrics.snapshots
+    return payload
+
+
+def _cell_worker(task: _CellTask) -> Dict[str, Any]:
+    """The pool's attempt: the exception object stays in the worker,
+    since it need not pickle."""
+    payload = _attempt(task)
+    payload.pop("exc", None)
+    return payload
 
 
 # ----------------------------------------------------------------------
-# Parent-side orchestration.
+# Parent side: plan, dispatch, settle.
 
 def _run_tasks(
     fn: Callable[[Any], Any], payloads: Sequence[Any], workers: int
@@ -256,6 +272,15 @@ def _run_tasks(
     return cast(List[Tuple[str, Any]], outcomes)
 
 
+def _map(
+    fn: Callable[[Any], Any], payloads: Sequence[Any], workers: int
+) -> List[Tuple[str, Any]]:
+    """:func:`_run_tasks` when ``workers > 1``, else ``fn`` in-process."""
+    if workers > 1:
+        return _run_tasks(fn, payloads, workers)
+    return [("ok", fn(payload)) for payload in payloads]
+
+
 def _failure_from_payload(
     campaign: "Campaign", cell: CellSpec, payload: Dict[str, Any]
 ) -> RunFailure:
@@ -275,33 +300,6 @@ def _failure_from_payload(
     )
 
 
-def _cell_fingerprint(campaign: "Campaign", cell: CellSpec) -> str:
-    """The cell-identity fingerprint the circuit breaker keys on.
-
-    Matches :meth:`RunFailure.fingerprint` — the failing *cell*, not the
-    failing error — so parent-side success bookkeeping and worker-side
-    failure records land on the same breaker entry.
-    """
-    return _failure_from_payload(
-        campaign, cell, {"error_type": "", "message": ""}
-    ).fingerprint()
-
-
-def _record_failure(
-    campaign: "Campaign",
-    cell: CellSpec,
-    payload: Dict[str, Any],
-    *,
-    attempts: int = 1,
-    elapsed_s: float = 0.0,
-) -> None:
-    """Final give-up on a cell: failure record, degradation, maybe raise."""
-    failure = _failure_from_payload(campaign, cell, payload)
-    campaign.record_give_up(failure, attempts, elapsed_s)
-    if not campaign.keep_going:
-        raise WorkerRunError(failure)
-
-
 def _alone_cycles(cell: CellSpec) -> int:
     # Must match run_workload: profiles cover one quantum beyond the run.
     return (cell.quanta + 1) * cell.config.quantum_cycles
@@ -315,6 +313,185 @@ def _with_fidelity(cell: CellSpec) -> CellSpec:
     return dataclasses.replace(cell, config=config)
 
 
+def _collect_profiles(
+    campaign: "Campaign", cells: Sequence[CellSpec], workers: int
+) -> List[Tuple[Tuple[ProfileKey, AloneProfile], ...]]:
+    """Plan step: each cell's alone profiles, one lookup per (cell, core).
+
+    A key's first use is a lookup in the campaign's cache (a memory hit, a
+    store hit, or a computed miss); every later use in the batch is a hit.
+    Analytic cells need none: the alone leg is part of the closed form.
+    """
+    cache = campaign.alone_cache()
+    cell_keys: List[List[ProfileKey]] = []
+    needed: Dict[ProfileKey, ProfileTask] = {}
+    for cell in cells:
+        keys: List[ProfileKey] = []
+        if cell.config.engine != "analytic":
+            cycles = _alone_cycles(cell)
+            for core in range(cell.mix.num_cores):
+                key = AloneRunCache._key(cell.mix, core, cell.config, cycles)
+                keys.append(key)
+                needed.setdefault(key, (cell.mix, core, cell.config, cycles))
+        cell_keys.append(keys)
+
+    have: Dict[ProfileKey, AloneProfile] = {}
+    missing: List[ProfileKey] = []
+    for key, task in needed.items():
+        store_hits_before = cache.store_hits
+        profile = cache.peek(*task)
+        if profile is None:
+            missing.append(key)
+            continue
+        have[key] = profile
+        if cache.store_hits == store_hits_before:
+            cache.hits += 1  # persistent peek counts store hits itself
+    outcomes = _map(_profile_worker, [needed[key] for key in missing], workers)
+    for key, (kind, value) in zip(missing, outcomes):
+        if kind == "ok" and value["ok"]:
+            have[key] = value["profile"]
+            cache.misses += 1
+            cache.seed_profile(*needed[key], value["profile"])
+    uses = Counter(key for keys in cell_keys for key in keys if key in have)
+    cache.hits += sum(uses.values()) - len(uses)
+    return [
+        tuple((key, have[key]) for key in keys if key in have)
+        for keys in cell_keys
+    ]
+
+
+@dataclass
+class _Pending:
+    """A planned cell between its first attempt and its settlement."""
+
+    index: int  # position in the batch
+    key: str  # checkpoint-store key
+    task: _CellTask
+    attempts: int = 0
+    fingerprint: str = ""  # circuit-breaker key, once an attempt failed
+    result: Optional[RunResult] = None
+
+
+def _settle(
+    campaign: "Campaign",
+    cell: _Pending,
+    payload: Dict[str, Any],
+    elapsed_s: float,
+) -> Optional[float]:
+    """Settle one attempt: persist a result, or retry or give up a failure.
+
+    Returns the backoff before the cell's next attempt, or ``None`` once
+    the cell is settled.
+    """
+    spec = cell.task.spec
+    cell.attempts += 1
+    if payload["ok"]:
+        cell.result = payload["result"]
+        if campaign.store is not None:
+            campaign.store.put_run(cell.key, result_to_json(payload["result"]))
+        campaign.computed += 1
+        if cell.fingerprint:
+            campaign.note_retry_success(cell.fingerprint)
+        if "wall_s" in payload:
+            campaign.record_timing(
+                spec.mix.name, spec.variant, spec.quanta,
+                payload["wall_s"], payload["events"],
+            )
+        if campaign.store is not None and payload.get("metrics"):
+            campaign.store.put_metrics(cell.key, payload["metrics"])
+        return None
+    failure = _failure_from_payload(campaign, spec, payload)
+    cell.fingerprint = failure.fingerprint()
+    campaign.breaker.record_failure(
+        cell.fingerprint, failure.error_type, failure.message
+    )
+    if campaign.may_retry(cell.fingerprint, cell.attempts, elapsed_s):
+        campaign.note_retry(cell.fingerprint)
+        return campaign.retry_policy.delay_s(cell.attempts, cell.fingerprint)
+    campaign.record_give_up(failure, cell.attempts, elapsed_s)
+    if not campaign.keep_going:
+        raise payload.get("exc") or WorkerRunError(failure)
+    return None
+
+
+def _run_batch(
+    campaign: "Campaign",
+    cells: Sequence[CellSpec],
+    workers: int = 1,
+    run_kwargs: Optional[Mapping[str, Any]] = None,
+) -> List[Optional[RunResult]]:
+    """Plan, attempt and settle one batch of fidelity-resolved cells.
+
+    With ``workers=1`` the attempts run in-process, and ``run_kwargs`` —
+    the in-process ``run_workload`` arguments of a :meth:`Campaign.run_mix`
+    call — reach each of them; with more, the attempts run in the pool.
+    """
+    # Plan: resume stored cells, collect the rest's alone profiles.
+    results: List[Optional[RunResult]] = [None] * len(cells)
+    planned: List[Tuple[int, str]] = []
+    for i, spec in enumerate(cells):
+        key = campaign.run_key(
+            spec.mix, spec.config, spec.quanta, spec.variant,
+            telemetry=spec.telemetry,
+        )
+        stored = (
+            campaign.store.get_run(key)
+            if campaign.resume and campaign.store is not None
+            else None
+        )
+        if stored is None:
+            planned.append((i, key))
+        else:
+            results[i] = result_from_json(stored, spec.config)
+            campaign.resumed += 1
+    profiles = _collect_profiles(campaign, [cells[i] for i, _ in planned], workers)
+    pending = [
+        _Pending(i, key, _CellTask(
+            spec=cells[i],
+            profiles=cell_profiles,
+            check_invariants=campaign.check_invariants,
+            wall_clock_budget_s=campaign.wall_clock_budget_s,
+            profile=campaign.profile,
+        ))
+        for (i, key), cell_profiles in zip(planned, profiles)
+    ]
+
+    # Attempt and settle in rounds: each round attempts every unsettled
+    # cell, and a retried cell waits out the round's longest backoff.
+    if workers > 1:
+        attempt: Callable[[_CellTask], Dict[str, Any]] = _cell_worker
+    else:
+        attempt = functools.partial(_attempt, run_kwargs=run_kwargs)
+    started = time.monotonic()
+    fanout_start = perf_counter()
+    busy_s = 0.0
+    active = pending
+    while active:
+        outcomes = _map(attempt, [cell.task for cell in active], workers)
+        retry: List[_Pending] = []
+        backoff = 0.0
+        for cell, (kind, value) in zip(active, outcomes):
+            payload = value if kind == "ok" else {
+                "ok": False, "error_type": "WorkerCrash", "message": value,
+            }
+            busy_s += payload.get("wall_s", 0.0)
+            delay = _settle(campaign, cell, payload, time.monotonic() - started)
+            if delay is not None:
+                retry.append(cell)
+                backoff = max(backoff, delay)
+        if retry and backoff > 0:
+            time.sleep(backoff)
+        active = retry
+    fanout_s = perf_counter() - fanout_start
+    if campaign.profile and workers > 1 and busy_s > 0 and fanout_s > 0:
+        # Busy fraction of the pool during the cell fan-out: 1.0 means
+        # every worker simulated for the whole phase.
+        campaign.pool_utilization = min(1.0, busy_s / (fanout_s * workers))
+    for cell in pending:
+        results[cell.index] = cell.result
+    return results
+
+
 def run_cells(
     campaign: "Campaign",
     cells: Sequence[CellSpec],
@@ -325,192 +502,20 @@ def run_cells(
 
     Returns one entry per cell, in order: the :class:`RunResult`, or
     ``None`` for cells whose failure was captured by ``keep_going``.
-    ``workers=1`` delegates to :meth:`Campaign.run_mix` serially; results
-    are identical either way.
-
-    Cells declaring a :attr:`CellSpec.fidelity` tier have it folded into
-    ``config.engine`` up front, so store keys, resume and dispatch all see
-    the resolved engine. Analytic cells skip phase 1 entirely — the alone
-    fixed point is part of the closed form (see :mod:`repro.analytic`).
+    Results and campaign counters are the same at any ``workers``, and so
+    are stores, up to the append order of retried cells.
     """
     cells = [_with_fidelity(cell) for cell in cells]
-    if workers <= 1:
-        cache = campaign.alone_cache()
-        return [
-            campaign.run_mix(
-                cell.mix,
-                cell.config,
-                quanta=cell.quanta,
-                variant=cell.variant,
-                model_factories=build_model_factories(cell),
-                scheduler_factory=build_scheduler_factory(cell),
-                alone_cache=cache,
-                telemetry=cell.telemetry,
-            )
-            for cell in cells
-        ]
-
-    results: List[Optional[RunResult]] = [None] * len(cells)
-    keys = [
-        campaign.run_key(
-            cell.mix, cell.config, cell.quanta, cell.variant,
-            telemetry=cell.telemetry,
-        )
-        for cell in cells
+    if workers > 1:
+        return _run_batch(campaign, cells, workers)
+    return [
+        result for cell in cells for result in _run_batch(campaign, [cell])
     ]
-    pending: List[int] = []
-    for i, cell in enumerate(cells):
-        if campaign.resume and campaign.store is not None:
-            cached = campaign.store.get_run(keys[i])
-            if cached is not None:
-                results[i] = result_from_json(cached, cell.config)
-                campaign.resumed += 1
-                continue
-        pending.append(i)
-    if not pending:
-        return results
-
-    # Phase 1: dedup the alone profiles the pending cells need, reuse what
-    # the campaign's cache already holds, compute the rest in the pool.
-    cache = campaign.alone_cache()
-    needed: Dict[ProfileKey, ProfileTask] = {}
-    cell_keys: Dict[int, List[ProfileKey]] = {}
-    for i in pending:
-        cell = cells[i]
-        cell_keys[i] = []
-        if cell.config.engine == "analytic":
-            continue  # closed form: no alone profiles to collect
-        cycles = _alone_cycles(cell)
-        for core in range(cell.mix.num_cores):
-            key = AloneRunCache._key(cell.mix, core, cell.config, cycles)
-            cell_keys[i].append(key)
-            needed.setdefault(key, (cell.mix, core, cell.config, cycles))
-
-    have: Dict[ProfileKey, AloneProfile] = {}
-    missing: List[ProfileKey] = []
-    for key, task in needed.items():
-        store_hits_before = cache.store_hits
-        profile = cache.peek(*task)
-        if profile is not None:
-            have[key] = profile
-            if cache.store_hits == store_hits_before:
-                cache.hits += 1  # persistent peek counts store hits itself
-        else:
-            missing.append(key)
-    profile_errors: Dict[ProfileKey, Dict[str, Any]] = {}
-    if missing:
-        outcomes = _run_tasks(
-            _profile_worker, [needed[key] for key in missing], workers
-        )
-        for key, (kind, value) in zip(missing, outcomes):
-            if kind == "crash":
-                profile_errors[key] = {
-                    "error_type": "WorkerCrash",
-                    "message": value,
-                }
-            elif value["ok"]:
-                have[key] = value["profile"]
-                cache.misses += 1
-                cache.seed_profile(*needed[key], value["profile"])
-            else:
-                profile_errors[key] = value
-
-    # Phase 2: fan the runnable cells out; cells depending on a failed
-    # profile fail immediately with that profile's error.
-    runnable: List[int] = []
-    for i in pending:
-        bad = next((k for k in cell_keys[i] if k in profile_errors), None)
-        if bad is not None:
-            _record_failure(campaign, cells[i], profile_errors[bad])
-        else:
-            runnable.append(i)
-    def _task_for(i: int) -> _CellTask:
-        return _CellTask(
-            spec=cells[i],
-            profiles=tuple((key, have[key]) for key in cell_keys[i]),
-            check_invariants=campaign.check_invariants,
-            wall_clock_budget_s=campaign.wall_clock_budget_s,
-            profile=campaign.profile,
-        )
-
-    fanout_start = perf_counter() if campaign.profile else 0.0
-    busy_s = 0.0
-    fanout_elapsed = 0.0
-    attempts: Dict[int, int] = {i: 0 for i in runnable}
-    dispatched: Dict[int, float] = {}
-    active = list(runnable)
-    while active:
-        now = time.monotonic()
-        for i in active:
-            dispatched.setdefault(i, now)
-        outcomes = _run_tasks(
-            _cell_worker, [_task_for(i) for i in active], workers
-        )
-        next_round: List[int] = []
-        backoff = 0.0
-        for i, (kind, value) in zip(active, outcomes):
-            attempts[i] += 1
-            if kind == "crash":
-                payload: Dict[str, Any] = {
-                    "error_type": "WorkerCrash", "message": value,
-                }
-            elif value["ok"]:
-                result = value["result"]
-                if campaign.store is not None:
-                    campaign.store.put_run(keys[i], result_to_json(result))
-                campaign.computed += 1
-                results[i] = result
-                if attempts[i] > 1:
-                    campaign.note_retry_success(
-                        _cell_fingerprint(campaign, cells[i])
-                    )
-                if "wall_s" in value:
-                    busy_s += value["wall_s"]
-                    campaign.record_timing(
-                        cells[i].mix.name, cells[i].variant, cells[i].quanta,
-                        value["wall_s"], value.get("events", 0),
-                    )
-                if campaign.store is not None and value.get("metrics"):
-                    campaign.store.put_metrics(keys[i], value["metrics"])
-                continue
-            else:
-                payload = value
-            failure = _failure_from_payload(campaign, cells[i], payload)
-            fingerprint = failure.fingerprint()
-            campaign.breaker.record_failure(
-                fingerprint, failure.error_type, failure.message
-            )
-            elapsed = time.monotonic() - dispatched[i]
-            if campaign.may_retry(fingerprint, attempts[i], elapsed):
-                campaign.note_retry(fingerprint)
-                backoff = max(
-                    backoff,
-                    campaign.retry_policy.delay_s(attempts[i], fingerprint),
-                )
-                next_round.append(i)
-            else:
-                _record_failure(
-                    campaign, cells[i], payload,
-                    attempts=attempts[i], elapsed_s=elapsed,
-                )
-        if next_round and backoff > 0:
-            time.sleep(backoff)
-        active = next_round
-    if campaign.profile:
-        fanout_elapsed = perf_counter() - fanout_start
-    if campaign.profile and fanout_elapsed > 0 and busy_s > 0:
-        # Busy fraction of the pool during the cell fan-out: 1.0 means
-        # every worker simulated for the whole phase.
-        campaign.pool_utilization = min(
-            1.0, busy_s / (fanout_elapsed * workers)
-        )
-    return results
 
 
 __all__ = [
     "CellSpec",
     "WorkerRunError",
     "build_model_factories",
-    "build_scheduler_factory",
     "run_cells",
 ]

@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import time
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
@@ -51,10 +50,8 @@ from repro.harness.runner import (
     AloneProfile,
     AloneRunCache,
     QuantumRecord,
-    RunProfile,
     RunResult,
     run_alone,
-    run_workload,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.faults import (
@@ -430,8 +427,8 @@ class Campaign:
         workers: int = 1,
     ) -> List[Optional[RunResult]]:
         """Run a batch of independent cells, fanning out across ``workers``
-        processes (see :mod:`repro.parallel`). ``workers=1`` runs them
-        serially through :meth:`run_mix`; results are identical."""
+        processes (see :mod:`repro.parallel`); results are identical at
+        any worker count."""
         from repro import parallel
 
         return parallel.run_cells(self, cells, workers=workers)
@@ -443,110 +440,25 @@ class Campaign:
         *,
         quanta: int = 1,
         variant: str = "",
+        telemetry: Optional["TelemetrySpec"] = None,
         **run_kwargs,
     ) -> Optional[RunResult]:
         """Run one mix under the campaign's fault/checkpoint discipline.
 
-        Returns the :class:`RunResult`, or ``None`` when the run failed and
+        A one-cell batch through the cell executor of
+        :mod:`repro.parallel`. ``run_kwargs`` (model, policy and scheduler
+        factories, system hooks) reach ``run_workload`` in-process. Returns
+        the :class:`RunResult`, or ``None`` when the run failed and
         ``keep_going`` captured it."""
-        telemetry = run_kwargs.get("telemetry")
-        key = self.run_key(mix, config, quanta, variant, telemetry=telemetry)
-        if self.resume and self.store is not None:
-            cached = self.store.get_run(key)
-            if cached is not None:
-                self.resumed += 1
-                return result_from_json(cached, config)
-        captured_profiles: List[RunProfile] = []
-        run_metrics: Optional[MetricsRegistry] = None
-        owns_profile_sink = False
-        owns_run_metrics = False
-        if self.profile:
-            owns_profile_sink = "profile_sink" not in run_kwargs
-            if owns_profile_sink:
-                run_kwargs["profile_sink"] = captured_profiles.append
-            owns_run_metrics = "run_metrics" not in run_kwargs
-        policy = self.retry_policy
-        attempts = 0
-        last_fingerprint = ""
-        started = time.monotonic()
-        while True:
-            attempts += 1
-            # Fresh per-attempt mutables: counters and profiles from a
-            # failed attempt must not leak into the retry, or a retried
-            # cell's persisted metrics would differ from an
-            # uninterrupted run's.
-            if owns_profile_sink:
-                captured_profiles.clear()
-            if owns_run_metrics:
-                run_metrics = MetricsRegistry()
-                run_kwargs["run_metrics"] = run_metrics
-            try:
-                if config.engine == "analytic":
-                    # Closed-form surrogate: no System, no scheduler, no
-                    # telemetry — only the profile sink carries over.
-                    from repro.analytic.runner import run_analytic
+        from repro import parallel
 
-                    result = run_analytic(
-                        mix,
-                        config,
-                        quanta=quanta,
-                        profile_sink=run_kwargs.get("profile_sink"),
-                    )
-                else:
-                    result = run_workload(
-                        mix,
-                        config,
-                        quanta=quanta,
-                        check_invariants=self.check_invariants,
-                        wall_clock_budget_s=self.wall_clock_budget_s,
-                        **run_kwargs,
-                    )
-            except KeyboardInterrupt:
-                raise
-            except Exception as exc:
-                failure = RunFailure.from_exception(
-                    exc,
-                    experiment=self.experiment,
-                    variant=variant,
-                    mix=mix,
-                    config=config,
-                    quanta=quanta,
-                    telemetry=(
-                        telemetry.to_json() if telemetry is not None else None
-                    ),
-                )
-                fingerprint = last_fingerprint = failure.fingerprint()
-                self.breaker.record_failure(
-                    fingerprint, failure.error_type, failure.message
-                )
-                elapsed = time.monotonic() - started
-                if self.may_retry(fingerprint, attempts, elapsed):
-                    self.note_retry(fingerprint)
-                    delay = policy.delay_s(attempts, fingerprint)
-                    if delay > 0:
-                        time.sleep(delay)
-                    continue
-                self.record_give_up(failure, attempts, elapsed)
-                if not self.keep_going:
-                    raise
-                return None
-            break  # attempt succeeded
-        if attempts > 1:
-            self.note_retry_success(last_fingerprint)
-        if self.store is not None:
-            self.store.put_run(key, result_to_json(result))
-        self.computed += 1
-        if captured_profiles:
-            profile = captured_profiles[0]
-            self.record_timing(
-                mix.name, variant, quanta,
-                profile.wall_time_s, profile.events_executed,
-            )
-        if run_metrics is not None and self.store is not None:
-            self.store.put_metrics(key, run_metrics.snapshots)
-        return result
+        cell = parallel.CellSpec(
+            mix=mix, config=config, quanta=quanta, variant=variant,
+            telemetry=telemetry,
+        )
+        return parallel._run_batch(self, [cell], run_kwargs=run_kwargs)[0]
 
-    # -- retry supervision (shared by run_mix and repro.parallel) -------
+    # -- retry supervision (the settle step of repro.parallel) ----------
     def may_retry(
         self, cell_fingerprint: str, attempts: int, elapsed_s: float
     ) -> bool:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import traceback as _traceback
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -70,36 +69,6 @@ class RunFailure:
     # or None for perfect telemetry. Recorded so replay_failure reproduces
     # injected counter faults bit-identically.
     telemetry: Optional[dict] = None
-
-    @classmethod
-    def from_exception(
-        cls,
-        exc: BaseException,
-        *,
-        experiment: str,
-        variant: str,
-        mix: WorkloadMix,
-        config: SystemConfig,
-        quanta: int,
-        telemetry: Optional[dict] = None,
-    ) -> "RunFailure":
-        diagnosis = getattr(exc, "diagnosis", None)
-        return cls(
-            experiment=experiment,
-            variant=variant,
-            mix_name=mix.name,
-            mix_seed=mix.seed,
-            specs=[dataclasses.asdict(spec) for spec in mix.specs],
-            config_fingerprint=config_fingerprint(config),
-            quanta=quanta,
-            error_type=type(exc).__name__,
-            message=str(exc),
-            traceback="".join(
-                _traceback.format_exception(type(exc), exc, exc.__traceback__)
-            ),
-            diagnosis=dict(diagnosis) if isinstance(diagnosis, dict) else {},
-            telemetry=telemetry,
-        )
 
     def fingerprint(self) -> str:
         """Identity of the failing (experiment, mix, platform, length) cell."""

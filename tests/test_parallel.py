@@ -11,12 +11,13 @@ from repro.parallel import CellSpec, WorkerRunError, run_cells
 from repro.resilience.campaign import Campaign
 from repro.durability.retry import RetryPolicy
 from repro.resilience.inject import (
+    InjectedFault,
     benign_model_factories,
     exploding_model_factories,
     flaky_model_factories,
     process_killer_factories,
 )
-from repro.workloads.mixes import make_mix, random_mixes
+from repro.workloads.mixes import WorkloadMix, make_mix, random_mixes
 
 # Small platform so each cell simulates quickly.
 CONFIG = scaled_config().with_quantum(50_000, 5_000)
@@ -290,3 +291,66 @@ def test_parallel_degraded_cell_raises_without_keep_going():
     with pytest.raises(WorkerRunError):
         campaign.run_cells(cells, workers=2)
     assert [d.reason for d in campaign.degraded] == ["circuit_open"]
+
+
+# ----------------------------------------------------------------------
+# Serial and pool runs keep the same records, not just the same results.
+
+class AloneFaultMix(WorkloadMix):
+    """A mix whose alone runs raise; its shared run is clean."""
+
+    def trace_for_core(self, core):
+        raise InjectedFault(f"alone run of core {core} failed")
+
+
+def _alone_fault_cells():
+    mix = make_mix(["mcf", "bzip2"], seed=5)
+    return [_cell(AloneFaultMix(mix.name, mix.specs, mix.seed), quanta=1)]
+
+
+def _shared_profile_cells():
+    # Same seed, same app on core 0: the two cells share that profile.
+    return [
+        _cell(make_mix(["mcf", "bzip2"], seed=5), quanta=1),
+        _cell(make_mix(["mcf", "lbm"], seed=5), quanta=1),
+    ]
+
+
+def _exploding_neighbour_cells():
+    return [
+        _cell(make_mix(["mcf", "bzip2"], seed=5), quanta=1),
+        _cell(make_mix(["gcc", "lbm"], seed=6),
+              builder=exploding_model_factories, args=(0,), quanta=1),
+    ]
+
+
+@pytest.mark.parametrize(
+    "make_cells",
+    [_alone_fault_cells, _shared_profile_cells, _exploding_neighbour_cells],
+    ids=["alone-fault", "shared-profiles", "exploding-neighbour"],
+)
+def test_serial_and_pool_keep_the_same_records(tmp_path, make_cells):
+    def records(workers):
+        store = tmp_path / f"workers{workers}"
+        campaign = Campaign(
+            "t", str(store), keep_going=True,
+            retry_policy=RetryPolicy(max_attempts=3, backoff_s=0.0, jitter=0.0),
+        )
+        results = campaign.run_cells(make_cells(), workers=workers)
+        stored = {
+            name: (store / name).read_bytes() if (store / name).exists() else None
+            for name in ("runs.jsonl", "alone.jsonl", "degraded.jsonl")
+        }
+        return {
+            "none": [result is None for result in results],
+            "failures": [
+                (f.error_type, f.mix_name, f.fingerprint())
+                for f in campaign.failures
+            ],
+            "degraded": [(d.reason, d.attempts) for d in campaign.degraded],
+            "retries": (campaign.retry_attempts, campaign.retried_cells),
+            "summary": campaign.summary(),
+            **stored,
+        }
+
+    assert records(1) == records(2)

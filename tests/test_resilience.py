@@ -57,12 +57,15 @@ def test_stable_hash_is_deterministic(config):
 
 def test_run_failure_roundtrip_and_rebuild(config):
     mix = _mixes(1)[0]
-    try:
+
+    def boom(system):
         raise RuntimeError("boom")
-    except RuntimeError as exc:
-        failure = RunFailure.from_exception(
-            exc, experiment="t", variant="v", mix=mix, config=config, quanta=2
-        )
+
+    campaign = Campaign("t", keep_going=True)
+    assert campaign.run_mix(
+        mix, config, quanta=2, variant="v", system_hooks=[boom]
+    ) is None
+    [failure] = campaign.failures
     assert failure.error_type == "RuntimeError"
     assert "boom" in failure.message
     assert "RuntimeError" in failure.traceback
