@@ -24,13 +24,12 @@ profile collection for them.
 from __future__ import annotations
 
 import dataclasses
-import time as _time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analytic.cpi import CoreRates, solve_alone, solve_shared
 from repro.analytic.reuse import DEFAULT_SAMPLE_ACCESSES, profile_mix
 from repro.config import SystemConfig
-from repro.harness.runner import QuantumRecord, RunProfile, RunResult
+from repro.harness.runner import QuantumRecord, RunResult
 from repro.workloads.mixes import WorkloadMix
 
 #: Fidelity tiers a campaign cell may declare, fastest first.
@@ -66,19 +65,13 @@ def run_analytic(
     config: SystemConfig,
     quanta: int = 1,
     sample_accesses: int = DEFAULT_SAMPLE_ACCESSES,
-    profile_sink: Optional[Callable[[RunProfile], None]] = None,
 ) -> RunResult:
     """Estimate ``quanta`` quanta of ``mix`` in closed form.
 
     Wall cost is profile extraction (O(sample · log sample) per core,
     memoised per process) plus a fixed-round solve — independent of
     ``quantum_cycles``, which is the entire point of the tier.
-    ``profile_sink`` receives a :class:`~repro.harness.runner.RunProfile`
-    whose event counts are zero (nothing is simulated).
     """
-    start = (  # profiling only, never in results
-        _time.perf_counter() if profile_sink is not None else 0.0  # lint: ignore[DET001]
-    )
     config = dataclasses.replace(
         config, num_cores=mix.num_cores, engine="analytic"
     )
@@ -88,19 +81,7 @@ def run_analytic(
     alone = [solve_alone(p, config) for p in profiles]
     slowdowns = [s.cpi / a.cpi for s, a in zip(shared, alone)]
     records = _records(shared, slowdowns, config, quanta)
-    result = RunResult(mix=mix, config=config, records=records)
-    if profile_sink is not None:
-        wall = _time.perf_counter() - start  # lint: ignore[DET001]
-        profile_sink(
-            RunProfile(
-                wall_time_s=wall,
-                alone_time_s=0.0,
-                quantum_times_s=[wall / quanta] * quanta if quanta else [],
-                events_executed=0,
-                events_per_second=0.0,
-            )
-        )
-    return result
+    return RunResult(mix=mix, config=config, records=records)
 
 
 def _records(

@@ -235,10 +235,6 @@ def main(argv=None) -> int:
         from repro.durability.cli import campaign_main
 
         return campaign_main(argv[1:])
-    if argv and argv[0] == "bench":
-        from repro.perfbench import bench_main
-
-        return bench_main(argv[1:])
     if argv and argv[0] == "cloud":
         from repro.cloud.cli import cloud_main
 
@@ -252,8 +248,6 @@ def main(argv=None) -> int:
         print(f"{'profile':14s} stage timers + cProfile on a small mix")
         print(f"{'campaign':14s} verify/repair/compact checkpoint stores "
               "(repro campaign verify|repair|compact)")
-        print(f"{'bench':14s} perf benchmarks "
-              "(repro bench run|compare|merge)")
         print(f"{'cloud':14s} slowdown-aware fleet tier "
               "(repro cloud run|report)")
         return 0

@@ -20,7 +20,6 @@ from __future__ import annotations
 import bisect
 import dataclasses
 import math
-import time as _time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -216,32 +215,6 @@ class AloneRunCache:
 
 
 @dataclass
-class RunProfile:
-    """Lightweight wall-clock profile of one :func:`run_workload` call.
-
-    Collected only when a ``profile_sink`` is passed; the run itself is
-    not instrumented otherwise. ``events_per_second`` covers the shared
-    run's event loop (alone runs execute in their own engines and are
-    accounted as ``alone_time_s``)."""
-
-    wall_time_s: float
-    alone_time_s: float  # computing/fetching alone profiles
-    quantum_times_s: List[float]  # shared-run wall seconds per quantum
-    events_executed: int  # shared-run events across all quanta
-    events_per_second: float
-
-    def share(self, component: str) -> float:
-        """Fraction of total wall time spent in ``alone`` or ``shared``."""
-        if self.wall_time_s <= 0:
-            return float("nan")
-        if component == "alone":
-            return self.alone_time_s / self.wall_time_s
-        if component == "shared":
-            return sum(self.quantum_times_s) / self.wall_time_s
-        raise ValueError(f"unknown component {component!r}")
-
-
-@dataclass
 class QuantumRecord:
     """Ground truth and model estimates for one quantum.
 
@@ -391,7 +364,6 @@ def run_workload(
     check_invariants: bool = False,
     wall_clock_budget_s: Optional[float] = None,
     system_hooks: Sequence[Callable[[System], None]] = (),
-    profile_sink: Optional[Callable[[RunProfile], None]] = None,
     telemetry: Optional[TelemetrySpec] = None,
     obs: Optional[TraceBus] = None,
     run_metrics: Optional[MetricsRegistry] = None,
@@ -410,10 +382,8 @@ def run_workload(
     event queue, stopped engine, zero progress) into a diagnosable error
     instead of letting :meth:`Engine.run` silently clamp time.
     ``system_hooks`` are called with the constructed :class:`System` before
-    the run starts (fault injectors, extra instrumentation).
-    ``profile_sink`` opts into lightweight wall-clock profiling: after the
-    run it receives a :class:`RunProfile` with events/sec and the time
-    split between alone-profile work and the shared quanta.
+    the run starts (fault injectors, extra instrumentation, the
+    :class:`~repro.obs.profile.StageProfiler`).
     ``obs`` is an optional :class:`~repro.obs.bus.TraceBus` threaded into
     the system, models and policies: the runner itself emits one QUANTUM
     event per boundary (ground truth + IPC) and FAULT events when a
@@ -423,7 +393,6 @@ def run_workload(
     queueing-delay histogram, per-model CAR gauges). Both are passive:
     a run with them attached is bit-identical to one without.
     """
-    profile_start = _time.perf_counter() if profile_sink is not None else 0.0
     config = dataclasses.replace(config, num_cores=mix.num_cores)
     config.validate()
     scheduler = scheduler_factory() if scheduler_factory else None
@@ -456,17 +425,11 @@ def run_workload(
     total_cycles = quanta * config.quantum_cycles
     # Explicit None check: an empty AloneRunCache is falsy (len == 0).
     cache = alone_cache if alone_cache is not None else AloneRunCache()
-    alone_start = _time.perf_counter() if profile_sink is not None else 0.0
     profiles = [
         cache.get(mix, core, config, total_cycles + config.quantum_cycles)
         for core in range(mix.num_cores)
     ]
-    alone_time = (
-        _time.perf_counter() - alone_start if profile_sink is not None else 0.0
-    )
 
-    quantum_times: List[float] = []
-    shared_events = 0
     records: List[QuantumRecord] = []
     prev_instructions = [0] * mix.num_cores
     prev_hier: Optional[Dict[str, List[int]]] = None
@@ -477,17 +440,11 @@ def run_workload(
             "queueing": [0] * mix.num_cores,
         }
     for q in range(quanta):
-        quantum_start = (
-            _time.perf_counter() if profile_sink is not None else 0.0
-        )
         try:
             system.run_quantum(wall_deadline=watchdog.next_deadline())
         except Exception as exc:
             _emit_fault(obs, system, q, "deadline-exceeded", exc)
             raise
-        if profile_sink is not None:
-            quantum_times.append(_time.perf_counter() - quantum_start)
-            shared_events += system.engine.events_executed
         instructions = system.committed_instructions()
         try:
             watchdog.check_quantum(system, prev_instructions, instructions, q)
@@ -537,17 +494,4 @@ def run_workload(
         records.append(record)
         prev_instructions = instructions
 
-    if profile_sink is not None:
-        shared_time = sum(quantum_times)
-        profile_sink(
-            RunProfile(
-                wall_time_s=_time.perf_counter() - profile_start,
-                alone_time_s=alone_time,
-                quantum_times_s=quantum_times,
-                events_executed=shared_events,
-                events_per_second=(
-                    shared_events / shared_time if shared_time > 0 else 0.0
-                ),
-            )
-        )
     return RunResult(mix=mix, config=config, records=records)

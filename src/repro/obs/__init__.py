@@ -14,7 +14,9 @@ computes. Three independent facilities share the package:
 * **profiling hooks** (:mod:`repro.obs.profile`) — opt-in
   ``time.perf_counter`` stage timers around the engine drain, the shared
   cache access path and the model/policy quantum updates, surfaced by the
-  ``repro profile`` CLI verb and the campaign per-cell timing table.
+  ``repro profile`` CLI verb. (A campaign's ``--profile`` per-cell timing
+  table is separate: :mod:`repro.parallel` times each cell and reads its
+  events from the metrics registry's ``engine.events`` counter.)
 
 The contract that keeps all of this out of the hot path: every
 instrumented component holds an ``Optional[TraceBus]`` that defaults to

@@ -7,7 +7,9 @@ stream either raw or folded into the per-quantum narrative of
 
 ``python -m repro profile`` runs the same kind of mix under the
 :class:`~repro.obs.profile.StageProfiler` and prints the stage timing
-table (optionally with a :mod:`cProfile` function-level breakdown).
+table and the run's wall time, split into the shared run (the sum of the
+stage rows) and the rest (alone runs and set-up), optionally with a
+:mod:`cProfile` function-level breakdown.
 
 Both verbs are dispatched from :mod:`repro.cli` before its experiment
 argument parsing, so ``repro trace --help`` works like any subcommand.
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from time import perf_counter
 from typing import List, Optional, Sequence
 
 from repro.obs.bus import TraceBus
@@ -146,7 +149,7 @@ def profile_main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     from repro.config import scaled_config
-    from repro.harness.runner import RunProfile, run_workload
+    from repro.harness.runner import run_workload
     from repro.models.asm import AsmModel
     from repro.policies.asm_cache import AsmCachePolicy
     from repro.workloads.mixes import make_mix
@@ -159,9 +162,9 @@ def profile_main(argv: Optional[Sequence[str]] = None) -> int:
         args.quantum_cycles, args.epoch_cycles
     )
     profiler = StageProfiler()
-    run_profiles: List[RunProfile] = []
 
-    def run() -> None:
+    def run() -> float:
+        start = perf_counter()
         run_workload(
             mix,
             config,
@@ -171,26 +174,24 @@ def profile_main(argv: Optional[Sequence[str]] = None) -> int:
             policy_factories=[lambda models: AsmCachePolicy(models["asm"])],
             quanta=args.quanta,
             system_hooks=[profiler.attach],
-            profile_sink=run_profiles.append,
         )
+        return perf_counter() - start
 
     stats_text = ""
     if args.cprofile:
-        _, stats_text = profile_call(run, top=args.cprofile)
+        wall, stats_text = profile_call(run, top=args.cprofile)
     else:
-        run()
+        wall = run()
 
     print(f"profile: {mix.name} x {args.quanta} quanta "
           f"({args.quantum_cycles} cycles/quantum)")
     print(profiler.table())
-    if run_profiles:
-        profile = run_profiles[0]
-        print(
-            f"wall {profile.wall_time_s:.3f}s "
-            f"(alone {profile.share('alone'):.0%}, "
-            f"shared {profile.share('shared'):.0%}); "
-            f"{profile.events_per_second:,.0f} events/s in the shared run"
-        )
+    shared = sum(seconds for _, _, seconds in profiler.rows())
+    rate = profiler.engine_events / shared if shared > 0 else 0.0
+    print(
+        f"wall {wall:.3f}s (alone runs and set-up {1 - shared / wall:.0%}, "
+        f"shared {shared / wall:.0%}); {rate:,.0f} events/s in the shared run"
+    )
     if stats_text:
         print("\ncProfile (cumulative):")
         print(stats_text)

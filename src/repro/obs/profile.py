@@ -14,8 +14,11 @@ timers:
   labelled by owner (``AsmModel:asm``, ``AsmCachePolicy:asm-cache``).
 
 Stages nest: ``engine.drain`` is the envelope that contains the cache
-accesses, and the quantum listeners run outside it. The table therefore
-reports shares of the *profiled wall time*, not a partition of it.
+accesses, and the quantum listeners run outside it. The rows and the
+table report the drain *without* its cache accesses, so they partition
+the shared run: their seconds sum to the full drain plus the listeners,
+and the shares are shares of that shared-run time. ``stages`` keeps the
+raw timings, the full drain included.
 
 Profiling changes wall-clock behaviour only; simulated results are
 bit-identical (the timers never touch simulation state).
@@ -136,9 +139,19 @@ class StageProfiler:
 
     # -- reporting -------------------------------------------------------
     def rows(self) -> List[Tuple[str, int, float]]:
-        """(stage, calls, seconds) rows, slowest first."""
+        """(stage, calls, seconds) rows, slowest first.
+
+        The ``engine.drain`` row excludes the ``hierarchy.access`` time it
+        contains, so the rows partition the shared run.
+        """
+        access = self.stages.get("hierarchy.access")
+        inner = access.seconds if access is not None else 0.0
         return sorted(
-            ((t.name, t.calls, t.seconds) for t in self.stages.values()),
+            (
+                (t.name, t.calls,
+                 t.seconds - inner if t.name == "engine.drain" else t.seconds)
+                for t in self.stages.values()
+            ),
             key=lambda row: -row[2],
         )
 

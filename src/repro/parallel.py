@@ -77,7 +77,6 @@ from repro.harness.runner import (
     AloneProfile,
     AloneRunCache,
     ModelFactory,
-    RunProfile,
     RunResult,
     run_alone,
     run_workload,
@@ -175,17 +174,17 @@ def _attempt(
     ``run_kwargs`` are the in-process ``run_workload`` arguments of a
     :meth:`Campaign.run_mix` call. A failure's payload also holds the
     exception itself under ``"exc"``, for a serial give-up to re-raise.
+    A profiled cell's payload adds its wall seconds and its shared-run
+    engine events, read from the registry its quanta were snapshotted
+    into (an analytic cell simulates none).
     """
     spec = task.spec
-    captured: List[RunProfile] = []
-    sink = captured.append if task.profile else None
     run_metrics: Optional[MetricsRegistry] = None
+    start = perf_counter()
     try:
         if spec.config.engine == "analytic":
             # Closed form: no System, scheduler, telemetry or alone runs.
-            result = run_analytic(
-                spec.mix, spec.config, quanta=spec.quanta, profile_sink=sink
-            )
+            result = run_analytic(spec.mix, spec.config, quanta=spec.quanta)
         else:
             cache = AloneRunCache()
             cache.absorb(task.profiles)
@@ -204,16 +203,18 @@ def _attempt(
                 check_invariants=task.check_invariants,
                 wall_clock_budget_s=task.wall_clock_budget_s,
                 telemetry=spec.telemetry,
-                profile_sink=sink,
                 run_metrics=run_metrics,
                 **kwargs,
             )
     except Exception as exc:  # noqa: BLE001 - isolated and reported
         return {"ok": False, "exc": exc, **_error_payload(exc)}
     payload: Dict[str, Any] = {"ok": True, "result": result}
-    if captured:
-        payload["wall_s"] = captured[0].wall_time_s
-        payload["events"] = captured[0].events_executed
+    if task.profile:
+        payload["wall_s"] = perf_counter() - start
+        payload["events"] = (
+            int(run_metrics.counter("engine.events").value)
+            if run_metrics is not None else 0
+        )
     if run_metrics is not None:
         # Snapshots are plain dicts: picklable as-is.
         payload["metrics"] = run_metrics.snapshots

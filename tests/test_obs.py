@@ -385,6 +385,13 @@ def test_stage_profiler_results_bit_identical():
     assert stages["hierarchy.access"].calls > 0
     assert "AsmModel:asm" in stages and "AsmCachePolicy:asm-cache" in stages
     assert "engine.drain" in profiler.table()
+    listeners = sum(
+        timing.seconds for name, timing in stages.items()
+        if name not in ("engine.drain", "hierarchy.access")
+    )
+    assert sum(seconds for _, _, seconds in profiler.rows()) == pytest.approx(
+        stages["engine.drain"].seconds + listeners
+    )
 
 
 # ----------------------------------------------------------------------
@@ -426,3 +433,38 @@ def test_campaign_profile_results_match_unprofiled(tmp_path):
         _mix(), CONFIG, quanta=2, model_factories=factories
     )
     assert _fingerprint(plain) == _fingerprint(profiled)
+
+
+def test_profiled_cells_match_across_worker_counts(tmp_path):
+    from repro.parallel import CellSpec
+    from repro.resilience.inject import benign_model_factories
+
+    cells = [
+        CellSpec(mix=make_mix(apps, seed=3), config=CONFIG, quanta=2,
+                 model_builder=benign_model_factories)
+        for apps in (["mcf", "bzip2"], ["milc", "ft"])
+    ]
+    cells.append(CellSpec(mix=make_mix(["lbm", "soplex"], seed=3),
+                          config=CONFIG, quanta=2, fidelity="analytical"))
+    campaigns = []
+    for workers in (1, 2):
+        campaign = Campaign("prof", str(tmp_path / f"w{workers}"), profile=True)
+        assert all(campaign.run_cells(cells, workers=workers))
+        campaigns.append(campaign)
+    serial, pool = campaigns
+
+    def timing_keys(campaign):
+        return [(t.mix, t.variant, t.quanta, t.events)
+                for t in campaign.cell_timings]
+
+    assert [t.mix for t in serial.cell_timings] == [c.mix.name for c in cells]
+    assert timing_keys(serial) == timing_keys(pool)
+    events = [t.events for t in pool.cell_timings]
+    assert events[0] > 0 and events[1] > 0 and events[2] == 0
+    assert serial.pool_utilization is None
+    assert 0 < pool.pool_utilization <= 1
+    serial_metrics, pool_metrics = (
+        (tmp_path / f"w{workers}" / "metrics.jsonl").read_bytes()
+        for workers in (1, 2)
+    )
+    assert serial_metrics == pool_metrics

@@ -124,26 +124,3 @@ def test_run_workload_is_deterministic():
     b = run_workload(mix, config, quanta=1)
     assert a.records[0].instructions == b.records[0].instructions
     assert a.records[0].actual_slowdowns == b.records[0].actual_slowdowns
-
-
-def test_profile_sink_receives_run_profile():
-    config = scaled_config().with_quantum(100_000, 5_000)
-    mix = make_mix(["mcf", "ft"], seed=4)
-    profiles = []
-    run_workload(mix, config, quanta=2, profile_sink=profiles.append)
-    assert len(profiles) == 1
-    profile = profiles[0]
-    assert profile.events_executed > 0
-    assert profile.events_per_second > 0
-    assert len(profile.quantum_times_s) == 2
-    assert profile.wall_time_s >= profile.alone_time_s
-    assert 0.0 <= profile.share("alone") <= 1.0
-    assert 0.0 <= profile.share("shared") <= 1.0
-
-
-def test_profiling_does_not_change_results():
-    config = scaled_config().with_quantum(100_000, 5_000)
-    mix = make_mix(["mcf", "ft"], seed=4)
-    plain = run_workload(mix, config, quanta=1)
-    profiled = run_workload(mix, config, quanta=1, profile_sink=lambda p: None)
-    assert plain.records == profiled.records
