@@ -13,9 +13,14 @@ summarises it as a joint *stack-distance* / *time-distance* histogram:
   (see :mod:`repro.analytic.llc`).
 
 Stack distances are computed online with a Fenwick tree over access
-timestamps (O(log n) per access): each line's most recent access is an
-*active* timestamp, and the stack distance of a reuse is the count of
-active timestamps strictly between the previous and current access.
+timestamps (O(log n) per reuse). A timestamp is *superseded* once its
+line is touched again. The stack distance of a reuse at ``t`` of a line
+last touched at ``t0`` is the number of lines whose latest touch falls
+strictly between the two, i.e. the ``t - t0 - 1`` timestamps in between
+less the superseded ones among them. The tree counts superseded
+timestamps, so a cold access never touches it and a reuse costs one
+prefix walk (superseded timestamps up to ``t0``) plus one update (``t0``
+becomes superseded).
 
 Histograms use geometric buckets (ratio ~1.15, ~75 buckets out to the
 sample length) recording per-bucket count and mean stack/time distance;
@@ -36,7 +41,8 @@ from repro.workloads.mixes import WorkloadMix
 from repro.workloads.synthetic import AppSpec, SyntheticTrace
 
 #: Accesses sampled per core when profiling a generator. Extraction is
-#: O(n log n) in this; 32768 keeps a 4-core profile under ~2 s while the
+#: O(n log n) in this; at 32768 a cold paper-scale 4-core cell, four
+#: profiles plus the solve, takes ~0.5 s (docs/fidelity.md) while the
 #: distance CDFs are already stable to a few percent.
 DEFAULT_SAMPLE_ACCESSES = 32768
 
@@ -50,30 +56,6 @@ def _bucket_bounds(limit: int) -> List[int]:
     while bounds[-1] < limit:
         bounds.append(max(bounds[-1] + 1, int(bounds[-1] * _BUCKET_RATIO)))
     return bounds
-
-
-class _Fenwick:
-    """Binary indexed tree over access timestamps (prefix counts)."""
-
-    def __init__(self, size: int) -> None:
-        self._tree = [0] * (size + 1)
-
-    def add(self, index: int, delta: int) -> None:
-        i = index + 1
-        tree = self._tree
-        while i < len(tree):
-            tree[i] += delta
-            i += i & (-i)
-
-    def prefix(self, index: int) -> int:
-        """Sum over [0, index]; -1 yields 0."""
-        i = index + 1
-        total = 0
-        tree = self._tree
-        while i > 0:
-            total += tree[i]
-            i -= i & (-i)
-        return total
 
 
 @dataclass(frozen=True)
@@ -112,9 +94,11 @@ class ReuseProfile:
         """
         if n <= 0:
             return 0.0
-        finite = sum(
-            count * min(mean_td, n) for count, _sd, mean_td in self.buckets
-        )
+        # Plain float adds, left to right, on every Python version: sum()
+        # compensates float sums from 3.12 on.
+        finite = 0.0
+        for count, _sd, mean_td in self.buckets:
+            finite += count * (n if n < mean_td else mean_td)
         return finite / self.accesses + self.cold_frac * n
 
     def instructions_per_access(self) -> float:
@@ -134,6 +118,10 @@ def extract_profile(  # lint: pure -- per-process memo cache, transparent
     simulate. Profiles are memoised per process on
     ``(spec, mix seed, core, sample length)``.
     """
+    if sample_accesses < 1:
+        raise ValueError(
+            f"sample_accesses must be positive, got {sample_accesses}"
+        )
     key = (mix.specs[core], mix.seed, core, sample_accesses)
     cached = _PROFILE_CACHE.get(key)
     if cached is not None:
@@ -160,7 +148,12 @@ _PROFILE_CACHE: Dict[Tuple[AppSpec, int, int, int], ReuseProfile] = {}
 def _extract(
     spec: AppSpec, trace: SyntheticTrace, sample_accesses: int
 ) -> ReuseProfile:
-    tree = _Fenwick(sample_accesses)
+    # Fenwick tree of superseded timestamps: timestamp s sits at index
+    # s + 1, and tree[i] counts the superseded ones whose index lies in
+    # (i - (i & -i), i].
+    size = sample_accesses + 1
+    tree = [0] * size
+    superseded = 0
     last_access: Dict[int, int] = {}
     bounds = _bucket_bounds(sample_accesses)
     counts = [0] * len(bounds)
@@ -171,28 +164,33 @@ def _extract(
     writes = 0
     seq = 0
     prev_line: Optional[int] = None
-    stream = iter(trace)
-    for t in range(sample_accesses):
-        record = next(stream)
-        gap_total += record.gap
-        if record.is_write:
+    for t, (gap, line, is_write) in zip(range(sample_accesses), trace):
+        gap_total += gap
+        if is_write:
             writes += 1
-        line = record.line_addr
         if prev_line is not None and line == prev_line + 1:
             seq += 1
         prev_line = line
         t0 = last_access.get(line)
+        last_access[line] = t
         if t0 is None:
             cold += 1
-        else:
-            stack_distance = tree.prefix(t - 1) - tree.prefix(t0)
-            bucket = bisect.bisect_right(bounds, stack_distance) - 1
-            counts[bucket] += 1
-            sd_sums[bucket] += stack_distance
-            td_sums[bucket] += t - t0
-            tree.add(t0, -1)
-        tree.add(t, +1)
-        last_access[line] = t
+            continue
+        i = t0 + 1  # prefix walk: superseded timestamps up to t0
+        superseded_le_t0 = 0
+        while i:
+            superseded_le_t0 += tree[i]
+            i &= i - 1
+        stack_distance = t - t0 - 1 - (superseded - superseded_le_t0)
+        bucket = bisect.bisect_right(bounds, stack_distance) - 1
+        counts[bucket] += 1
+        sd_sums[bucket] += stack_distance
+        td_sums[bucket] += t - t0
+        i = t0 + 1  # update: t0 is superseded from now on
+        while i < size:
+            tree[i] += 1
+            i += i & -i
+        superseded += 1
     buckets = tuple(
         (counts[b], sd_sums[b] / counts[b], td_sums[b] / counts[b])
         for b in range(len(bounds))

@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, replace
+from math import log
 from typing import Iterator, Optional
 
 from repro.cpu.trace import TraceRecord
@@ -88,32 +89,40 @@ class SyntheticTrace(Iterator[TraceRecord]):
         # (Python's str hash is salted per interpreter run).
         name_salt = zlib.crc32(spec.name.encode()) & 0xFFFF
         self._rng = random.Random((seed << 16) ^ name_salt)
+        self._uniform = self._rng.random
         self._next_seq = 0  # sequential scan cursor within footprint
-        self._mean_gap = spec.mean_gap
+        # Exponential rates, as random.expovariate takes them; 0.0 marks
+        # a zero mean gap, which draws nothing.
+        mean_gap = spec.mean_gap
+        self._gap_lambd = 1.0 / mean_gap if mean_gap > 0 else 0.0
+        self._rank_lambd = 1.0 / spec.reuse_depth
 
     def __iter__(self) -> "SyntheticTrace":
         return self
 
     def __next__(self) -> TraceRecord:
-        rng = self._rng
+        # Draws inline random.expovariate's formula, -log(1 - U) / lambd,
+        # so the stream matches one drawn through the stdlib bit for bit.
+        # Keep the division: multiplying by the mean rounds differently.
+        uniform = self._uniform
         spec = self.spec
         footprint = spec.footprint_lines
+        gap_lambd = self._gap_lambd
 
-        gap = int(rng.expovariate(1.0 / self._mean_gap)) if self._mean_gap > 0 else 0
+        gap = int(-log(1.0 - uniform()) / gap_lambd) if gap_lambd else 0
 
-        if rng.random() < spec.reuse_prob:
+        if uniform() < spec.reuse_prob:
             # Hot-set access: geometric popularity rank, scrambled so the
             # hot set is scattered in the address space.
-            rank = int(rng.expovariate(1.0 / spec.reuse_depth)) % footprint
+            rank = int(-log(1.0 - uniform()) / self._rank_lambd) % footprint
             line = (rank * _SCRAMBLE_PRIME) % footprint
-        elif rng.random() < spec.seq_frac:
+        elif uniform() < spec.seq_frac:
             line = self._next_seq
-            self._next_seq = (self._next_seq + 1) % footprint
+            self._next_seq = (line + 1) % footprint
         else:
-            line = rng.randrange(footprint)
-        is_write = rng.random() < spec.write_frac
+            line = self._rng.randrange(footprint)
         return TraceRecord(
-            gap=gap, line_addr=self.base_line + line, is_write=is_write
+            gap, self.base_line + line, uniform() < spec.write_frac
         )
 
 

@@ -1,6 +1,9 @@
 """Tests for the closed-form fidelity tier (repro.analytic)."""
 
+import bisect
+import dataclasses
 import filecmp
+import itertools
 import time as _time
 from pathlib import Path
 
@@ -13,7 +16,12 @@ from repro.analytic.crossval import (
     compare_results,
     cross_validate,
 )
-from repro.analytic.reuse import _PROFILE_CACHE, extract_profile, profile_mix
+from repro.analytic.reuse import (
+    _PROFILE_CACHE,
+    _bucket_bounds,
+    extract_profile,
+    profile_mix,
+)
 from repro.analytic.runner import (
     ENGINE_FOR_FIDELITY,
     FIDELITY_TIERS,
@@ -33,7 +41,8 @@ from repro.harness.system import System
 from repro.lintkit import lint_paths
 from repro.parallel import CellSpec, run_cells
 from repro.resilience.campaign import Campaign
-from repro.workloads.mixes import make_mix
+from repro.workloads.hog import hog_spec
+from repro.workloads.mixes import WorkloadMix, make_mix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -66,6 +75,76 @@ def test_profile_memoised_per_process():
     mix = _mix(3)
     first = extract_profile(mix, 1, sample_accesses=2048)
     assert extract_profile(mix, 1, sample_accesses=2048) is first
+
+
+@pytest.mark.parametrize("sample_accesses", [0, -5])
+def test_profile_rejects_non_positive_sample(sample_accesses):
+    with pytest.raises(ValueError, match=f"got {sample_accesses}$"):
+        extract_profile(_mix(), 0, sample_accesses=sample_accesses)
+    assert all(key[3] > 0 for key in _PROFILE_CACHE)
+
+
+def _reference_profile(spec, trace, sample_accesses):
+    """``astuple`` of a profile computed from the definitions.
+
+    Keeps an explicit LRU stack, most recent line first: a reuse's stack
+    distance is its line's index in the stack, its time distance the
+    accesses elapsed since the line's previous touch.
+    """
+    stack = []
+    last_touch = {}
+    bounds = _bucket_bounds(sample_accesses)
+    counts = [0] * len(bounds)
+    sd_sums = [0] * len(bounds)
+    td_sums = [0] * len(bounds)
+    cold = gap_total = writes = seq = 0
+    prev_line = None
+    records = itertools.islice(trace, sample_accesses)
+    for t, record in enumerate(records):
+        line = record.line_addr
+        gap_total += record.gap
+        writes += record.is_write
+        seq += prev_line is not None and line == prev_line + 1
+        prev_line = line
+        if line in last_touch:
+            stack_distance = stack.index(line)
+            bucket = bisect.bisect_right(bounds, stack_distance) - 1
+            counts[bucket] += 1
+            sd_sums[bucket] += stack_distance
+            td_sums[bucket] += t - last_touch[line]
+            del stack[stack_distance]
+        else:
+            cold += 1
+        stack.insert(0, line)
+        last_touch[line] = t
+    buckets = tuple(
+        (count, sd_sum / count, td_sum / count)
+        for count, sd_sum, td_sum in zip(counts, sd_sums, td_sums)
+        if count
+    )
+    return (
+        spec.name,
+        sample_accesses,
+        gap_total / sample_accesses,
+        writes / sample_accesses,
+        seq / sample_accesses,
+        cold / sample_accesses,
+        buckets,
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 6])
+def test_profile_matches_an_explicit_lru_stack(seed):
+    names = ["mcf", "libquantum", "lbm", "h264ref", "omnetpp"]
+    specs = tuple(make_mix(names).specs) + (hog_spec(0.8, 0.6),)
+    mix = WorkloadMix(name="reference", specs=specs, seed=seed)
+    for core, spec in enumerate(specs):
+        for sample_accesses in (1, 2, 3, 2048):
+            profile = extract_profile(mix, core, sample_accesses)
+            reference = _reference_profile(
+                spec, mix.trace_for_core(core), sample_accesses
+            )
+            assert dataclasses.astuple(profile) == reference
 
 
 def test_shared_solve_never_beats_alone():
@@ -247,7 +326,7 @@ def test_doc001_clean_on_analytic_package():
 
 def test_paper_scale_cell_under_ten_seconds():
     # Acceptance bound: a 4-core, 100M-cycle analytic cell in < 10 s
-    # (CHANGES.md records ~1.4 s cold, best of 3 on a 2-vCPU box).
+    # (CHANGES.md records ~0.5 s cold, best of 3 on a 2-vCPU box).
     config = SystemConfig()  # paper-scale platform, 5M-cycle quanta
     mix = default_mixes(1, config.num_cores, seed=42)[0]
     _PROFILE_CACHE.clear()

@@ -38,6 +38,7 @@ def test_run_until_stops_before_boundary_events():
     assert engine.now == 10
     engine.run(until=20)
     assert log == ["early", "boundary", "late"]
+    assert engine.now == 20
 
 
 def test_run_until_advances_time_with_empty_queue():
@@ -89,6 +90,22 @@ def test_schedule_at_current_time_is_allowed():
     assert engine.now == 5
 
 
+def test_schedule_during_drain_runs_after_queued_same_cycle_events():
+    # An event scheduled at the *current* cycle while that cycle's bucket
+    # is draining must run in this cycle, after the events that were
+    # already queued — insertion order, not re-sorted order.
+    engine = Engine()
+    log = []
+    engine.schedule(
+        5, lambda: (log.append("a"), engine.schedule(0, lambda: log.append("d")))
+    )
+    engine.schedule(5, lambda: log.append("b"))
+    engine.schedule(5, lambda: log.append("c"))
+    engine.run()
+    assert log == ["a", "b", "c", "d"]
+    assert engine.now == 5
+
+
 def test_deadline_caught_after_first_slow_event():
     # A single slow callback at the head of the run must not evade the
     # watchdog for a whole check window: the clock is sampled right after
@@ -127,6 +144,7 @@ def test_stop_mid_cycle_preserves_remaining_same_cycle_events():
     engine.schedule(5, lambda: log.append("c"))
     engine.run()
     assert log == ["a", "b"]
+    assert engine.stopped_early
     assert engine.pending_events == 1
     engine.run()
     assert log == ["a", "b", "c"]

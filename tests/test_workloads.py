@@ -1,9 +1,12 @@
 """Unit tests for synthetic workloads, the catalog, hog and mixes."""
 
 import itertools
+import random
+import zlib
 
 import pytest
 
+from repro.cpu.trace import TraceRecord
 from repro.workloads.catalog import (
     CATALOG,
     intensity_class,
@@ -70,6 +73,47 @@ def test_cache_sensitive_app_reuses_lines():
     records = _take(SyntheticTrace(spec, seed=7), 30_000)
     distinct = len({r.line_addr for r in records})
     assert distinct < len(records) * 0.5, "hot set must be re-referenced"
+
+
+def _stdlib_trace(spec, seed, base_line):
+    """The generator's stream drawn through ``random.expovariate``.
+
+    Same seeding and the same draws in the same order as
+    :class:`SyntheticTrace`, written against the stdlib's own methods.
+    """
+    name_salt = zlib.crc32(spec.name.encode()) & 0xFFFF
+    rng = random.Random((seed << 16) ^ name_salt)
+    footprint = spec.footprint_lines
+    next_seq = 0
+    while True:
+        gap = 0
+        if spec.mean_gap > 0:
+            gap = int(rng.expovariate(1.0 / spec.mean_gap))
+        if rng.random() < spec.reuse_prob:
+            rank = int(rng.expovariate(1.0 / spec.reuse_depth)) % footprint
+            line = (rank * 2654435761) % footprint
+        elif rng.random() < spec.seq_frac:
+            line = next_seq
+            next_seq = (next_seq + 1) % footprint
+        else:
+            line = rng.randrange(footprint)
+        yield TraceRecord(gap, base_line + line, rng.random() < spec.write_frac)
+
+
+# apki 1000 makes mean_gap 0: the generator draws no gap at all.
+_ZERO_GAP = AppSpec("zero-gap", apki=1000, reuse_prob=0.4, reuse_depth=64,
+                    footprint_lines=50_000, seq_frac=0.5)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    list(CATALOG.values()) + [hog_spec(0.7, 0.4), _ZERO_GAP],
+    ids=lambda spec: spec.name,
+)
+def test_trace_matches_stdlib_draws(spec):
+    trace = SyntheticTrace(spec, seed=11, base_line=3 << 28)
+    reference = _stdlib_trace(spec, 11, 3 << 28)
+    assert _take(trace, 20_000) == _take(reference, 20_000)
 
 
 def test_spec_validation():
