@@ -22,8 +22,9 @@ simulation with per-phase math:
    event oracle, persisting a divergence report into the campaign
    store.
 
-Cells opt in by declaring ``fidelity: analytical`` (CLI ``--fidelity``),
-which maps onto ``config.engine == "analytic"``; see ``docs/fidelity.md``
+A cell runs here when its ``config.engine == "analytic"``; the tier
+name ``analytical`` (CLI ``--fidelity``, ``FleetSpec.fidelity``) becomes
+that config through :func:`resolve_fidelity`. See ``docs/fidelity.md``
 for the tier decision table and the regimes where the surrogate is
 known to be inaccurate.
 """

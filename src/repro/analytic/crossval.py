@@ -2,13 +2,16 @@
 
 Every campaign that runs analytic cells should know how far the
 surrogate is from the simulator *on its own cells*. ``cross_validate``
-draws a seeded sample of a campaign's (mix, config, quanta) cells, runs
-each at the analytic tier **and** through the event oracle (both via
-:meth:`~repro.resilience.campaign.Campaign.run_mix`, so oracle runs are
-resumable and shared with any event-tier cells the campaign already
-ran), and summarises the per-core slowdown deltas as a
-:class:`DivergenceReport` persisted to ``divergence.jsonl`` in the
-campaign store — next to ``metrics.jsonl``, readable with
+takes an analytic survey's cells and results, draws a seeded sample of
+them, and runs each sampled cell's *event twin* — the same
+:class:`~repro.parallel.CellSpec` (models, telemetry, variant) with
+``config.engine == "event"`` — through
+:meth:`~repro.resilience.campaign.Campaign.run_cells`. The surrogate is
+never re-run, and the oracle record is exactly the one an event-tier run
+of that cell stores, so it resumes and dedupes like one. The per-core
+slowdown deltas are summarised as a :class:`DivergenceReport` persisted
+to ``divergence.jsonl`` in the campaign store — next to
+``metrics.jsonl``, readable with
 :meth:`~repro.resilience.campaign.CampaignStore.load_divergence`.
 
 The report is deliberately timestamp-free: equal seeds produce
@@ -19,15 +22,15 @@ store file honours.
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
-from repro.config import SystemConfig
 from repro.harness.runner import RunResult
-from repro.workloads.mixes import WorkloadMix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.parallel import CellSpec
     from repro.resilience.campaign import Campaign
 
 #: Documented acceptance bound: mean |slowdown error| of the analytic
@@ -168,37 +171,39 @@ def compare_results(
 
 def cross_validate(
     campaign: "Campaign",
-    mixes: Sequence[WorkloadMix],
-    config: SystemConfig,
-    quanta: int = 2,
-    variant: str = "",
+    cells: Sequence["CellSpec"],
+    results: Sequence[Optional[RunResult]],
     sample_size: int = 1,
     seed: int = 0,
 ) -> Optional[DivergenceReport]:
-    """Cross-validate a seeded sample of cells and persist the report.
+    """Cross-validate a seeded sample of analytic cells and persist the report.
 
-    Both legs run through ``campaign.run_mix`` so the analytic leg reuses
-    the cells the campaign just computed and the oracle leg is resumable
-    (and shared with any event-tier runs of the same cells). Returns
-    ``None`` when there is nothing to sample.
+    ``cells`` are one analytic survey's cells (one variant) and
+    ``results`` their results, ``None`` where a cell failed. Each sampled
+    cell's event twin runs through ``campaign.run_cells``; a sample whose
+    surrogate or twin failed is skipped. Returns ``None``, and persists
+    nothing, when no sample is left.
     """
-    if not mixes or sample_size <= 0:
+    if not cells or sample_size <= 0:
         return None
     rng = random.Random(seed)
-    count = min(sample_size, len(mixes))
-    indices = sorted(rng.sample(range(len(mixes)), count))
+    count = min(sample_size, len(cells))
+    surrogates: List[RunResult] = []
+    twins: List["CellSpec"] = []
+    for index in sorted(rng.sample(range(len(cells)), count)):
+        cell, surrogate = cells[index], results[index]
+        if surrogate is not None:
+            surrogates.append(surrogate)
+            event = cell.config.with_engine("event")
+            twins.append(dataclasses.replace(cell, config=event))
     entries: List[DivergenceEntry] = []
-    for index in indices:
-        mix = mixes[index]
-        surrogate = campaign.run_mix(
-            mix, config.with_engine("analytic"), quanta=quanta, variant=variant
-        )
-        oracle = campaign.run_mix(
-            mix, config.with_engine("event"), quanta=quanta, variant=variant
-        )
-        entries.extend(compare_results(surrogate, oracle))
+    for surrogate, oracle in zip(surrogates, campaign.run_cells(twins)):
+        if oracle is not None:
+            entries.extend(compare_results(surrogate, oracle))
+    if not entries:
+        return None
     report = DivergenceReport(fidelity="analytical", entries=entries)
-    persist_report(campaign, report, variant=variant)
+    persist_report(campaign, report, variant=cells[0].variant)
     return report
 
 

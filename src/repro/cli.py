@@ -6,8 +6,10 @@
     python -m repro fig02 --mixes 10 --quanta 2
     python -m repro fig09 --quanta 3 --out results/fig09.txt
 
-Every experiment accepts ``--mixes`` (workloads per configuration) and
-``--quanta`` (quanta per run); the defaults match the benchmark suite.
+``--mixes`` (workloads per configuration) and ``--quanta`` (quanta per
+run) scale an experiment; the defaults match the benchmark suite. A flag
+the experiment's driver takes no parameter for is ignored with a
+warning (see :class:`Driver`).
 
 Campaign resilience (see ``repro.resilience``): per-mix results are
 checkpointed under ``--campaign-dir`` (default ``results/.campaign``),
@@ -24,7 +26,7 @@ import inspect
 import os
 import sys
 import time
-from typing import Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 from repro.analytic.runner import FIDELITY_TIERS
 from repro.experiments import (
@@ -49,73 +51,65 @@ from repro.experiments import (
 )
 
 
-def _supported(run, extras: dict) -> dict:
-    """Keep only the extras the driver's ``run`` signature accepts."""
-    params = inspect.signature(run).parameters
-    return {k: v for k, v in extras.items() if v is not None and k in params}
+class Driver:
+    """An experiment's ``run``, adapted to the CLI's flags.
+
+    The flags are ``mixes``, ``quanta``, ``seed``, ``campaign``,
+    ``workers``, ``telemetry`` and ``fidelity``. Each reaches ``run``
+    only when its signature has the parameter: ``mixes`` becomes
+    ``num_mixes``, or ``mixes_per_count`` for every default core count.
+    """
+
+    def __init__(self, run: Callable[..., Any], **fixed: Any) -> None:
+        self.run = run
+        self.fixed = fixed
+        self.params = inspect.signature(run).parameters
+
+    def param(self, flag: str) -> str:
+        """The ``run`` parameter ``flag`` feeds; empty when there is none."""
+        names = (flag,)
+        if flag == "mixes":
+            names = ("num_mixes", "mixes_per_count")
+        return next((name for name in names if name in self.params), "")
+
+    def kwargs(self, **flags: Any) -> Dict[str, Any]:
+        """``run``'s arguments: the fixed ones plus each set flag it takes."""
+        kwargs = dict(self.fixed)
+        for flag, value in flags.items():
+            name = self.param(flag)
+            if value is None or not name:
+                continue
+            if name == "mixes_per_count":
+                counts = self.params["core_counts"].default
+                value = dict.fromkeys(counts, value)
+            kwargs[name] = value
+        return kwargs
+
+    def __call__(self, **flags: Any) -> Any:
+        return self.run(**self.kwargs(**flags))
 
 
-def _with_scale(run, **fixed):
-    def runner(mixes: Optional[int], quanta: Optional[int], **extras):
-        kwargs = dict(fixed)
-        if mixes:
-            kwargs["num_mixes"] = mixes
-        if quanta:
-            kwargs["quanta"] = quanta
-        kwargs.update(_supported(run, extras))
-        return run(**kwargs)
-
-    runner.supports = set(inspect.signature(run).parameters)
-    return runner
-
-
-def _per_core_count(run):
-    def runner(mixes: Optional[int], quanta: Optional[int], **extras):
-        kwargs = {}
-        if mixes:
-            kwargs["mixes_per_count"] = {4: mixes, 8: mixes, 16: mixes}
-        if quanta:
-            kwargs["quanta"] = quanta
-        kwargs.update(_supported(run, extras))
-        return run(**kwargs)
-
-    runner.supports = set(inspect.signature(run).parameters)
-    return runner
-
-
-def _fixed_scale(run):
-    def runner(mixes: Optional[int], quanta: Optional[int], **extras):
-        kwargs = {}
-        if quanta:
-            kwargs["quanta"] = quanta
-        kwargs.update(_supported(run, extras))
-        return run(**kwargs)
-
-    runner.supports = set(inspect.signature(run).parameters)
-    return runner
-
-
-EXPERIMENTS: Dict[str, Callable] = {
-    "fig01": _fixed_scale(fig01_car_proxy.run),
-    "fig02": _with_scale(error_comparison.run, sampled=False),
-    "fig03": _with_scale(error_comparison.run, sampled=True),
-    "fig04": _with_scale(fig04_error_distribution.run),
-    "fig05": _with_scale(fig05_prefetching.run),
-    "fig06": _with_scale(fig06_latency_distribution.run, sampled=False),
-    "fig06-sampled": _with_scale(fig06_latency_distribution.run, sampled=True),
-    "fig07": _per_core_count(fig07_core_count.run),
-    "fig08": _with_scale(fig08_cache_size.run),
-    "fig09": _per_core_count(fig09_asm_cache.run),
-    "fig10": _per_core_count(fig10_asm_mem.run),
-    "fig11": _fixed_scale(fig11_qos.run),
-    "table3": _with_scale(table3_quantum_epoch.run),
-    "sec64": _with_scale(sec64_mise_vs_asm.run),
-    "sec72": _with_scale(sec72_combined.run),
-    "db": _with_scale(db_workloads.run),
-    "ablations": _with_scale(ablations.run),
-    "telemetry-faults": _with_scale(telemetry_faults.run),
-    "fleet": _fixed_scale(fleet_qos.run),
-    "fidelity": _with_scale(fidelity_sweep.run),
+EXPERIMENTS: Dict[str, Driver] = {
+    "fig01": Driver(fig01_car_proxy.run),
+    "fig02": Driver(error_comparison.run, sampled=False),
+    "fig03": Driver(error_comparison.run, sampled=True),
+    "fig04": Driver(fig04_error_distribution.run),
+    "fig05": Driver(fig05_prefetching.run),
+    "fig06": Driver(fig06_latency_distribution.run, sampled=False),
+    "fig06-sampled": Driver(fig06_latency_distribution.run, sampled=True),
+    "fig07": Driver(fig07_core_count.run),
+    "fig08": Driver(fig08_cache_size.run),
+    "fig09": Driver(fig09_asm_cache.run),
+    "fig10": Driver(fig10_asm_mem.run),
+    "fig11": Driver(fig11_qos.run),
+    "table3": Driver(table3_quantum_epoch.run),
+    "sec64": Driver(sec64_mise_vs_asm.run),
+    "sec72": Driver(sec72_combined.run),
+    "db": Driver(db_workloads.run),
+    "ablations": Driver(ablations.run),
+    "telemetry-faults": Driver(telemetry_faults.run),
+    "fleet": Driver(fleet_qos.run),
+    "fidelity": Driver(fidelity_sweep.run),
 }
 
 DESCRIPTIONS = {
@@ -142,6 +136,22 @@ DESCRIPTIONS = {
 }
 
 DEFAULT_CAMPAIGN_DIR = os.path.join("results", ".campaign")
+
+#: (option, the Driver flag it feeds, what a driver without that flag does).
+IGNORABLE_OPTIONS = (
+    ("--mixes", "mixes", "running its default workloads"),
+    ("--quanta", "quanta", "running its default quanta"),
+    ("--workers", "workers", "running serially"),
+    ("--telemetry-faults", "telemetry", "running with perfect telemetry"),
+    ("--fidelity", "fidelity", "running at the configured engine's tier"),
+) + tuple(
+    (option, "campaign", "running without checkpoints, retries or checks")
+    for option in (
+        "--campaign-dir", "--resume", "--keep-going", "--check-invariants",
+        "--wall-clock-budget", "--max-retries", "--retry-backoff",
+        "--cell-budget", "--profile",
+    )
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -239,7 +249,8 @@ def main(argv=None) -> int:
         from repro.cloud.cli import cloud_main
 
         return cloud_main(argv[1:])
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.experiment == "list":
         for name in sorted(EXPERIMENTS):
             print(f"{name:14s} {DESCRIPTIONS[name]}")
@@ -282,12 +293,6 @@ def main(argv=None) -> int:
         retry_policy=retry_policy,
     )
 
-    runner = EXPERIMENTS[args.experiment]
-    if args.workers > 1 and "workers" not in getattr(runner, "supports", ()):
-        sys.stderr.write(
-            f"repro: '{args.experiment}' does not support --workers; "
-            "running serially.\n"
-        )
     telemetry = None
     if args.telemetry_faults:
         from repro.telemetry import TelemetrySpec
@@ -299,30 +304,26 @@ def main(argv=None) -> int:
         except ValueError as exc:
             sys.stderr.write(f"repro: {exc}\n")
             return 2
-        if "telemetry" not in getattr(runner, "supports", ()):
-            sys.stderr.write(
-                f"repro: '{args.experiment}' does not support "
-                "--telemetry-faults; running with perfect telemetry.\n"
-            )
-            telemetry = None
 
-    fidelity = args.fidelity
-    if fidelity and "fidelity" not in getattr(runner, "supports", ()):
-        sys.stderr.write(
-            f"repro: '{args.experiment}' does not support --fidelity; "
-            "running at the configured engine's tier.\n"
-        )
-        fidelity = None
+    runner = EXPERIMENTS[args.experiment]
+    for option, flag, fallback in IGNORABLE_OPTIONS:
+        dest = option[2:].replace("-", "_")
+        given = getattr(args, dest) != parser.get_default(dest)
+        if given and not runner.param(flag):
+            sys.stderr.write(
+                f"repro: '{args.experiment}' does not support {option}; "
+                f"{fallback}.\n"
+            )
 
     start = time.time()
     result = runner(
-        args.mixes or None,
-        args.quanta or None,
+        mixes=args.mixes or None,
+        quanta=args.quanta or None,
         seed=args.seed,
         campaign=campaign,
         workers=args.workers if args.workers > 1 else None,
         telemetry=telemetry,
-        fidelity=fidelity,
+        fidelity=args.fidelity,
     )
     table = result.format_table()
     print(table)

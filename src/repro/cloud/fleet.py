@@ -212,7 +212,6 @@ class FleetSupervisor:
             model_builder=builder,
             model_builder_args=(self.config,) + spec.model_builder_args,
             telemetry=events.telemetry,
-            fidelity=spec.fidelity,
         )
 
     def _tenant_outcome(

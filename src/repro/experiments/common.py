@@ -106,7 +106,6 @@ def survey_errors(
     model_builder: Callable[..., Dict[str, ModelFactory]],
     model_builder_args: Sequence = (),
     telemetry: Optional["TelemetrySpec"] = None,
-    fidelity: str = "",
 ) -> ErrorSurvey:
     """Run every mix as one campaign cell and collect every model's
     estimation errors.
@@ -126,14 +125,13 @@ def survey_errors(
     counter bank (see :mod:`repro.telemetry`); ``None`` means perfect
     telemetry.
 
-    ``fidelity`` selects the execution tier ("analytical" | "event", see
-    docs/fidelity.md); empty leaves ``config.engine`` in charge. At the
-    analytical tier the per-estimator machinery does not run — only the
-    closed-form "asm"/"analytic" estimates exist, and other requested
-    models simply collect no errors. An analytical survey under a campaign
-    with a store additionally cross-validates a seeded sample of its cells
-    against the event oracle and persists the divergence report
-    (:mod:`repro.analytic.crossval`).
+    ``config.engine`` is the survey's fidelity tier (see
+    docs/fidelity.md). At the analytic tier the per-estimator machinery
+    does not run — only the closed-form "asm"/"analytic" estimates exist,
+    and other requested models simply collect no errors. An analytic
+    survey under a campaign with a store additionally cross-validates a
+    seeded sample of its cells against their event twins and persists the
+    divergence report (:mod:`repro.analytic.crossval`).
     """
     from repro.parallel import CellSpec
     from repro.resilience.campaign import Campaign
@@ -148,36 +146,19 @@ def survey_errors(
             model_builder=model_builder,
             model_builder_args=tuple(model_builder_args),
             telemetry=telemetry,
-            fidelity=fidelity,
         )
         for mix in mixes
     ]
     camp = campaign if campaign is not None else Campaign("adhoc-survey")
-    for result in camp.run_cells(cells, workers=workers):
+    results = camp.run_cells(cells, workers=workers)
+    for result in results:
         if result is not None:
             survey.add_run(result)
-    _crossval_if_analytic(campaign, mixes, config, quanta, variant, fidelity)
+    if config.engine == "analytic" and camp.store is not None:
+        from repro.analytic.crossval import cross_validate
+
+        cross_validate(camp, cells, results)
     return survey
-
-
-def _crossval_if_analytic(
-    campaign: Optional["Campaign"],
-    mixes: Sequence[WorkloadMix],
-    config: SystemConfig,
-    quanta: int,
-    variant: str,
-    fidelity: str,
-) -> None:
-    """After an analytical survey under a stored campaign, cross-validate a
-    seeded one-cell sample against the event oracle and persist the
-    divergence report next to the campaign's other records."""
-    if fidelity != "analytical" or campaign is None or campaign.store is None:
-        return
-    from repro.analytic.crossval import cross_validate
-
-    cross_validate(
-        campaign, mixes, config, quanta=quanta, variant=variant, sample_size=1
-    )
 
 
 def default_mixes(count: int, num_cores: int, seed: int = 42) -> List[WorkloadMix]:

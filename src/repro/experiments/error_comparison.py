@@ -7,6 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+from repro.analytic.runner import resolve_fidelity
 from repro.config import SystemConfig, scaled_config
 from repro.experiments.common import (
     ErrorSurvey,
@@ -62,7 +63,7 @@ def run(
     telemetry=None,
     fidelity: str = "",
 ) -> ErrorComparisonResult:
-    config = config or scaled_config()
+    config = resolve_fidelity(config or scaled_config(), fidelity)
     mixes = default_mixes(num_mixes, config.num_cores, seed=seed)
     variant = "sampled" if sampled else "unsampled"
     if telemetry is not None:
@@ -77,6 +78,5 @@ def run(
         model_builder=sampled_models if sampled else unsampled_models,
         model_builder_args=(config,) if sampled else (),
         telemetry=telemetry,
-        fidelity=fidelity,
     )
     return ErrorComparisonResult(survey=survey, sampled=sampled)

@@ -28,7 +28,7 @@ from repro.analytic.crossval import (
     compare_results,
     persist_report,
 )
-from repro.analytic.runner import FIDELITY_TIERS
+from repro.analytic.runner import FIDELITY_TIERS, resolve_fidelity
 from repro.config import SystemConfig, scaled_config
 from repro.experiments.common import default_mixes, format_table, unsampled_models
 from repro.harness.runner import RunResult
@@ -124,11 +124,10 @@ def run(
         cells = [
             CellSpec(
                 mix=mix,
-                config=config,
+                config=resolve_fidelity(config, tier),
                 quanta=quanta,
                 variant=f"fid:{tier}",
                 model_builder=unsampled_models,
-                fidelity=tier,
             )
             for mix in mixes
         ]

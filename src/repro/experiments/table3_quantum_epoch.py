@@ -53,6 +53,7 @@ def run(
     num_mixes: int = 5,
     config: Optional[SystemConfig] = None,
     seed: int = 42,
+    campaign=None,
 ) -> QuantumEpochResult:
     from repro.resilience.campaign import Campaign
 
@@ -61,8 +62,9 @@ def run(
     budget = max(quantum_lengths)  # equal simulated time per cell
     # One campaign, so one alone-run cache, across all cells: within a
     # quantum-length row the simulated horizon is identical, so ground
-    # truth is fully shared.
-    campaign = Campaign("table3")
+    # truth is fully shared. Without one: a campaign with no store, so a
+    # failing run raises.
+    campaign = campaign if campaign is not None else Campaign("table3")
     for quantum in quantum_lengths:
         for epoch in epoch_lengths:
             if quantum % epoch:

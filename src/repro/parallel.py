@@ -5,18 +5,20 @@ recipe for its slowdown models. Every batch of cells — a
 :meth:`Campaign.run_mix` call, a survey, a ``--workers N`` sweep, a fleet
 round — goes through the same three steps:
 
-1. **Plan** — each cell's declared fidelity is folded into its config and
-   its store key is computed; cells already in the checkpoint store are
-   resumed (``resume``). The alone-run profiles the rest need are collected
-   once each, from the campaign's alone-run cache or store, or computed (in
-   the pool when ``workers > 1``) and persisted. One cache lookup counts
-   per (cell, core), so the summary's cache statistics are the same at any
-   worker count. A profile that fails to compute is left out; the cell's
-   attempt recomputes it and fails through the retry path.
+1. **Plan** — each cell's store key is computed; cells already in the
+   checkpoint store are resumed (``resume``). The alone-run profiles the
+   rest need are collected once each, from the campaign's alone-run cache
+   or store, or computed (in the pool when ``workers > 1``) and persisted.
+   One cache lookup counts per (cell, core), so the summary's cache
+   statistics are the same at any worker count. A profile that fails to
+   compute is left out; the cell's attempt recomputes it and fails
+   through the retry path.
 2. **Attempt** — :func:`_attempt` runs one cell once. It is the only place
    that chooses between :func:`~repro.analytic.runner.run_analytic` and
-   :func:`~repro.harness.runner.run_workload`, and it returns a picklable
-   payload: the result, or the exception's type/message/traceback/diagnosis.
+   :func:`~repro.harness.runner.run_workload`, by the cell's
+   ``config.engine`` (its fidelity tier; nothing else in a cell names
+   one), and it returns a picklable payload: the result, or the
+   exception's type/message/traceback/diagnosis.
 3. **Settle** — a result is persisted and counted. A failure feeds the
    circuit breaker, then is retried under the campaign's
    :class:`~repro.durability.retry.RetryPolicy` (attempts left, circuit
@@ -71,7 +73,7 @@ from typing import (
     cast,
 )
 
-from repro.analytic.runner import resolve_fidelity, run_analytic
+from repro.analytic.runner import run_analytic
 from repro.config import SystemConfig
 from repro.harness.runner import (
     AloneProfile,
@@ -97,7 +99,11 @@ ProfileTask = Tuple[WorkloadMix, int, SystemConfig, int]
 
 @dataclass(frozen=True)
 class CellSpec:
-    """One independent unit of campaign work (a single shared run)."""
+    """One independent unit of campaign work (a single shared run).
+
+    ``config.engine`` (``"event"`` or ``"analytic"``) is the cell's
+    fidelity tier; see docs/fidelity.md.
+    """
 
     mix: WorkloadMix
     config: SystemConfig
@@ -106,10 +112,6 @@ class CellSpec:
     model_builder: Optional[Callable[..., Dict[str, ModelFactory]]] = None
     model_builder_args: Tuple[Any, ...] = ()
     telemetry: Optional[TelemetrySpec] = None
-    # Fidelity tier ("analytical" | "event", see docs/fidelity.md). Empty
-    # means unset: ``config.engine`` governs, so pre-fidelity call sites
-    # are unchanged.
-    fidelity: str = ""
 
 
 class WorkerRunError(RuntimeError):
@@ -306,14 +308,6 @@ def _alone_cycles(cell: CellSpec) -> int:
     return (cell.quanta + 1) * cell.config.quantum_cycles
 
 
-def _with_fidelity(cell: CellSpec) -> CellSpec:
-    """``cell`` with its declared fidelity folded into ``config.engine``."""
-    config = resolve_fidelity(cell.config, cell.fidelity)
-    if config is cell.config:
-        return cell
-    return dataclasses.replace(cell, config=config)
-
-
 def _collect_profiles(
     campaign: "Campaign", cells: Sequence[CellSpec], workers: int
 ) -> List[Tuple[Tuple[ProfileKey, AloneProfile], ...]]:
@@ -421,7 +415,7 @@ def _run_batch(
     workers: int = 1,
     run_kwargs: Optional[Mapping[str, Any]] = None,
 ) -> List[Optional[RunResult]]:
-    """Plan, attempt and settle one batch of fidelity-resolved cells.
+    """Plan, attempt and settle one batch of cells.
 
     With ``workers=1`` the attempts run in-process, and ``run_kwargs`` —
     the in-process ``run_workload`` arguments of a :meth:`Campaign.run_mix`
@@ -506,7 +500,6 @@ def run_cells(
     Results and campaign counters are the same at any ``workers``, and so
     are stores, up to the append order of retried cells.
     """
-    cells = [_with_fidelity(cell) for cell in cells]
     if workers > 1:
         return _run_batch(campaign, cells, workers)
     return [

@@ -31,7 +31,7 @@ from repro.analytic.runner import (
 from repro.cli import main as cli_main
 from repro.cloud.spec import FleetSpec
 from repro.config import SystemConfig, scaled_config
-from repro.experiments import fidelity_sweep
+from repro.experiments import error_comparison, fidelity_sweep
 from repro.experiments.common import (
     default_mixes,
     survey_errors,
@@ -41,6 +41,8 @@ from repro.harness.system import System
 from repro.lintkit import lint_paths
 from repro.parallel import CellSpec, run_cells
 from repro.resilience.campaign import Campaign
+from repro.resilience.faults import config_fingerprint
+from repro.resilience.inject import exploding_model_factories
 from repro.workloads.hog import hog_spec
 from repro.workloads.mixes import WorkloadMix, make_mix
 
@@ -48,10 +50,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # Small platform so the event-oracle legs simulate quickly.
 CONFIG = scaled_config().with_quantum(50_000, 5_000)
+ANALYTIC = CONFIG.with_engine("analytic")
 
 
 def _mix(seed=1):
     return make_mix(["mcf", "bzip2", "libquantum", "h264ref"], seed=seed)
+
+
+def _analytic_cells(mixes):
+    return [CellSpec(mix=mix, config=ANALYTIC, quanta=1) for mix in mixes]
 
 
 # ----------------------------------------------------------------------
@@ -236,8 +243,7 @@ def test_system_rejects_analytic_engine():
 def test_cellspec_fidelity_parallel_matches_serial():
     mixes = default_mixes(2, CONFIG.num_cores, seed=9)
     cells = [
-        CellSpec(mix=mix, config=CONFIG, quanta=2, fidelity="analytical")
-        for mix in mixes
+        CellSpec(mix=mix, config=ANALYTIC, quanta=2) for mix in mixes
     ]
     serial = run_cells(Campaign("t", None), cells, workers=1)
     parallel = run_cells(Campaign("t", None), cells, workers=2)
@@ -249,8 +255,7 @@ def test_cellspec_fidelity_parallel_matches_serial():
 def test_survey_at_analytical_fidelity():
     mixes = default_mixes(2, CONFIG.num_cores, seed=4)
     survey = survey_errors(
-        mixes, CONFIG, quanta=2, fidelity="analytical",
-        model_builder=unsampled_models,
+        mixes, ANALYTIC, quanta=2, model_builder=unsampled_models
     )
     # The surrogate's estimate IS its ground truth; models it did not
     # run simply collect no errors instead of poisoning the survey.
@@ -263,9 +268,9 @@ def test_survey_at_analytical_fidelity():
 
 def test_crossval_within_documented_tolerance(tmp_path):
     campaign = Campaign("xval", str(tmp_path / "camp"))
-    mixes = default_mixes(2, CONFIG.num_cores, seed=42)
+    cells = _analytic_cells(default_mixes(2, CONFIG.num_cores, seed=42))
     report = cross_validate(
-        campaign, mixes, CONFIG, quanta=1, sample_size=2
+        campaign, cells, campaign.run_cells(cells), sample_size=2
     )
     assert report is not None
     assert report.mean_abs_pct("asm") < ASM_DIVERGENCE_TOLERANCE_PCT
@@ -279,14 +284,56 @@ def test_crossval_within_documented_tolerance(tmp_path):
 
 
 def test_divergence_report_byte_equal_across_runs(tmp_path):
-    mixes = default_mixes(1, CONFIG.num_cores, seed=11)
+    cells = _analytic_cells(default_mixes(1, CONFIG.num_cores, seed=11))
     paths = []
     for name in ("a", "b"):
         campaign = Campaign("xval", str(tmp_path / name))
         _PROFILE_CACHE.clear()
-        cross_validate(campaign, mixes, CONFIG, quanta=1, sample_size=1)
+        cross_validate(campaign, cells, campaign.run_cells(cells))
         paths.append(tmp_path / name / "divergence.jsonl")
     assert filecmp.cmp(paths[0], paths[1], shallow=False)
+
+
+def _fig02_errors(**kwargs):
+    survey = error_comparison.run(
+        sampled=False, num_mixes=2, quanta=1, config=CONFIG, **kwargs
+    ).survey
+    return {model: survey.overall.get(model) for model in survey.model_names}
+
+
+def test_analytic_survey_leaves_event_resume_intact(tmp_path):
+    # The oracle record is the sampled cell's event twin, models and all,
+    # so an event-tier survey resuming the store matches a fresh one.
+    store = str(tmp_path / "camp")
+    _fig02_errors(campaign=Campaign("fig02", store), fidelity="analytical")
+    resumed = Campaign("fig02", store, resume=True)
+    assert _fig02_errors(campaign=resumed) == _fig02_errors()
+    assert resumed.resumed == 1
+
+
+def test_analytic_survey_computes_one_twin_per_sample(tmp_path):
+    # The survey's analytic cells plus one event twin; the sampled
+    # surrogate is never re-run.
+    campaign = Campaign("fig02", str(tmp_path / "camp"))
+    _fig02_errors(campaign=campaign, fidelity="analytical")
+    assert campaign.computed == 2 + 1
+
+
+def test_analytic_survey_records_a_failed_twin(tmp_path):
+    # Only the event twin runs the model, so only the twin fails: the
+    # survey finishes, the failure is the twin's, and no report persists.
+    campaign = Campaign("xval", str(tmp_path / "camp"), keep_going=True)
+    mixes = default_mixes(2, CONFIG.num_cores, seed=5)
+    survey = survey_errors(
+        mixes, ANALYTIC, quanta=1, campaign=campaign,
+        model_builder=exploding_model_factories,
+    )
+    assert survey.overall.get("exploding", []) == []
+    assert campaign.computed == 2
+    [failure] = campaign.store.load_failures()
+    assert failure.error_type == "InjectedFault"
+    assert failure.config_fingerprint == config_fingerprint(CONFIG)
+    assert campaign.store.load_divergence() == []
 
 
 def test_compare_results_self_is_zero():

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
-from repro.cli import DESCRIPTIONS, EXPERIMENTS, build_parser, main
+import inspect
+
+from repro.cli import DESCRIPTIONS, EXPERIMENTS, Driver, build_parser, main
 
 
 def test_every_experiment_has_a_description():
@@ -85,6 +87,41 @@ def test_cli_fidelity_flag_warns_when_unsupported(capsys, tmp_path):
     ])
     assert code == 0
     assert "does not support --fidelity" in capsys.readouterr().err
+
+
+def test_every_experiment_binds_every_flag():
+    # A flag reaches a driver only when its run() takes it, so no driver
+    # gets an unexpected keyword (fig01 and table3 take no 'quanta').
+    flags = dict(mixes=2, quanta=1, seed=3, campaign=object(), workers=2,
+                 telemetry=object(), fidelity="analytical")
+    for driver in EXPERIMENTS.values():
+        kwargs = driver.kwargs(**flags)
+        inspect.signature(driver.run).bind(**kwargs)
+        taken = {driver.param(flag) for flag in flags} - {""}
+        assert set(kwargs) == taken | set(driver.fixed)
+
+
+def test_ignored_flags_warn_once_each(capsys, monkeypatch):
+    class Table:
+        def format_table(self):
+            return "table"
+
+    def run(quanta=1):
+        return Table()
+
+    monkeypatch.setitem(EXPERIMENTS, "fig01", Driver(run))
+    assert main(["fig01", "--quanta", "2", "--mixes", "3", "--resume",
+                 "--fidelity", "analytical", "--campaign-dir", ""]) == 0
+    no_campaign = "running without checkpoints, retries or checks"
+    assert capsys.readouterr().err.splitlines() == [
+        f"repro: 'fig01' does not support {option}; {fallback}."
+        for option, fallback in (
+            ("--mixes", "running its default workloads"),
+            ("--fidelity", "running at the configured engine's tier"),
+            ("--campaign-dir", no_campaign),
+            ("--resume", no_campaign),
+        )
+    ]
 
 
 def test_parser_accepts_retry_flags():

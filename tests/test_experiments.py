@@ -27,6 +27,7 @@ from repro.experiments import (
     table3_quantum_epoch,
 )
 from repro.experiments.common import format_table
+from repro.resilience.campaign import Campaign
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +118,20 @@ def test_table3_driver(tiny_config):
     )
     assert (100_000, 5_000) in result.errors
     assert "quantum" in result.format_table()
+
+
+def test_table3_resumes_under_a_stored_campaign(tiny_config, tmp_path):
+    def sweep(campaign):
+        return table3_quantum_epoch.run(
+            quantum_lengths=(50_000,), epoch_lengths=(5_000, 10_000),
+            num_mixes=1, config=tiny_config, campaign=campaign,
+        )
+
+    store = str(tmp_path / "table3")
+    fresh = sweep(Campaign("table3", store))
+    resumed = Campaign("table3", store, resume=True)
+    assert sweep(resumed).errors == fresh.errors
+    assert (resumed.computed, resumed.resumed) == (0, 2)
 
 
 def test_sec64_driver(tiny_config):

@@ -445,7 +445,7 @@ def test_profiled_cells_match_across_worker_counts(tmp_path):
         for apps in (["mcf", "bzip2"], ["milc", "ft"])
     ]
     cells.append(CellSpec(mix=make_mix(["lbm", "soplex"], seed=3),
-                          config=CONFIG, quanta=2, fidelity="analytical"))
+                          config=CONFIG.with_engine("analytic"), quanta=2))
     campaigns = []
     for workers in (1, 2):
         campaign = Campaign("prof", str(tmp_path / f"w{workers}"), profile=True)
