@@ -1,4 +1,5 @@
-"""Cache hierarchy: private caches, shared LLC, auxiliary tag stores."""
+"""Caches: the shared LLC, auxiliary tag stores, and the reference
+set-associative cache the tag stores are tested against."""
 
 from repro.cache.cache import AccessResult, SetAssocCache
 from repro.cache.shared_cache import SharedCache

@@ -1,8 +1,12 @@
 """A generic set-associative write-back, write-allocate cache.
 
-Used directly for the per-core private L1 caches; the shared LLC in
+No simulated system builds one: the private L1 is folded into the traces
+(see :mod:`repro.cpu.trace`), and the shared LLC in
 :mod:`repro.cache.shared_cache` builds on the same set machinery but adds
-per-core ownership, statistics and way partitioning.
+per-core ownership, statistics and way partitioning. This class is the
+reference cache: one application's stream through it is that
+application's alone-run cache image, which the auxiliary tag store tests
+compare against access by access.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ class AccessResult:
 
     ``writeback_line_addr`` is the line address of a dirty victim that must
     be written back to the next level, or ``None``. ``victim_owner`` is the
-    core that owned the evicted line (shared caches only; private caches
-    report 0).
+    core that owned the evicted line (shared caches only; a
+    :class:`SetAssocCache` reports 0).
     """
 
     hit: bool

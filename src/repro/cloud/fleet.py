@@ -98,15 +98,6 @@ class FleetResult:
         """Sum of every invoice line."""
         return sum(r.charge for r in self.billing)
 
-    def charges_by_tenant(self) -> Dict[int, float]:
-        """Total charge per tenant id."""
-        totals: Dict[int, float] = {}
-        for record in self.billing:
-            totals[record.tenant_id] = (
-                totals.get(record.tenant_id, 0.0) + record.charge
-            )
-        return totals
-
     def digest(self) -> Dict[str, Any]:
         """Deterministic run fingerprint: every decision and invoice.
 

@@ -56,12 +56,6 @@ class FleetChaosSpec:
         if self.restart_rounds < 1:
             raise ValueError("restart_rounds must be >= 1")
 
-    @property
-    def any_faults(self) -> bool:
-        """Whether this plan can inject anything at all."""
-        return (self.node_kill_rate > 0 or self.straggler_rate > 0
-                or self.telemetry_rate > 0)
-
 
 @dataclass(frozen=True)
 class FleetSpec:
@@ -144,11 +138,6 @@ class FleetSpec:
             raise ValueError("migration_max_attempts must be >= 1")
         if self.migration_backoff_rounds < 0:
             raise ValueError("migration_backoff_rounds must be >= 0")
-
-    @property
-    def total_cores(self) -> int:
-        """Fleet-wide core count (the placement capacity ceiling)."""
-        return self.num_nodes * self.cores_per_node
 
 
 __all__ = [

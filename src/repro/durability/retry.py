@@ -32,8 +32,10 @@ from repro.telemetry.spec import fault_u01
 
 #: Error types treated as transient: worth retrying without suspicion.
 #: Everything else is presumed deterministic until proven otherwise.
+#: A failure records ``type(exc).__name__``, so a wall-clock timeout
+#: arrives as ``DeadlineExceeded`` (``WatchdogTimeout`` is its alias).
 TRANSIENT_ERRORS: FrozenSet[str] = frozenset(
-    {"WorkerCrash", "WatchdogTimeout"}
+    {"WorkerCrash", "WatchdogTimeout", "DeadlineExceeded"}
 )
 
 

@@ -31,9 +31,6 @@ class QosResult:
     apps: Sequence[str] = ()
     bounds: Sequence[float] = ()
 
-    def bound_met(self, bound: float) -> bool:
-        return self.slowdowns[f"asm-qos-{bound}"][TARGET_CORE] <= bound * 1.05
-
     def format_table(self) -> str:
         rows = []
         for scheme, values in self.slowdowns.items():

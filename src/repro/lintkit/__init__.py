@@ -18,10 +18,11 @@ cannot enforce cheaply at runtime:
 
 ``repro.lintkit`` proves the cheap half of these statically: a small
 AST-visitor framework (:mod:`repro.lintkit.base`) hosts simulator-specific
-rules (:mod:`repro.lintkit.rules`), with per-line ``# lint: ignore[RULE]``
-suppressions, a JSON baseline for grandfathered findings, and human / JSON
-output. Run it with ``python -m repro.lintkit src/`` or the ``repro-lint``
-console script.
+rules (:mod:`repro.lintkit.rules`), and reports in human, JSON or SARIF
+form. A finding is waived only by a ``# lint: ignore[RULE]`` comment on
+its own line, so every exception sits beside the code it excuses. Run it
+with ``python -m repro.lintkit src/`` or the ``repro-lint`` console
+script.
 """
 
 from repro.lintkit.base import (

@@ -1,7 +1,8 @@
 """Command-line driver: ``repro-lint`` / ``python -m repro.lintkit``.
 
-Exit codes: 0 clean (or everything suppressed/grandfathered), 1 findings
-(or wall-time budget exceeded), 2 usage or internal error.
+Exit codes: 0 clean (or every finding suppressed by an inline
+``# lint: ignore[RULE]`` comment, the one way to waive a finding),
+1 findings (or wall-time budget exceeded), 2 usage or internal error.
 
 The tree is parsed exactly once: per-file rules run per module, then the
 whole-program rules (NDT001/UNIT001/PUR001) run over one
@@ -22,7 +23,6 @@ import sys
 import time
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.lintkit import baseline as baseline_mod
 from repro.lintkit.base import (
     Finding,
     all_rules,
@@ -55,17 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=("human", "json", "sarif"), default="human",
         help="output format",
-    )
-    parser.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help=(
-            "baseline file of grandfathered findings (default: "
-            f"{baseline_mod.DEFAULT_BASELINE_NAME} in the cwd, if present)"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write current findings to the baseline file and exit 0",
     )
     parser.add_argument(
         "--changed-only", metavar="REF", nargs="?", const="HEAD",
@@ -196,7 +185,6 @@ def sarif_report(findings: Sequence[Finding]) -> Dict[str, object]:
 def _emit(
     findings: Sequence[Finding],
     fmt: str,
-    grandfathered: int,
     scanned: int,
     quiet: bool,
 ) -> None:
@@ -205,7 +193,6 @@ def _emit(
             json.dumps(
                 {
                     "findings": [f.to_json() for f in findings],
-                    "grandfathered": grandfathered,
                     "files_scanned": scanned,
                 },
                 indent=2,
@@ -221,8 +208,7 @@ def _emit(
         noun = "finding" if len(findings) == 1 else "findings"
         print(f"\nrepro-lint: {len(findings)} {noun} in {scanned} files", file=sys.stderr)
     elif not quiet:
-        extra = f" ({grandfathered} grandfathered)" if grandfathered else ""
-        print(f"repro-lint: clean — {scanned} files{extra}", file=sys.stderr)
+        print(f"repro-lint: clean — {scanned} files", file=sys.stderr)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -264,42 +250,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     findings = lint_parsed(parsed, select=select)
     elapsed = time.monotonic() - started
     scanned = len(parsed)
-    sources: Dict[str, List[str]] = {
-        p.path: p.ctx.lines for p in parsed if p.ctx is not None
-    }
 
     if changed is not None:
         findings = [
             f for f in findings if os.path.abspath(f.path) in changed
         ]
 
-    baseline_path = args.baseline
-    if baseline_path is None and os.path.isfile(
-        baseline_mod.DEFAULT_BASELINE_NAME
-    ):
-        baseline_path = baseline_mod.DEFAULT_BASELINE_NAME
-
-    if args.write_baseline:
-        target = baseline_path or baseline_mod.DEFAULT_BASELINE_NAME
-        baseline_mod.write(target, findings, sources)
-        print(
-            f"repro-lint: wrote {len(findings)} fingerprints to {target}",
-            file=sys.stderr,
-        )
-        return 0
-
-    grandfathered = 0
-    if baseline_path is not None:
-        try:
-            allowed = baseline_mod.load(baseline_path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"repro-lint: bad baseline: {exc}", file=sys.stderr)
-            return 2
-        findings, grandfathered = baseline_mod.filter_baselined(
-            findings, sources, allowed
-        )
-
-    _emit(findings, args.format, grandfathered, scanned, args.quiet)
+    _emit(findings, args.format, scanned, args.quiet)
     if args.budget_seconds is not None and elapsed > args.budget_seconds:
         print(
             f"repro-lint: wall-time budget exceeded: {elapsed:.2f}s > "

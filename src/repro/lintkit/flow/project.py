@@ -203,13 +203,6 @@ class Project:
                 out.append(self.modules[name])
         return out
 
-    def owns_module_of(self, dotted: str) -> bool:
-        """Whether ``dotted`` names a symbol inside a linted module —
-        i.e. failing to resolve it is a finding, not missing context."""
-        return any(
-            dotted.startswith(name + ".") for name in self.modules
-        )
-
     def resolve_dotted(
         self, dotted: str
     ) -> Optional[Union[FunctionInfo, ClassInfo]]:

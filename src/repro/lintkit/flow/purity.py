@@ -27,18 +27,13 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lintkit.facts import attribute_chain
+from repro.lintkit.facts import RECIPE_KWARGS, SUBMIT_ATTRS, attribute_chain
 from repro.lintkit.flow.callgraph import CallGraph, fixed_point
 from repro.lintkit.flow.project import (
     FunctionInfo,
     ModuleInfo,
     param_offset,
 )
-
-#: Executor/pool methods that take a function to run in a worker.
-SUBMIT_ATTRS = frozenset({"apply_async", "map", "starmap", "submit"})
-#: Recipe kwargs whose values execute inside workers (see repro.parallel).
-RECIPE_KWARGS = frozenset({"model_builder"})
 
 #: In-place mutator methods on containers. A call ``G.append(...)`` on a
 #: module global G is an effect even though nothing is assigned.
@@ -358,6 +353,4 @@ __all__ = [
     "PurityAnalysis",
     "PuritySummary",
     "PurityViolation",
-    "RECIPE_KWARGS",
-    "SUBMIT_ATTRS",
 ]

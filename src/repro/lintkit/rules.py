@@ -53,6 +53,8 @@ from repro.lintkit.facts import (
     DATETIME_ATTRS as _DATETIME_ATTRS,
     ImportMap as _ImportTracker,
     RANDOM_ALLOWED as _RANDOM_ALLOWED,
+    RECIPE_KWARGS as _RECIPE_KWARGS,
+    SUBMIT_ATTRS as _SUBMIT_ATTRS,
     WALL_CLOCK_ATTRS as _WALL_CLOCK_ATTRS,
     call_target as _call_target,
     describe_setish as _describe_setish,
@@ -386,11 +388,6 @@ class Cyc001TrueDivisionIntoCycles(Rule):
 
 
 # ----------------------------------------------------------------------
-
-#: Call-site attributes that submit work to a process pool.
-_SUBMIT_ATTRS = frozenset({"submit", "map", "starmap", "apply_async"})
-#: CellSpec keyword recipes that are pickled by reference.
-_RECIPE_KWARGS = frozenset({"model_builder"})
 
 
 class _LocalDefs(ast.NodeVisitor):

@@ -140,12 +140,6 @@ class PerRequestAccounting:
         mlp._settle(self.system.engine.now)
         return mlp.busy
 
-    def avg_miss_latency(self, core: int, default: float = 0.0) -> float:
-        """Mean measured (shared-run) miss latency for ``core``."""
-        if self.latency_count[core] == 0:
-            return default
-        return self.latency_sum[core] / self.latency_count[core]
-
     def avg_alone_miss_latency(self, core: int, default: float = 0.0) -> float:
         """The model's own estimate of the alone miss service time."""
         if self.latency_count[core] == 0:

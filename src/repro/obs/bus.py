@@ -40,10 +40,6 @@ class TraceBus:
         self.mask = categories
         self.sinks = list(sinks)
 
-    def wants(self, category: int) -> bool:
-        """Whether events of ``category`` are currently enabled."""
-        return bool(self.mask & category)
-
     def emit(self, cycle: int, category: int, kind: str, **data: Any) -> None:
         """Publish one event to every sink.
 

@@ -130,10 +130,10 @@ class FlakyModel(SlowdownModel):
 
     def estimate_slowdowns(self) -> List[float]:
         if not os.path.exists(self.sentinel):
-            # Grandfathered in lint-baseline.json: the sentinel is scratch
-            # test state, not campaign state — losing it to a crash only
-            # makes the fault fire once more, which is the point.
-            with open(self.sentinel, "w") as handle:
+            # The sentinel is scratch test state, not campaign state —
+            # losing it to a crash only makes the fault fire once more,
+            # which is the point.
+            with open(self.sentinel, "w") as handle:  # lint: ignore[IO001]
                 handle.write("failed once\n")
             if self.mode == "kill":
                 os._exit(13)

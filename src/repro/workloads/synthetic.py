@@ -28,7 +28,7 @@ import random
 import zlib
 from dataclasses import dataclass, replace
 from math import log
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.cpu.trace import TraceRecord
 
@@ -124,13 +124,3 @@ class SyntheticTrace(Iterator[TraceRecord]):
         return TraceRecord(
             gap, self.base_line + line, uniform() < spec.write_frac
         )
-
-
-def trace_for(
-    spec: AppSpec, seed: int = 0, base_line: Optional[int] = None, core: int = 0
-) -> SyntheticTrace:
-    """Convenience constructor placing each core in a disjoint 256M-line
-    (16GB) address region."""
-    if base_line is None:
-        base_line = (core + 1) << 28
-    return SyntheticTrace(spec, seed=seed, base_line=base_line)

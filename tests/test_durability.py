@@ -551,6 +551,20 @@ def test_campaign_circuit_breaker_stops_deterministic_retries(tmp_path):
     assert len(store.load_failures()) == 1
 
 
+def test_campaign_retries_wall_clock_timeouts_as_transient(tmp_path):
+    # A timed-out cell fails as DeadlineExceeded with the same message
+    # every time; it must use up its attempts, not trip the breaker.
+    campaign = Campaign(
+        "t", str(tmp_path / "store"), keep_going=True,
+        wall_clock_budget_s=1e-9,
+        retry_policy=RetryPolicy(max_attempts=3, backoff_s=0.0, jitter=0.0),
+    )
+    assert campaign.run_mix(_mix(), CONFIG, quanta=1) is None
+    assert [(c.reason, c.attempts) for c in campaign.degraded] == [
+        ("attempts_exhausted", 3)
+    ]
+
+
 def test_campaign_unsupervised_failure_raises_without_keep_going(tmp_path):
     campaign = Campaign("t", str(tmp_path / "store"))
     with pytest.raises(InjectedFault):

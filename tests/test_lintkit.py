@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 from repro.lintkit import lint_text
-from repro.lintkit import baseline as baseline_mod
 from repro.lintkit.base import all_rules, module_name_for
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -214,7 +213,7 @@ def test_io001_ignores_reads_and_computed_modes():
 
 
 # ----------------------------------------------------------------------
-# Framework behaviour: suppressions, baseline, module naming, errors.
+# Framework behaviour: suppressions, module naming, errors.
 
 def test_inline_suppression_and_rationale():
     flagged = "import random\nx = random.random()\n"
@@ -270,115 +269,17 @@ def test_module_name_derivation():
     assert module_name_for(str(package)) == "repro.cache"
 
 
-def test_baseline_grandfathers_old_findings_only(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import random\nx = random.random()\n")
-    findings = lint_text(
-        bad.read_text(), path=str(bad), module="repro.cache.b"
-    )
-    sources = {str(bad): bad.read_text().splitlines()}
-    baseline_file = tmp_path / "baseline.json"
-    baseline_mod.write(str(baseline_file), findings, sources)
-
-    allowed = baseline_mod.load(str(baseline_file))
-    fresh, grandfathered = baseline_mod.filter_baselined(
-        findings, sources, allowed
-    )
-    assert fresh == [] and grandfathered == 1
-
-    # A *new* identical call elsewhere in the file is still caught: the
-    # fingerprint includes an occurrence index among identical lines.
-    bad.write_text(
-        "import random\nx = random.random()\ny = random.random()\n"
-    )
-    findings2 = lint_text(
-        bad.read_text(), path=str(bad), module="repro.cache.b"
-    )
-    sources2 = {str(bad): bad.read_text().splitlines()}
-    fresh2, grandfathered2 = baseline_mod.filter_baselined(
-        findings2, sources2, allowed
-    )
-    assert grandfathered2 == 1
-    assert len(fresh2) == 1
-
-
-def test_baseline_survives_edits_above_but_not_rename(tmp_path):
-    bad = tmp_path / "bad.py"
-    bad.write_text("import random\nx = random.random()\n")
-    findings = lint_text(
-        bad.read_text(), path=str(bad), module="repro.cache.b"
-    )
-    sources = {str(bad): bad.read_text().splitlines()}
-    allowed = [d for _, d in baseline_mod.fingerprints(findings, sources)]
-
-    # Fingerprints are line-number free: unrelated lines added above the
-    # finding keep it grandfathered.
-    moved = "import random\n\nHELPER = 1\nx = random.random()\n"
-    bad.write_text(moved)
-    findings2 = lint_text(moved, path=str(bad), module="repro.cache.b")
-    fresh2, grand2 = baseline_mod.filter_baselined(
-        findings2, {str(bad): moved.splitlines()}, allowed
-    )
-    assert fresh2 == [] and grand2 == 1
-
-    # The normalized path is part of the identity: a rename invalidates
-    # the entry, and the finding resurfaces for review.
-    renamed = tmp_path / "renamed.py"
-    renamed.write_text(moved)
-    findings3 = lint_text(moved, path=str(renamed), module="repro.cache.r")
-    fresh3, grand3 = baseline_mod.filter_baselined(
-        findings3, {str(renamed): moved.splitlines()}, allowed
-    )
-    assert grand3 == 0 and len(fresh3) == 1
-
-
-def test_identical_lines_collide_into_occurrence_indices(tmp_path):
-    # Two findings with identical rule/path/stripped-line text must not
-    # share a fingerprint: the occurrence index disambiguates them.
-    source = (
-        "import random\n"
-        "def a():\n"
-        "    return random.random()\n"
-        "def b():\n"
-        "    return random.random()\n"
-    )
-    bad = tmp_path / "bad.py"
-    bad.write_text(source)
-    findings = lint_text(source, path=str(bad), module="repro.cache.b")
-    sources = {str(bad): source.splitlines()}
-    digests = [d for _, d in baseline_mod.fingerprints(findings, sources)]
-    assert len(digests) == 2
-    assert len(set(digests)) == 2
-
-    # Baselining only the first occurrence leaves the second fresh.
-    fresh, grandfathered = baseline_mod.filter_baselined(
-        findings, sources, digests[:1]
-    )
-    assert grandfathered == 1 and len(fresh) == 1
-
-
 # ----------------------------------------------------------------------
-# CLI: the checked-in tree is clean against the checked-in baseline.
+# CLI: the checked-in tree is clean, and its only waivers are the
+# inline comments in the source itself.
 
-def test_repro_lint_clean_on_repo():
-    result = run_cli("src", "--baseline", "lint-baseline.json")
+def test_repro_lint_clean_on_repo(tmp_path):
+    result = run_cli("src")
     assert result.returncode == 0, result.stdout + result.stderr
     assert "clean" in result.stderr
-
-
-def test_checked_in_baseline_grandfathers_known_rules_only():
-    """The simulator-invariant rules hold with NO grandfathered findings.
-    The model-zoo DOC001 debt has been paid down; the only remaining
-    baselined site is the one IO001 scratch-file write in the fault
-    injectors (the FlakyModel sentinel: scratch test state, not campaign
-    state — everything durable goes through repro.durability.atomic)."""
-    data = json.loads((REPO_ROOT / "lint-baseline.json").read_text())
-    assert data["version"] == 1
-    rules = {f["rule"] for f in data["findings"]}
-    assert rules <= {"IO001"}, rules
-    for finding in data["findings"]:
-        path = finding["path"].replace("\\", "/")
-        assert path == "src/repro/resilience/inject.py"
+    # No waiver depends on the working directory.
+    elsewhere = run_cli(str(REPO_ROOT / "src"), cwd=tmp_path)
+    assert elsewhere.returncode == 0, elsewhere.stdout + elsewhere.stderr
 
 
 def test_cli_reports_violations_with_json_output(tmp_path):
@@ -398,16 +299,6 @@ def test_cli_list_rules_and_bad_select():
         assert code in listed.stdout
     bogus = run_cli("src", "--select", "NOPE999")
     assert bogus.returncode == 2
-
-
-def test_cli_write_baseline_roundtrip(tmp_path):
-    bad = tmp_path / "payload.py"
-    bad.write_text("def f(pool):\n    return pool.submit(lambda: 1)\n")
-    baseline = tmp_path / "base.json"
-    wrote = run_cli(str(bad), "--baseline", str(baseline), "--write-baseline")
-    assert wrote.returncode == 0
-    rerun = run_cli(str(bad), "--baseline", str(baseline))
-    assert rerun.returncode == 0, rerun.stdout + rerun.stderr
 
 
 def test_cli_sarif_output_shape(tmp_path):
