@@ -256,7 +256,7 @@ def main(argv=None) -> int:
             print(f"{name:14s} {DESCRIPTIONS[name]}")
         print(f"{'trace':14s} capture/inspect structured traces "
               "(repro trace show|summarize)")
-        print(f"{'profile':14s} stage timers + cProfile on a small mix")
+        print(f"{'profile':14s} whole-run spans + cProfile on a small mix")
         print(f"{'campaign':14s} verify/repair/compact checkpoint stores "
               "(repro campaign verify|repair|compact)")
         print(f"{'cloud':14s} slowdown-aware fleet tier "

@@ -1,9 +1,19 @@
 """System configuration objects for the simulated multi-core platform.
 
 The defaults mirror Table 2 of the paper: 4-16 out-of-order cores with a
-128-entry instruction window and 3-wide issue, 64KB 4-way private L1 caches,
-a 1-4MB 16-way shared last-level cache, and DDR3-1333 (10-10-10) main memory
-behind an FR-FCFS memory controller.
+128-entry instruction window and 3-wide issue, a 1-4MB 16-way shared
+last-level cache, and DDR3-1333 (10-10-10) main memory behind an FR-FCFS
+memory controller.
+
+Two Table 2 parameters are recorded but simulate nothing. No private L1
+is simulated: each trace is the app's L1 miss stream (see
+:mod:`repro.cpu.trace`), so ``SystemConfig.l1`` is only validated and
+hashed into cache and store keys. The controller's queues have no cap,
+so ``DramConfig.request_buffer_entries`` is read by nothing: a core's
+demand reads are bounded only by its MSHRs, and writes issue only when
+no read can, or once ``WRITE_DRAIN_WATERMARK`` of them are queued (see
+:mod:`repro.mem.controller`). Both fields stay because the store keys
+hash ``repr(config)``.
 """
 
 from __future__ import annotations
@@ -77,6 +87,8 @@ class DramConfig:
     trp_dram_cycles: int = 10
     tras_dram_cycles: int = 24
     burst_dram_cycles: int = 4
+    # Table 2's request buffer size. Read by nothing: the controller's
+    # queues have no cap (see the module docstring).
     request_buffer_entries: int = 128
     # Refresh (optional; off by default so headline numbers match the
     # calibrated configuration): every tREFI the channel stalls for tRFC
@@ -129,6 +141,8 @@ class SystemConfig:
 
     num_cores: int = 4
     core: CoreConfig = field(default_factory=CoreConfig)
+    # Table 2's private L1. Not simulated: the traces are L1 miss streams,
+    # so this is only validated and hashed into cache and store keys.
     l1: CacheConfig = field(
         default_factory=lambda: CacheConfig(
             size_bytes=64 * 1024, associativity=4, latency=1

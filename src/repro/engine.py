@@ -10,6 +10,11 @@ cycle is a dict lookup and a list append; the heap is touched once per
 distinct cycle rather than once per event, and no per-event tuple is
 allocated. Insertion order within a bucket *is* the tie-break order, so the
 determinism contract is identical to a (time, seq, callback) heap.
+
+The engine reads the wall clock only for the watchdog deadline of
+:meth:`Engine.run`. The stage profiler (:mod:`repro.obs.profile`) times
+drains by wrapping ``run`` on one engine instance, so an unprofiled run
+carries no timing code at all.
 """
 
 from __future__ import annotations
@@ -67,10 +72,6 @@ class Engine:
         self.drained_early: bool = False
         self.stopped_early: bool = False
         self.events_executed: int = 0
-        # Observability hook (repro.obs): when set, called once per run()
-        # with (events_executed, wall_seconds). One None check per run()
-        # call — never per event — so the disabled path costs nothing.
-        self.run_observer: Optional[Callable[[int, float], None]] = None
 
     def schedule(self, delay: int, callback: Callback) -> None:
         """Schedule ``callback`` to run ``delay`` cycles from now."""
@@ -117,28 +118,7 @@ class Engine:
         event, every ~1K events after that, and once more when the queue
         drains, so neither a slow leading callback nor a slow trailing one
         escapes the check.
-
-        When :attr:`run_observer` is set it receives
-        ``(events_executed, wall_seconds)`` after the loop finishes —
-        including abnormal exits, so stage profiles account aborted
-        quanta too. The wall clock is read only for that report and
-        never reaches simulation state.
         """
-        observer = self.run_observer
-        if observer is not None:
-            start_mono = _time.perf_counter()  # lint: ignore[DET001]
-            try:
-                return self._run_loop(until, wall_deadline)
-            finally:
-                elapsed = _time.perf_counter() - start_mono  # lint: ignore[DET001]
-                observer(self.events_executed, elapsed)
-        return self._run_loop(until, wall_deadline)
-
-    def _run_loop(
-        self,
-        until: Optional[int] = None,
-        wall_deadline: Optional[float] = None,
-    ) -> int:
         self._stopped = False
         self.drained_early = False
         self.stopped_early = False

@@ -3,13 +3,10 @@
 Runs one set of workload mixes at both fidelity tiers (see
 docs/fidelity.md) — ``analytical`` (closed form, :mod:`repro.analytic`)
 and ``event`` (the per-callback oracle) — and reports, per tier, the
-wall time and the slowdown divergence from the event oracle:
-
-* ``asm`` rows compare the analytic tier's ASM slowdown *estimates*
-  against the oracle's measured slowdowns (the analytic tier's estimate
-  IS its output);
-* ``actual`` rows compare the analytic tier's *measured* slowdowns
-  against the oracle's.
+wall time and the divergence of the analytic tier's ASM slowdown
+estimates from the oracle's measured slowdowns. The analytic tier's
+estimate IS its output: it reports the same values as its measured
+slowdowns, so one ``asm`` comparison covers both.
 
 Under a campaign with a store, each tier's divergence report is also
 persisted to ``divergence.jsonl`` (variant ``fid:<tier>``), readable
@@ -57,51 +54,18 @@ class FidelitySweepResult:
             outcome = self.tiers[tier]
             speedup = event_wall / outcome.wall_s if outcome.wall_s else float("nan")
             if outcome.report is not None:
-                stats = outcome.report.summary()
-                asm = stats.get("asm", {})
-                actual = stats.get("actual", {})
+                asm = outcome.report.summary().get("asm", {})
                 asm_err = asm.get("mean_abs_pct", float("nan"))
                 asm_max = asm.get("max_abs_pct", float("nan"))
-                actual_err = actual.get("mean_abs_pct", float("nan"))
             else:
-                asm_err = asm_max = actual_err = 0.0  # the oracle itself
-            rows.append(
-                [tier, outcome.wall_s, speedup, asm_err, asm_max, actual_err]
-            )
+                asm_err = asm_max = 0.0  # the oracle itself
+            rows.append([tier, outcome.wall_s, speedup, asm_err, asm_max])
         return (
             "Fidelity sweep: slowdown divergence vs the event oracle\n"
             + format_table(
-                [
-                    "tier",
-                    "wall_s",
-                    "speedup",
-                    "asm_err%",
-                    "asm_max%",
-                    "actual_err%",
-                ],
-                rows,
+                ["tier", "wall_s", "speedup", "asm_err%", "asm_max%"], rows
             )
         )
-
-
-def _actual_entries(
-    surrogate: RunResult, oracle: RunResult, fidelity: str
-) -> List[DivergenceEntry]:
-    """Measured-slowdown divergence entries (pseudo-model ``actual``)."""
-    oracle_means = oracle.mean_actual_slowdowns()
-    surrogate_means = surrogate.mean_actual_slowdowns()
-    return [
-        DivergenceEntry(
-            mix=surrogate.mix.name,
-            core=core,
-            app=surrogate.mix.specs[core].name,
-            model="actual",
-            fidelity=fidelity,
-            oracle=oracle_means[core],
-            estimate=surrogate_means[core],
-        )
-        for core in range(surrogate.mix.num_cores)
-    ]
 
 
 def run(
@@ -152,9 +116,6 @@ def run(
                     surrogate_result, oracle_result, fidelity=tier
                 )
                 if entry.model == "asm"
-            )
-            entries.extend(
-                _actual_entries(surrogate_result, oracle_result, tier)
             )
         report = DivergenceReport(fidelity=tier, entries=entries)
         tiers[tier].report = report

@@ -689,7 +689,6 @@ RAW_COUNTER_ATTRS = frozenset(
         "demand_misses",
         "secondary_misses",
         "busy_cycles",
-        "latency_sum",
         "latency_count",
         "alone_latency_sum",
     }

@@ -15,7 +15,7 @@ inaccuracy emerges here naturally rather than being injected.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.harness.system import System
 from repro.mem.request import MemRequest
@@ -83,14 +83,10 @@ class PerRequestAccounting:
         self.latency_filter = latency_filter
         self.filter_interference = filter_interference and latency_filter is not None
         self.interference_cycles = [0.0] * n
-        self.latency_sum = [0.0] * n
         self.latency_count = [0] * n
         # Per-request alone-latency estimate: measured latency minus the
         # request's own attributed interference (the FST/PTCA mechanism).
         self.alone_latency_sum = [0.0] * n
-        # Optional raw samples for latency-distribution studies (Fig 6).
-        self.collect_samples = False
-        self.alone_latency_samples: List[List[float]] = [[] for _ in range(n)]
         self._mlp = [MlpEstimator() for _ in range(n)]
         system.hierarchy.service_listeners.append(self._on_service)
         system.controller.completion_listeners.append(self._on_completion)
@@ -120,13 +116,10 @@ class PerRequestAccounting:
                 request.interference_cycles / parallelism  # lint: ignore[CYC001]
             )
         if in_sample:
-            latency = request.latency
-            alone_estimate = max(1.0, latency - request.interference_cycles)
-            self.latency_sum[core] += latency
             self.latency_count[core] += 1
-            self.alone_latency_sum[core] += alone_estimate
-            if self.collect_samples:
-                self.alone_latency_samples[core].append(alone_estimate)
+            self.alone_latency_sum[core] += max(
+                1.0, request.latency - request.interference_cycles
+            )
 
     def parallelism(self, core: int) -> float:
         """Current MLP estimate for ``core`` (the STFM fudge factor)."""
@@ -151,9 +144,7 @@ class PerRequestAccounting:
         n = len(self.interference_cycles)
         now = self.system.engine.now
         self.interference_cycles = [0.0] * n
-        self.latency_sum = [0.0] * n
         self.latency_count = [0] * n
         self.alone_latency_sum = [0.0] * n
-        self.alone_latency_samples = [[] for _ in range(n)]
         for mlp in self._mlp:
             mlp.reset(now)

@@ -1,4 +1,4 @@
-"""Observability layer: structured tracing, metrics and profiling hooks.
+"""Observability layer: structured tracing, metrics and run profiling.
 
 ``repro.obs`` makes the simulator inspectable without changing what it
 computes. Three independent facilities share the package:
@@ -11,12 +11,14 @@ computes. Three independent facilities share the package:
 * the **metrics registry** (:mod:`repro.obs.metrics`) — counters, gauges
   and histograms snapshotted at every quantum boundary and dumped next to
   campaign checkpoints;
-* **profiling hooks** (:mod:`repro.obs.profile`) — opt-in
-  ``time.perf_counter`` stage timers around the engine drain, the shared
-  cache access path and the model/policy quantum updates, surfaced by the
-  ``repro profile`` CLI verb. (A campaign's ``--profile`` per-cell timing
-  table is separate: :mod:`repro.parallel` times each cell and reads its
-  events from the metrics registry's ``engine.events`` counter.)
+* the **run profiler** (:mod:`repro.obs.profile`) — opt-in nested
+  ``time.perf_counter`` spans around the engine drain, the shared cache
+  access path and the model/policy quantum updates, surfaced by the
+  ``repro profile`` CLI verb, which also spans its alone runs and the
+  whole ``run_workload`` call. (A campaign's ``--profile`` per-cell
+  timing table is separate: :mod:`repro.parallel` times each cell and
+  reads its events from the metrics registry's ``engine.events``
+  counter.)
 
 The contract that keeps all of this out of the hot path: every
 instrumented component holds an ``Optional[TraceBus]`` that defaults to

@@ -5,11 +5,12 @@
 stream either raw or folded into the per-quantum narrative of
 :mod:`repro.obs.inspect`.
 
-``python -m repro profile`` runs the same kind of mix under the
-:class:`~repro.obs.profile.StageProfiler` and prints the stage timing
-table and the run's wall time, split into the shared run (the sum of the
-stage rows) and the rest (alone runs and set-up), optionally with a
-:mod:`cProfile` function-level breakdown.
+``python -m repro profile`` runs the same mix under the
+:class:`~repro.obs.profile.StageProfiler` and prints its span table,
+optionally with a :mod:`cProfile` function-level breakdown. The whole
+``run_workload`` call is the outermost span, so the rows account for the
+whole run: the alone runs, the engine drain, the shared-cache accesses,
+each quantum listener and the rest of ``run_workload``.
 
 Both verbs are dispatched from :mod:`repro.cli` before its experiment
 argument parsing, so ``repro trace --help`` works like any subcommand.
@@ -19,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from time import perf_counter
 from typing import List, Optional, Sequence
 
 from repro.obs.bus import TraceBus
@@ -48,39 +48,50 @@ def _add_run_options(parser: argparse.ArgumentParser) -> None:
                         help="cycles per epoch")
 
 
-def _run_traced(
-    args: argparse.Namespace, sinks: Sequence[TraceSink], mask: int
-) -> None:
-    """Simulate the requested mix with a trace bus over ``sinks``.
+def _run_mix(
+    args: argparse.Namespace,
+    prog: str,
+    obs: Optional[TraceBus] = None,
+    profiler: Optional[StageProfiler] = None,
+) -> str:
+    """Simulate the diagnostic mix that ``args`` describes; return its name.
 
     Uses the scaled platform with the ASM model and ASM-Cache policy so
-    the trace exercises every event category the simulator can emit.
+    the run exercises every event category the simulator can emit. With
+    ``profiler``, the ``run_workload`` call, its alone-run cache lookups
+    and the system's seams are timed as nested spans.
     """
     from repro.config import scaled_config
-    from repro.harness.runner import run_workload
+    from repro.harness.runner import AloneRunCache, run_workload
     from repro.models.asm import AsmModel
     from repro.policies.asm_cache import AsmCachePolicy
     from repro.workloads.mixes import make_mix
 
     apps = [name.strip() for name in args.apps.split(",") if name.strip()]
     if not apps:
-        raise SystemExit("repro trace: --apps must name at least one app")
+        raise SystemExit(f"{prog}: --apps must name at least one app")
     mix = make_mix(apps, seed=args.seed)
     config = scaled_config(len(apps)).with_quantum(
         args.quantum_cycles, args.epoch_cycles
     )
-    bus = TraceBus(list(sinks), categories=mask)
-    with bus:
-        run_workload(
-            mix,
-            config,
-            model_factories={
-                "asm": lambda: AsmModel(sampled_sets=config.ats_sampled_sets)
-            },
-            policy_factories=[lambda models: AsmCachePolicy(models["asm"])],
-            quanta=args.quanta,
-            obs=bus,
-        )
+    run = run_workload
+    cache = AloneRunCache()
+    if profiler is not None:
+        run = profiler.timed("run_workload", run_workload)
+        cache.get = profiler.timed("alone runs", cache.get)  # type: ignore[method-assign]
+    run(
+        mix,
+        config,
+        model_factories={
+            "asm": lambda: AsmModel(sampled_sets=config.ats_sampled_sets)
+        },
+        policy_factories=[lambda models: AsmCachePolicy(models["asm"])],
+        quanta=args.quanta,
+        alone_cache=cache,
+        system_hooks=[profiler.attach] if profiler is not None else [],
+        obs=obs,
+    )
+    return mix.name
 
 
 def trace_main(argv: Optional[Sequence[str]] = None) -> int:
@@ -119,7 +130,8 @@ def trace_main(argv: Optional[Sequence[str]] = None) -> int:
         sinks: List[TraceSink] = [ring]
         if args.out:
             sinks.append(JsonlSink(args.out))
-        _run_traced(args, sinks, mask)
+        with TraceBus(sinks, categories=mask) as bus:
+            _run_mix(args, "repro trace", obs=bus)
         if ring.dropped:
             print(
                 f"note: ring buffer dropped {ring.dropped} early events "
@@ -148,50 +160,19 @@ def profile_main(argv: Optional[Sequence[str]] = None) -> int:
                              "functions by cumulative time")
     args = parser.parse_args(argv)
 
-    from repro.config import scaled_config
-    from repro.harness.runner import run_workload
-    from repro.models.asm import AsmModel
-    from repro.policies.asm_cache import AsmCachePolicy
-    from repro.workloads.mixes import make_mix
-
-    apps = [name.strip() for name in args.apps.split(",") if name.strip()]
-    if not apps:
-        raise SystemExit("repro profile: --apps must name at least one app")
-    mix = make_mix(apps, seed=args.seed)
-    config = scaled_config(len(apps)).with_quantum(
-        args.quantum_cycles, args.epoch_cycles
-    )
     profiler = StageProfiler()
 
-    def run() -> float:
-        start = perf_counter()
-        run_workload(
-            mix,
-            config,
-            model_factories={
-                "asm": lambda: AsmModel(sampled_sets=config.ats_sampled_sets)
-            },
-            policy_factories=[lambda models: AsmCachePolicy(models["asm"])],
-            quanta=args.quanta,
-            system_hooks=[profiler.attach],
-        )
-        return perf_counter() - start
+    def run() -> str:
+        return _run_mix(args, "repro profile", profiler=profiler)
 
     stats_text = ""
     if args.cprofile:
-        wall, stats_text = profile_call(run, top=args.cprofile)
+        name, stats_text = profile_call(run, top=args.cprofile)
     else:
-        wall = run()
-
-    print(f"profile: {mix.name} x {args.quanta} quanta "
+        name = run()
+    print(f"profile: {name} x {args.quanta} quanta "
           f"({args.quantum_cycles} cycles/quantum)")
     print(profiler.table())
-    shared = sum(seconds for _, _, seconds in profiler.rows())
-    rate = profiler.engine_events / shared if shared > 0 else 0.0
-    print(
-        f"wall {wall:.3f}s (alone runs and set-up {1 - shared / wall:.0%}, "
-        f"shared {shared / wall:.0%}); {rate:,.0f} events/s in the shared run"
-    )
     if stats_text:
         print("\ncProfile (cumulative):")
         print(stats_text)

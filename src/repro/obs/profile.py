@@ -1,24 +1,28 @@
-"""Opt-in stage timers for the simulator's hot paths.
+"""Opt-in nested wall-clock spans for the simulator's hot paths.
 
-A :class:`StageProfiler` attaches to a constructed
-:class:`~repro.harness.system.System` (pass it via ``run_workload``'s
-``system_hooks``) and wraps three seams with ``time.perf_counter``
-timers:
+A :class:`StageProfiler` has one timing primitive, :meth:`~StageProfiler.timed`,
+which wraps a callable so that every call is a ``time.perf_counter``
+span. Spans nest: time spent inside an inner span counts only for the
+inner span, so the exclusive seconds of all spans partition the
+outermost spans' wall time.
 
-* ``engine.drain`` — every :meth:`Engine.run` call, via the engine's
-  ``run_observer`` hook (one ``None`` check per run when disabled);
+:meth:`~StageProfiler.attach` (pass it via ``run_workload``'s
+``system_hooks``) wraps three seams of a constructed
+:class:`~repro.harness.system.System`:
+
+* ``engine.drain`` — every :meth:`Engine.run` call on the system's own
+  engine, which also counts the events each drain executed;
 * ``hierarchy.access`` — the shared-LLC demand access path, by wrapping
   the bound method *and* re-pointing every core's captured
   ``hierarchy_access`` reference (cores bind it at construction);
-* one stage per quantum listener — model updates and policy decisions,
+* one span per quantum listener — model updates and policy decisions,
   labelled by owner (``AsmModel:asm``, ``AsmCachePolicy:asm-cache``).
 
-Stages nest: ``engine.drain`` is the envelope that contains the cache
-accesses, and the quantum listeners run outside it. The rows and the
-table report the drain *without* its cache accesses, so they partition
-the shared run: their seconds sum to the full drain plus the listeners,
-and the shares are shares of that shared-run time. ``stages`` keeps the
-raw timings, the full drain included.
+A caller can wrap more: ``repro profile`` also times its whole
+``run_workload`` call and its alone-run cache lookups, so its table
+accounts for the whole run. ``stages`` keeps the inclusive timings;
+:meth:`~StageProfiler.rows` and :meth:`~StageProfiler.table` report
+exclusive seconds.
 
 Profiling changes wall-clock behaviour only; simulated results are
 bit-identical (the timers never touch simulation state).
@@ -30,26 +34,30 @@ import cProfile
 import io
 import pstats
 from time import perf_counter
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple, TypeVar
 
 if TYPE_CHECKING:  # pragma: no cover - types only
     from repro.harness.system import System
 
+_T = TypeVar("_T")
+
 
 class StageTiming:
-    """Accumulated wall time and call count for one named stage."""
+    """Accumulated wall time and call count for one named span."""
 
-    __slots__ = ("name", "calls", "seconds")
+    __slots__ = ("name", "calls", "seconds", "exclusive")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.calls = 0
         self.seconds = 0.0
+        self.exclusive = 0.0
 
-    def add(self, seconds: float) -> None:
-        """Record one timed call."""
+    def add(self, seconds: float, inner: float) -> None:
+        """Record one call of ``seconds``, ``inner`` of them in inner spans."""
         self.calls += 1
         self.seconds += seconds
+        self.exclusive += seconds - inner
 
 
 def _listener_label(listener: Callable[[], None], index: int) -> str:
@@ -63,100 +71,74 @@ def _listener_label(listener: Callable[[], None], index: int) -> str:
 
 
 class StageProfiler:
-    """Collects per-stage wall-clock timings for one system's run."""
+    """Collects nested wall-clock spans for one run."""
 
     def __init__(self) -> None:
         self.stages: Dict[str, StageTiming] = {}
         self.engine_events = 0
+        # Seconds spent in finished inner spans of the innermost open span.
+        self._inner = 0.0
 
-    def stage(self, name: str) -> StageTiming:
-        """The timing bucket for ``name``, creating it on first use."""
-        timing = self.stages.get(name)
-        if timing is None:
-            timing = StageTiming(name)
-            self.stages[name] = timing
-        return timing
+    def timed(self, name: str, fn: Callable[..., _T]) -> Callable[..., _T]:
+        """Wrap ``fn`` so that each call is one span of stage ``name``.
 
-    # -- attachment ------------------------------------------------------
+        The span's whole wall time is added to the stage's inclusive
+        ``seconds``; the time spent in spans it encloses is left out of its
+        ``exclusive`` seconds. A call that raises is timed too.
+        """
+        timing = self.stages.setdefault(name, StageTiming(name))
+
+        def span(*args: Any, **kwargs: Any) -> _T:
+            outer = self._inner
+            self._inner = 0.0
+            start = perf_counter()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                elapsed = perf_counter() - start
+                timing.add(elapsed, self._inner)
+                self._inner = outer + elapsed
+
+        return span
+
     def attach(self, system: "System") -> None:
         """Instrument ``system``; pass as a ``system_hooks`` entry so all
         models and policies are already registered."""
-        self._attach_engine(system)
-        self._attach_cache(system)
-        self._attach_listeners(system)
+        engine = system.engine
+        run = engine.run
 
-    def _attach_engine(self, system: "System") -> None:
-        drain = self.stage("engine.drain")
-
-        def observe(events: int, seconds: float) -> None:
-            drain.add(seconds)
-            self.engine_events += events
-
-        system.engine.run_observer = observe
-
-    def _attach_cache(self, system: "System") -> None:
-        hierarchy = system.hierarchy
-        original = hierarchy.access
-        timing = self.stage("hierarchy.access")
-
-        def timed_access(
-            core: int,
-            line_addr: int,
-            is_write: bool,
-            on_complete: Optional[Callable[[int], None]],
-        ) -> Optional[int]:
-            start = perf_counter()
+        def drain(*args: Any, **kwargs: Any) -> int:
             try:
-                return original(core, line_addr, is_write, on_complete)
+                return run(*args, **kwargs)
             finally:
-                timing.add(perf_counter() - start)
+                self.engine_events += engine.events_executed
 
-        hierarchy.access = timed_access  # type: ignore[method-assign]
+        engine.run = self.timed("engine.drain", drain)  # type: ignore[method-assign]
+        access = self.timed("hierarchy.access", system.hierarchy.access)
+        system.hierarchy.access = access  # type: ignore[method-assign]
         # Cores capture the bound method at construction; re-point them
         # or their accesses would bypass the timer entirely.
-        for core_obj in system.cores:
-            core_obj.hierarchy_access = timed_access
-
-    def _attach_listeners(self, system: "System") -> None:
-        wrapped: List[Callable[[], None]] = []
-        for index, listener in enumerate(system.quantum_listeners):
-            timing = self.stage(_listener_label(listener, index))
-            wrapped.append(self._timed_listener(listener, timing))
-        system.quantum_listeners[:] = wrapped
-
-    @staticmethod
-    def _timed_listener(
-        listener: Callable[[], None], timing: StageTiming
-    ) -> Callable[[], None]:
-        def run() -> None:
-            start = perf_counter()
-            try:
-                listener()
-            finally:
-                timing.add(perf_counter() - start)
-
-        return run
+        for core in system.cores:
+            core.hierarchy_access = access
+        system.quantum_listeners[:] = [
+            self.timed(_listener_label(listener, index), listener)
+            for index, listener in enumerate(system.quantum_listeners)
+        ]
 
     # -- reporting -------------------------------------------------------
     def rows(self) -> List[Tuple[str, int, float]]:
-        """(stage, calls, seconds) rows, slowest first.
+        """(stage, calls, exclusive seconds) rows, slowest first.
 
-        The ``engine.drain`` row excludes the ``hierarchy.access`` time it
-        contains, so the rows partition the shared run.
+        The rows partition the outermost spans: their seconds sum to the
+        wall time of the calls no other span encloses.
         """
-        access = self.stages.get("hierarchy.access")
-        inner = access.seconds if access is not None else 0.0
         return sorted(
-            (
-                (t.name, t.calls,
-                 t.seconds - inner if t.name == "engine.drain" else t.seconds)
-                for t in self.stages.values()
-            ),
+            ((t.name, t.calls, t.exclusive) for t in self.stages.values()),
             key=lambda row: -row[2],
         )
 
     def table(self) -> str:
-        """Render the stage timings as an aligned text table."""
+        """Render the exclusive stage timings as an aligned text table."""
         rows = self.rows()
         total = sum(seconds for _, _, seconds in rows)
         lines = [f"{'stage':32s} {'calls':>10s} {'seconds':>10s} {'share':>7s}"]
@@ -165,14 +147,13 @@ class StageProfiler:
             lines.append(
                 f"{name:32s} {calls:>10d} {seconds:>10.4f} {share:>6.1%}"
             )
-        if self.engine_events:
-            drain = self.stages.get("engine.drain")
-            if drain is not None and drain.seconds > 0:
-                rate = self.engine_events / drain.seconds
-                lines.append(
-                    f"engine events: {self.engine_events} "
-                    f"({rate:,.0f} events/s inside the drain)"
-                )
+        drain = self.stages.get("engine.drain")
+        if self.engine_events and drain is not None and drain.seconds > 0:
+            rate = self.engine_events / drain.seconds
+            lines.append(
+                f"engine events: {self.engine_events} "
+                f"({rate:,.0f} events/s inside the drain)"
+            )
         return "\n".join(lines)
 
 

@@ -279,23 +279,6 @@ def test_summarize_empty_trace():
 
 
 # ----------------------------------------------------------------------
-# Engine run observer.
-
-def test_engine_run_observer_fires_once_per_run():
-    from repro.harness.system import System
-
-    calls = []
-    system = System(CONFIG, _mix().traces(), seed=0)
-    system.engine.run_observer = lambda events, seconds: calls.append(
-        (events, seconds)
-    )
-    system.run_until(10_000)
-    assert len(calls) == 1
-    events, seconds = calls[0]
-    assert events > 0 and seconds >= 0.0
-
-
-# ----------------------------------------------------------------------
 # CLI verbs.
 
 def test_trace_summarize_cli(capsys):
@@ -341,6 +324,27 @@ def test_profile_cli(capsys):
     assert "engine.drain" in out
     assert "hierarchy.access" in out
     assert "events/s" in out
+
+
+def test_profile_cli_partitions_the_run(capsys):
+    from repro.obs.cli import profile_main
+
+    rc = profile_main([
+        "--quanta", "1",
+        "--quantum-cycles", "50000", "--epoch-cycles", "5000",
+    ])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    header = next(i for i, line in enumerate(lines) if line.startswith("stage"))
+    rows = {}
+    for line in lines[header + 1:]:
+        if line.startswith("engine events:"):
+            break
+        name, _calls, _seconds, share = line.rsplit(None, 3)
+        rows[name] = float(share.rstrip("%"))
+    assert "alone runs" in rows and "run_workload" in rows
+    # Each share is rounded to 0.1%, so the sum may miss 100 by 0.05 a row.
+    assert sum(rows.values()) == pytest.approx(100.0, abs=0.05 * len(rows))
 
 
 def test_cli_dispatches_trace_verb(capsys):
@@ -391,6 +395,28 @@ def test_stage_profiler_results_bit_identical():
     )
     assert sum(seconds for _, _, seconds in profiler.rows()) == pytest.approx(
         stages["engine.drain"].seconds + listeners
+    )
+
+
+def test_stage_profiler_spans_are_exclusive():
+    from repro.obs.profile import StageProfiler
+
+    profiler = StageProfiler()
+    inner = profiler.timed("inner", lambda: sum(range(20_000)))
+
+    def body():
+        inner()
+        inner()
+        return "done"
+
+    assert profiler.timed("outer", body)() == "done"
+    stages = profiler.stages
+    assert stages["outer"].calls == 1 and stages["inner"].calls == 2
+    assert sum(seconds for _, _, seconds in profiler.rows()) == pytest.approx(
+        stages["outer"].seconds
+    )
+    assert stages["outer"].exclusive == pytest.approx(
+        stages["outer"].seconds - stages["inner"].seconds
     )
 
 
