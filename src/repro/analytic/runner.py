@@ -17,8 +17,8 @@ unchanged:
   CPI over each quantum.
 
 Analytic cells need **no alone profiles** — the alone fixed point is
-part of the math — which is why :mod:`repro.parallel` skips phase-1
-profile collection for them.
+part of the math — which is why the plan step of :mod:`repro.parallel`
+collects no alone profiles for an analytic cell.
 """
 
 from __future__ import annotations

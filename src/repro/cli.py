@@ -154,6 +154,24 @@ IGNORABLE_OPTIONS = (
 )
 
 
+def _bounded(
+    kind: Callable[[str], Any], low: float, strict: bool = False
+) -> Callable[[str], Any]:
+    """An argparse ``type`` parsing ``kind`` that rejects values below
+    ``low`` (or at it, when ``strict``), so the flag exits 2 at parse time."""
+
+    def parse(text: str) -> Any:
+        value = kind(text)
+        if not (value > low if strict else value >= low):
+            raise argparse.ArgumentTypeError(
+                f"must be {'>' if strict else '>='} {low}, got {text}"
+            )
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -163,9 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment",
         help="experiment to run, or 'list' to enumerate them",
     )
-    parser.add_argument("--mixes", type=int, default=0,
+    parser.add_argument("--mixes", type=_bounded(int, 0), default=0,
                         help="workloads per configuration")
-    parser.add_argument("--quanta", type=int, default=0,
+    parser.add_argument("--quanta", type=_bounded(int, 0), default=0,
                         help="quanta per run")
     parser.add_argument("--seed", type=int, default=None,
                         help="workload-generation seed override")
@@ -180,22 +198,27 @@ def build_parser() -> argparse.ArgumentParser:
                         help="record per-mix failures and finish the sweep")
     parser.add_argument("--check-invariants", action="store_true",
                         help="validate conservation laws every quantum")
-    parser.add_argument("--wall-clock-budget", type=float, default=None,
+    parser.add_argument("--wall-clock-budget", default=None,
+                        type=_bounded(float, 0, strict=True),
                         metavar="SECONDS",
                         help="abort any quantum exceeding this wall-clock "
                              "budget (per run_quantum call)")
-    parser.add_argument("--workers", type=int, default=1, metavar="N",
+    parser.add_argument("--workers", type=_bounded(int, 1), default=1,
+                        metavar="N",
                         help="worker processes for per-mix fan-out "
                              "(1 = serial; results are identical)")
-    parser.add_argument("--max-retries", type=int, default=0, metavar="N",
+    parser.add_argument("--max-retries", type=_bounded(int, 0), default=0,
+                        metavar="N",
                         help="retry a failed cell up to N times (with "
                              "backoff and a per-cell circuit breaker; "
                              "0 = fail immediately)")
-    parser.add_argument("--retry-backoff", type=float, default=0.05,
+    parser.add_argument("--retry-backoff", type=_bounded(float, 0),
+                        default=0.05,
                         metavar="SECONDS",
                         help="base backoff before the first retry; doubles "
                              "per attempt with deterministic jitter")
-    parser.add_argument("--cell-budget", type=float, default=None,
+    parser.add_argument("--cell-budget", default=None,
+                        type=_bounded(float, 0, strict=True),
                         metavar="SECONDS",
                         help="give up retrying a cell once it has consumed "
                              "this much wall-clock time")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig, scaled_config
 
@@ -203,6 +203,59 @@ def fairness_of_runs(results: Sequence[Optional[RunResult]]) -> Dict[str, float]
     }
 
 
+@dataclass
+class SchemeComparison:
+    """Fairness and performance of resource-management schemes by core
+    count (Figs. 9 and 10)."""
+
+    title: str
+    # (cores, scheme) -> {"max_slowdown": .., "harmonic_speedup": ..}
+    outcomes: Dict[Tuple[int, str], Dict[str, float]] = field(default_factory=dict)
+
+    def format_table(self) -> str:
+        rows = [
+            [cores, scheme, vals["max_slowdown"], vals["harmonic_speedup"]]
+            for (cores, scheme), vals in sorted(self.outcomes.items())
+        ]
+        return self.title + "\n" + format_table(
+            ["cores", "scheme", "max_slowdown", "harmonic_speedup"], rows
+        )
+
+
+def compare_schemes(
+    title: str,
+    configs: Sequence[SystemConfig],
+    schemes: Callable[[SystemConfig], Dict[str, dict]],
+    mixes_per_count: Optional[Dict[int, int]],
+    quanta: int,
+    seed: int,
+    campaign: "Campaign",
+) -> SchemeComparison:
+    """Run every scheme of ``schemes(config)`` on each config's mixes.
+
+    Each config's core count picks its mix count from ``mixes_per_count``
+    (default 5/3/2 mixes at 4/8/16 cores, otherwise 3) and seeds its mixes
+    with ``seed + cores``; every run is one campaign cell."""
+    mixes_per_count = mixes_per_count or {4: 5, 8: 3, 16: 2}
+    result = SchemeComparison(title)
+    for cfg in configs:
+        cores = cfg.num_cores
+        mixes = default_mixes(mixes_per_count.get(cores, 3), cores, seed=seed + cores)
+        for scheme, kwargs in schemes(cfg).items():
+            runs = [
+                campaign.run_mix(
+                    mix,
+                    cfg,
+                    quanta=quanta,
+                    variant=f"{cores}cores-{scheme}",
+                    **kwargs,
+                )
+                for mix in mixes
+            ]
+            result.outcomes[(cores, scheme)] = fairness_of_runs(runs)
+    return result
+
+
 __all__ = [
     "EQUAL_OVERHEAD_FILTER_COUNTERS",
     "unsampled_models",
@@ -213,5 +266,7 @@ __all__ = [
     "default_mixes",
     "format_table",
     "fairness_of_runs",
+    "SchemeComparison",
+    "compare_schemes",
     "scaled_config",
 ]

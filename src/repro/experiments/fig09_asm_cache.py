@@ -15,11 +15,10 @@ cache results.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from repro.config import SystemConfig, scaled_config
-from repro.experiments.common import default_mixes, fairness_of_runs, format_table
+from repro.experiments.common import SchemeComparison, compare_schemes
 from repro.models.asm import AsmModel
 from repro.policies.asm_cache import AsmCachePolicy
 from repro.policies.mcfq import McfqPolicy
@@ -39,22 +38,6 @@ def _schemes(config: SystemConfig) -> Dict[str, dict]:
     }
 
 
-@dataclass
-class CachePartitioningResult:
-    # (cores, scheme) -> {"max_slowdown": .., "harmonic_speedup": ..}
-    outcomes: Dict[tuple, Dict[str, float]] = field(default_factory=dict)
-    title: str = "Fig 9: slowdown-aware cache partitioning"
-
-    def format_table(self) -> str:
-        rows = [
-            [cores, scheme, vals["max_slowdown"], vals["harmonic_speedup"]]
-            for (cores, scheme), vals in sorted(self.outcomes.items())
-        ]
-        return self.title + "\n" + format_table(
-            ["cores", "scheme", "max_slowdown", "harmonic_speedup"], rows
-        )
-
-
 def run(
     core_counts: Sequence[int] = (4, 8, 16),
     mixes_per_count: Optional[Dict[int, int]] = None,
@@ -63,32 +46,26 @@ def run(
     seed: int = 42,
     llc_bytes_per_core: int = 0,
     campaign=None,
-) -> CachePartitioningResult:
+) -> SchemeComparison:
     """``llc_bytes_per_core`` > 0 scales the LLC with the core count (the
     paper's larger-cache 16-core study, Section 7.1.2 fourth observation),
     avoiding the one-way-per-core granularity floor at 16 cores."""
     from repro.resilience.campaign import Campaign
 
     config = config or scaled_config()
-    # Without a campaign: one with no store, so a failing run raises.
-    campaign = campaign if campaign is not None else Campaign("fig09")
-    mixes_per_count = mixes_per_count or {4: 5, 8: 3, 16: 2}
-    result = CachePartitioningResult()
-    for cores in core_counts:
-        cfg = config.with_cores(cores)
-        if llc_bytes_per_core:
-            cfg = cfg.with_llc_size(llc_bytes_per_core * cores)
-        mixes = default_mixes(mixes_per_count.get(cores, 3), cores, seed=seed + cores)
-        for scheme, kwargs in _schemes(cfg).items():
-            runs = [
-                campaign.run_mix(
-                    mix,
-                    cfg,
-                    quanta=quanta,
-                    variant=f"{cores}cores-{scheme}",
-                    **kwargs,
-                )
-                for mix in mixes
-            ]
-            result.outcomes[(cores, scheme)] = fairness_of_runs(runs)
-    return result
+    configs = [config.with_cores(cores) for cores in core_counts]
+    if llc_bytes_per_core:
+        configs = [
+            cfg.with_llc_size(llc_bytes_per_core * cfg.num_cores)
+            for cfg in configs
+        ]
+    return compare_schemes(
+        "Fig 9: slowdown-aware cache partitioning",
+        configs,
+        _schemes,
+        mixes_per_count,
+        quanta,
+        seed,
+        # Without a campaign: one with no store, so a failing run raises.
+        campaign if campaign is not None else Campaign("fig09"),
+    )

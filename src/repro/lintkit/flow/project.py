@@ -264,11 +264,28 @@ def param_offset(call: ast.Call, callee: FunctionInfo) -> int:
     return 0
 
 
+def own_statements(node: ast.AST) -> List[ast.stmt]:
+    """Statements in ``node``'s body, skipping nested def/class scopes."""
+    out: List[ast.stmt] = []
+    stack: List[ast.stmt] = list(getattr(node, "body", []))
+    while stack:
+        stmt = stack.pop(0)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        out.append(stmt)
+        for attr in ("body", "orelse", "finalbody"):
+            stack.extend(getattr(stmt, attr, []))
+        for handler in getattr(stmt, "handlers", []):
+            stack.extend(handler.body)
+    return out
+
+
 __all__ = [
     "ClassInfo",
     "FunctionInfo",
     "FunctionNode",
     "ModuleInfo",
     "Project",
+    "own_statements",
     "param_offset",
 ]

@@ -32,6 +32,7 @@ from repro.lintkit.flow.callgraph import CallGraph, fixed_point
 from repro.lintkit.flow.project import (
     FunctionInfo,
     ModuleInfo,
+    own_statements,
     param_offset,
 )
 
@@ -133,7 +134,7 @@ class PurityAnalysis:
             - local_names
         ) | declared_global
 
-        for stmt in _own_statements(info.node):
+        for stmt in own_statements(info.node):
             for target, aug in _store_targets(stmt):
                 if isinstance(target, ast.Name):
                     if target.id in declared_global or (
@@ -289,7 +290,7 @@ def _scopes(info: FunctionInfo) -> Tuple[Set[str], Set[str]]:
         local.add(args.vararg.arg)
     if args.kwarg is not None:
         local.add(args.kwarg.arg)
-    for stmt in _own_statements(info.node):
+    for stmt in own_statements(info.node):
         if isinstance(stmt, ast.Global):
             declared.update(stmt.names)
             continue
@@ -320,23 +321,6 @@ def _root_name(expr: ast.expr) -> Optional[str]:
     while isinstance(node, (ast.Attribute, ast.Subscript)):
         node = node.value
     return node.id if isinstance(node, ast.Name) else None
-
-
-def _own_statements(node: ast.AST) -> List[ast.stmt]:
-    out: List[ast.stmt] = []
-    stack: List[ast.stmt] = list(getattr(node, "body", []))
-    while stack:
-        stmt = stack.pop(0)
-        if isinstance(
-            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-        ):
-            continue
-        out.append(stmt)
-        for attr in ("body", "orelse", "finalbody"):
-            stack.extend(getattr(stmt, attr, []))
-        for handler in getattr(stmt, "handlers", []):
-            stack.extend(handler.body)
-    return out
 
 
 def _own_calls(stmt: ast.stmt) -> List[ast.Call]:

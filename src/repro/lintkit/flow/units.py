@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.lintkit.flow.callgraph import CallGraph, fixed_point
-from repro.lintkit.flow.project import FunctionInfo, ModuleInfo
+from repro.lintkit.flow.project import FunctionInfo, ModuleInfo, own_statements
 
 #: Recognized units, in documentation order.
 UNITS = ("cycles", "events", "bytes", "fraction")
@@ -117,7 +117,7 @@ class UnitAnalysis:
             return declared if declared in UNITS else None
         env = self._seed_env(info)
         inferred: Optional[str] = None
-        for node in _own_statements(info.node):
+        for node in own_statements(info.node):
             if isinstance(node, ast.Return) and node.value is not None:
                 unit = self._infer(node.value, env, info)
                 if unit is not None:
@@ -180,7 +180,7 @@ class UnitAnalysis:
         self, info: FunctionInfo, collect: List[UnitViolation]
     ) -> None:
         env = self._seed_env(info)
-        for stmt in _own_statements(info.node):
+        for stmt in own_statements(info.node):
             # Report on this statement's direct expressions first (env
             # as of *before* any assignment the statement makes), then
             # fold the assignment into the environment.
@@ -330,22 +330,6 @@ def _is_literal(expr: ast.expr) -> bool:
     return isinstance(expr, ast.Constant) and isinstance(
         expr.value, (int, float)
     )
-
-
-def _own_statements(node: ast.AST) -> List[ast.stmt]:
-    """Statements in ``node``'s body, skipping nested def/class scopes."""
-    out: List[ast.stmt] = []
-    stack: List[ast.stmt] = list(getattr(node, "body", []))
-    while stack:
-        stmt = stack.pop(0)
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        out.append(stmt)
-        for attr in ("body", "orelse", "finalbody"):
-            stack.extend(getattr(stmt, attr, []))
-        for handler in getattr(stmt, "handlers", []):
-            stack.extend(handler.body)
-    return out
 
 
 __all__ = ["UNITS", "UnitAnalysis", "UnitViolation", "unit_of_name"]

@@ -76,7 +76,6 @@ class AsmModel(SlowdownModel):
     """Online ASM estimator for every core of a system."""
 
     name = "asm"
-    uses_epochs = True
 
     def __init__(
         self,

@@ -133,7 +133,6 @@ class SlowdownModel:
     """Base class: subclasses override the hooks they need."""
 
     name: str = "base"
-    uses_epochs: bool = False
 
     def __init__(self) -> None:
         self.system: Optional[System] = None

@@ -15,34 +15,34 @@ was delayed due to interference:
 as the "unsampled" configuration; a finite size models the practical
 Bloom-filter build whose aliasing degrades accuracy (Figure 3).
 
-Counter reads (contention misses, interference cycles, miss-busy cycles)
-go through the model's :class:`~repro.telemetry.counters.CounterBank`; see
+The alone-time estimate is the one FST shares with PTCA
+(:class:`~repro.models.perrequest.PerRequestModel`). Counter reads
+(contention misses, interference cycles, miss-busy cycles) go through the
+model's :class:`~repro.telemetry.counters.CounterBank`; see
 :class:`~repro.models.base.EstimateGuard` for the degradation semantics.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.cache.pollution_filter import PollutionFilter
 from repro.harness.system import System
-from repro.models.base import SlowdownModel
-from repro.models.perrequest import PerRequestAccounting
+from repro.models.perrequest import PerRequestModel
 
 
-class FstModel(SlowdownModel):
-    """FST prior-work baseline: per-request delay + pollution filter."""
+class FstModel(PerRequestModel):
+    """FST prior-work baseline: per-request delay + pollution filter.
+
+    The pollution filters persist across quanta; the counters and the
+    accounting reset at each boundary."""
 
     name = "fst"
-    uses_epochs = False
 
     def __init__(self, filter_counters: Optional[int] = None) -> None:
         super().__init__()
         self.filter_counters = filter_counters
         self.filters: List[PollutionFilter] = []
-        # Per-core alone miss latency estimated in the last quantum (the
-        # Fig 6 latency-distribution study reads this after the run).
-        self.last_alone_miss_latency: List[float] = []
 
     def attach(self, system: System) -> None:
         """Hook pollution filters and per-request accounting into ``system``."""
@@ -52,14 +52,6 @@ class FstModel(SlowdownModel):
         assert bank is not None
         self.filters = [PollutionFilter(self.filter_counters) for _ in range(n)]
         self._contention_misses = bank.vec("contention_misses")
-        acct = PerRequestAccounting(system)
-        self._accounting = acct
-        self._interference = bank.external(
-            "interference_cycles", lambda core: acct.interference_cycles[core]
-        )
-        self._miss_busy = bank.external(
-            "miss_busy", lambda core: acct.miss_busy_cycles(core)
-        )
         system.hierarchy.llc.add_eviction_listener(self._on_evict)
         system.hierarchy.access_listeners.append(self._on_access)
 
@@ -76,55 +68,6 @@ class FstModel(SlowdownModel):
             self._contention_misses.add(core)
             self.filters[core].on_refetch(line_addr)
 
-    def estimate_slowdowns(self) -> List[float]:
-        """Per-core FST slowdown from summed per-request delay cycles."""
-        assert self.system is not None
-        assert self.bank is not None and self.guard is not None
-        bank = self.bank
-        guard = self.guard
-        quantum = self.system.config.quantum_cycles
-        hit_latency = float(self.system.config.llc.latency)
-        estimates: List[float] = []
-        self.last_alone_miss_latency = [
-            self._accounting.avg_alone_miss_latency(core, default=float("nan"))
-            for core in range(self.num_cores)
-        ]
-        for core in range(self.num_cores):
-            contention = self._contention_misses.read(core)
-            interference_raw = self._interference.read(core)
-            miss_busy = self._miss_busy.read(core)
-            # Each contention miss is charged its estimated *alone* miss
-            # cost over a hit; the excess overlaps like any other miss, so
-            # the same parallelism correction applies.
-            avg_alone_miss = self._accounting.avg_alone_miss_latency(
-                core, default=hit_latency
-            )
-            cache_excess = (
-                contention
-                * max(0.0, avg_alone_miss - hit_latency)
-                / self._accounting.parallelism(core)
-            )
-            interference = interference_raw + cache_excess
-            # A hardware interference counter increments at most once per
-            # cycle with an outstanding miss.
-            interference = min(interference, miss_busy)
-
-            soft: List[str] = []
-            alone_time = quantum - interference
-            if alone_time <= 0:
-                alone_time = max(1.0, 0.02 * quantum)
-                soft.append("degenerate-denominator")
-            estimate = self.clamp_slowdown(quantum / alone_time)
-
-            hard: List[str] = []
-            if interference_raw < 0 or miss_busy < 0:
-                hard.append("negative-interference")
-            hard.extend(bank.collect_flags(core))
-            estimates.append(guard.resolve(core, estimate, soft, hard))
-        return estimates
-
-    def reset_quantum(self) -> None:
-        """Reset counters and accounting; pollution filters persist."""
-        assert self.bank is not None
-        self.bank.reset()
-        self._accounting.reset()
+    def contention(self, core: int) -> Tuple[float, float, List[str]]:
+        """The pollution filter's contention-miss count, unscaled."""
+        return self._contention_misses.read(core), 1.0, []

@@ -26,7 +26,6 @@ class MiseModel(SlowdownModel):
     """MISE prior-work baseline: request-service-rate ratio, memory only."""
 
     name = "mise"
-    uses_epochs = True
 
     def attach(self, system: System) -> None:
         """Hook epoch ownership and request-rate counters into ``system``."""

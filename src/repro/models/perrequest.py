@@ -1,4 +1,5 @@
-"""Shared per-request interference accounting used by FST, PTCA and STFM.
+"""Per-request interference accounting (FST, PTCA, STFM) and the
+estimate FST and PTCA share.
 
 These prior works estimate, for *each* memory request, how many cycles it
 was delayed by other applications, and sum those into a per-application
@@ -8,6 +9,13 @@ fudge — the per-request delays are divided by the application's measured
 memory-level parallelism (time-averaged outstanding misses while any miss
 is outstanding).
 
+:class:`PerRequestAccounting` keeps those totals for FST, PTCA and STFM;
+its miss-busy cycles are also STFM's shared stall time.
+:class:`PerRequestModel` is the estimate FST and PTCA share: the quantum
+minus the memory interference cycles and a contention-miss excess. The two
+differ only in how they find contention misses (a pollution filter or an
+auxiliary tag store).
+
 The paper's central argument is that this per-request approach remains
 inaccurate under overlapped service even with the fudge factor; that
 inaccuracy emerges here naturally rather than being injected.
@@ -15,10 +23,11 @@ inaccuracy emerges here naturally rather than being injected.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.harness.system import System
 from repro.mem.request import MemRequest
+from repro.models.base import SlowdownModel
 
 
 class MlpEstimator:
@@ -70,18 +79,16 @@ class PerRequestAccounting:
         self,
         system: System,
         latency_filter: Optional[Callable[[MemRequest], bool]] = None,
-        filter_interference: bool = False,
     ) -> None:
-        """``latency_filter`` restricts latency statistics to a subset of
-        requests (PTCA with a sampled ATS measures latencies only on
-        requests mapping to sampled sets). With ``filter_interference``
-        the per-request interference cycles are *also* only accumulated on
-        filtered requests — the caller must scale them back up, as sampled
-        PTCA does (Section 2.2: "counted and scaled accordingly")."""
+        """``latency_filter`` restricts the statistics to a subset of
+        requests (PTCA with a sampled ATS observes only requests mapping
+        to sampled sets): both the latencies and the per-request
+        interference cycles are accumulated on filtered requests only, and
+        the caller must scale the interference back up, as sampled PTCA
+        does (Section 2.2: "counted and scaled accordingly")."""
         n = system.config.num_cores
         self.system = system
         self.latency_filter = latency_filter
-        self.filter_interference = filter_interference and latency_filter is not None
         self.interference_cycles = [0.0] * n
         self.latency_count = [0] * n
         # Per-request alone-latency estimate: measured latency minus the
@@ -108,14 +115,13 @@ class PerRequestAccounting:
         # STFM-style parallelism fudge factor: delays of overlapped requests
         # do not stall the core independently.
         parallelism = self._mlp[core].parallelism(now)
-        if not self.filter_interference or in_sample:
+        if in_sample:
             # Fractional by design: this is the model's float *estimate*
             # of stall cycles (attributed cycles scaled down by MLP), not
             # engine time — see the [0.0] initialisation above.
             self.interference_cycles[core] += (
                 request.interference_cycles / parallelism  # lint: ignore[CYC001]
             )
-        if in_sample:
             self.latency_count[core] += 1
             self.alone_latency_sum[core] += max(
                 1.0, request.latency - request.interference_cycles
@@ -148,3 +154,93 @@ class PerRequestAccounting:
         self.alone_latency_sum = [0.0] * n
         for mlp in self._mlp:
             mlp.reset(now)
+
+
+class PerRequestModel(SlowdownModel):
+    """FST and PTCA: the quantum minus per-request interference cycles.
+
+    A subclass finds contention misses its own way and reports them through
+    :meth:`contention`; this base owns the :class:`PerRequestAccounting`,
+    its ``interference_cycles`` and ``miss_busy`` externals, and the rest
+    of the estimate.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        # Per-core alone miss latency estimated in the last quantum (the
+        # Fig 6 latency-distribution study reads this after the run).
+        self.last_alone_miss_latency: List[float] = []
+        # The requests the accounting observes (its ``latency_filter``);
+        # None observes every request.
+        self.latency_filter: Optional[Callable[[MemRequest], bool]] = None
+
+    def attach(self, system: System) -> None:
+        """Hook the per-request accounting into ``system``."""
+        super().attach(system)
+        bank = self.bank
+        assert bank is not None
+        acct = PerRequestAccounting(system, self.latency_filter)
+        self._accounting = acct
+        self._interference = bank.external(
+            "interference_cycles", lambda core: acct.interference_cycles[core]
+        )
+        self._miss_busy = bank.external(
+            "miss_busy", lambda core: acct.miss_busy_cycles(core)
+        )
+
+    def contention(self, core: int) -> Tuple[float, float, List[str]]:
+        """``core``'s contention misses this quantum, the factor its
+        memory interference cycles are scaled by, and the hard violations
+        its own counters show."""
+        raise NotImplementedError
+
+    def estimate_slowdowns(self) -> List[float]:
+        """Per-core slowdown from summed per-request delay cycles."""
+        assert self.system is not None
+        assert self.bank is not None and self.guard is not None
+        bank = self.bank
+        guard = self.guard
+        acct = self._accounting
+        quantum = self.system.config.quantum_cycles
+        hit_latency = float(self.system.config.llc.latency)
+        estimates: List[float] = []
+        self.last_alone_miss_latency = [
+            acct.avg_alone_miss_latency(core, default=float("nan"))
+            for core in range(self.num_cores)
+        ]
+        for core in range(self.num_cores):
+            contention, memory_scale, hard = self.contention(core)
+            interference_raw = self._interference.read(core)
+            miss_busy = self._miss_busy.read(core)
+            # Each contention miss is charged its estimated *alone* miss
+            # cost over a hit; the excess overlaps like any other miss, so
+            # the same parallelism correction applies.
+            avg_alone_miss = acct.avg_alone_miss_latency(core, default=hit_latency)
+            cache_excess = (
+                contention
+                * max(0.0, avg_alone_miss - hit_latency)
+                / acct.parallelism(core)
+            )
+            interference = interference_raw * memory_scale + cache_excess
+            # A hardware interference counter increments at most once per
+            # cycle with an outstanding miss.
+            interference = min(interference, miss_busy)
+
+            soft: List[str] = []
+            alone_time = quantum - interference
+            if alone_time <= 0:
+                alone_time = max(1.0, 0.02 * quantum)
+                soft.append("degenerate-denominator")
+            estimate = self.clamp_slowdown(quantum / alone_time)
+
+            if interference_raw < 0 or miss_busy < 0:
+                hard.append("negative-interference")
+            hard.extend(bank.collect_flags(core))
+            estimates.append(guard.resolve(core, estimate, soft, hard))
+        return estimates
+
+    def reset_quantum(self) -> None:
+        """Reset the counters and the accounting."""
+        assert self.bank is not None
+        self.bank.reset()
+        self._accounting.reset()

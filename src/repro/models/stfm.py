@@ -6,9 +6,11 @@ cycles (with a parallelism fudge factor) from the measured shared stall
 time. It predates shared-cache awareness entirely; included as a secondary
 baseline and for the repo's completeness.
 
-Stall and interference counters are sampled through the model's
-:class:`~repro.telemetry.counters.CounterBank`; see
-:class:`~repro.models.base.EstimateGuard` for the degradation semantics.
+The shared stall time is the accounting's miss-busy time: the cycles with
+at least one outstanding miss. Stall and interference counters are
+sampled through the model's :class:`~repro.telemetry.counters.CounterBank`;
+see :class:`~repro.models.base.EstimateGuard` for the degradation
+semantics.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from typing import List
 
 from repro.harness.system import System
-from repro.models.base import OutstandingTracker, SlowdownModel
+from repro.models.base import SlowdownModel
 from repro.models.perrequest import PerRequestAccounting
 
 
@@ -24,32 +26,22 @@ class StfmModel(SlowdownModel):
     """STFM prior-work baseline: stall-time fraction with MLP fudge."""
 
     name = "stfm"
-    uses_epochs = False
 
     def attach(self, system: System) -> None:
-        """Hook stall trackers and per-request accounting into ``system``."""
+        """Hook per-request accounting into ``system``."""
         super().attach(system)
-        n = system.config.num_cores
         bank = self.bank
         assert bank is not None
-        self._stall = [OutstandingTracker() for _ in range(n)]
         acct = PerRequestAccounting(system)
         self._accounting = acct
+        # The shared stall time is the accounting's miss-busy time; the
+        # name stays "stall_cycles" because fault draws are keyed by it.
         self._stall_sample = bank.external(
-            "stall_cycles", lambda core: self._stall[core].read(self.now)
+            "stall_cycles", lambda core: acct.miss_busy_cycles(core)
         )
         self._interference = bank.external(
             "interference_cycles", lambda core: acct.interference_cycles[core]
         )
-        system.hierarchy.service_listeners.append(self._on_service)
-
-    def _on_service(self, core: int, is_hit: bool, is_start: bool, now: int) -> None:
-        if is_hit:
-            return
-        if is_start:
-            self._stall[core].start(now)
-        else:
-            self._stall[core].end(now)
 
     def estimate_slowdowns(self) -> List[float]:
         """Per-core STFM slowdown from the stalled-time fraction."""
@@ -80,9 +72,5 @@ class StfmModel(SlowdownModel):
         return estimates
 
     def reset_quantum(self) -> None:
-        """Reset counters, accounting and the stall trackers."""
-        assert self.bank is not None
-        now = self.now
-        for tracker in self._stall:
-            tracker.reset(now)
+        """Reset the accounting, stall cycles included."""
         self._accounting.reset()

@@ -21,37 +21,28 @@ utility*: the decrease in estimated slowdown per extra way.
 When the quantum's telemetry is degraded (any core's estimate confidence
 below :data:`~repro.models.base.POLICY_CONFIDENCE_FLOOR`), repartitioning
 on the polluted statistics would thrash the cache; the policy keeps the
-previous allocation and counts the skip instead.
+previous allocation and counts the skip instead
+(:meth:`~repro.policies.base.AsmPolicy.low_confidence`).
 """
 
 from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.harness.system import System
 from repro.models.asm import AsmModel
-from repro.models.base import POLICY_CONFIDENCE_FLOOR
-from repro.policies.base import Policy
+from repro.policies.base import AsmPolicy
 from repro.policies.partition import lookahead_partition
 
 
-class AsmCachePolicy(Policy):
+class AsmCachePolicy(AsmPolicy):
     name = "asm-cache"
 
     def __init__(self, asm: AsmModel) -> None:
-        super().__init__()
-        self.asm = asm
+        super().__init__(asm)
         self.last_allocation: Optional[List[int]] = None
         # Estimated slowdown of each core under its granted allocation,
         # consumed by ASM-Cache-Mem coordination (Section 7.2).
         self.projected_slowdowns: List[float] = []
-        # Quanta where degraded telemetry suppressed a repartition.
-        self.skipped_reallocations = 0
-
-    def attach(self, system: System) -> None:
-        if self.asm.system is not system:
-            raise ValueError("the AsmModel must be attached to the same system")
-        super().attach(system)
 
     def slowdown_curve(self, core: int) -> List[float]:
         """Estimated slowdown for every way allocation 0..associativity."""
@@ -61,11 +52,7 @@ class AsmCachePolicy(Policy):
 
     def on_quantum_end(self) -> None:
         assert self.system is not None
-        if any(
-            s.confidence < POLICY_CONFIDENCE_FLOOR for s in self.asm.last_quantum
-        ):
-            self.skipped_reallocations += 1
-            self.trace("skip", reason="low-confidence")
+        if self.low_confidence():
             return
         total_ways = self.system.config.llc.associativity
         curves = [self.slowdown_curve(core) for core in range(self.num_cores)]

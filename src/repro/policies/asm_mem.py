@@ -14,37 +14,19 @@ round-robin in the first place (Section 4.2).
 
 from __future__ import annotations
 
-from repro.harness.system import System
-from repro.models.asm import AsmModel
-from repro.models.base import POLICY_CONFIDENCE_FLOOR
-from repro.policies.base import Policy
+from repro.policies.base import AsmPolicy
 
 
-class AsmMemPolicy(Policy):
+class AsmMemPolicy(AsmPolicy):
     name = "asm-mem"
-
-    def __init__(self, asm: AsmModel) -> None:
-        super().__init__()
-        self.asm = asm
-        # Quanta where degraded telemetry suppressed a weight update.
-        self.skipped_reallocations = 0
-
-    def attach(self, system: System) -> None:
-        if self.asm.system is not system:
-            raise ValueError("the AsmModel must be attached to the same system")
-        super().attach(system)
 
     def on_quantum_end(self) -> None:
         assert self.system is not None
         if not self.asm.estimates_history:
             return
-        if any(
-            s.confidence < POLICY_CONFIDENCE_FLOOR for s in self.asm.last_quantum
-        ):
-            # Reweighting epochs on polluted estimates would starve the
-            # wrong application; keep the previous weights.
-            self.skipped_reallocations += 1
-            self.trace("skip", reason="low-confidence")
+        # Reweighting epochs on polluted estimates would starve the wrong
+        # application; keep the previous weights.
+        if self.low_confidence():
             return
         slowdowns = self.asm.estimates_history[-1]
         self.trace("reweight", weights=list(slowdowns))

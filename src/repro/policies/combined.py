@@ -11,31 +11,29 @@ from __future__ import annotations
 from repro.harness.system import System
 from repro.models.asm import AsmModel
 from repro.policies.asm_cache import AsmCachePolicy
-from repro.policies.base import Policy
+from repro.policies.base import AsmPolicy
 
 
-class AsmCacheMemPolicy(Policy):
+class AsmCacheMemPolicy(AsmPolicy):
     name = "asm-cache-mem"
 
     def __init__(self, asm: AsmModel) -> None:
-        super().__init__()
-        self.asm = asm
+        super().__init__(asm)
+        # The cache policy gates each quantum on confidence; a skip keeps
+        # the previous projected slowdowns.
         self.cache_policy = AsmCachePolicy(asm)
 
     def attach(self, system: System) -> None:
-        if self.asm.system is not system:
-            raise ValueError("the AsmModel must be attached to the same system")
         # Register only ourselves; we drive the cache policy manually so the
         # ordering (partition first, then bandwidth weights) is explicit.
-        self.system = system
-        self.obs = system.obs
+        super().attach(system)
         self.cache_policy.system = system
         self.cache_policy.obs = system.obs
-        system.quantum_listeners.append(self.on_quantum_end)
 
     def on_quantum_end(self) -> None:
         assert self.system is not None
         self.cache_policy.on_quantum_end()
+        self.skipped_reallocations = self.cache_policy.skipped_reallocations
         projected = self.cache_policy.projected_slowdowns
         if projected and sum(projected) > 0:
             self.trace("reweight", weights=list(projected))

@@ -17,38 +17,22 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from repro.cache.auxtag import AuxiliaryTagStore
 from repro.harness.system import System
 from repro.models.perrequest import MlpEstimator
-from repro.policies.base import Policy
-from repro.policies.partition import lookahead_partition
+from repro.policies.ucp import UcpPolicy
 
 
-class McfqPolicy(Policy):
+class McfqPolicy(UcpPolicy):
     name = "mcfq"
 
     def __init__(self, sampled_sets: Optional[int] = 32) -> None:
-        super().__init__()
-        self.sampled_sets = sampled_sets
-        self.monitors: List[AuxiliaryTagStore] = []
+        super().__init__(sampled_sets)
         self._mlp: List[MlpEstimator] = []
-        self.last_allocation: Optional[List[int]] = None
 
     def attach(self, system: System) -> None:
         super().attach(system)
-        n = system.config.num_cores
-        self.monitors = [
-            AuxiliaryTagStore(system.config.llc, self.sampled_sets)
-            for _ in range(n)
-        ]
-        self._mlp = [MlpEstimator() for _ in range(n)]
-        system.hierarchy.access_listeners.append(self._on_access)
+        self._mlp = [MlpEstimator() for _ in range(system.config.num_cores)]
         system.hierarchy.service_listeners.append(self._on_service)
-
-    def _on_access(
-        self, core: int, line_addr: int, is_write: bool, hit: bool, now: int
-    ) -> None:
-        self.monitors[core].access(line_addr)
 
     def _on_service(self, core: int, is_hit: bool, is_start: bool, now: int) -> None:
         if is_hit:
@@ -58,20 +42,14 @@ class McfqPolicy(Policy):
         else:
             self._mlp[core].end(now)
 
-    def on_quantum_end(self) -> None:
+    def _curves(self) -> List[List[float]]:
+        """UCP's curves weighted by ``1 / mlp``; the MLP averages restart
+        with the next quantum."""
         assert self.system is not None
         now = self.system.engine.now
         curves = []
-        for core in range(self.num_cores):
-            weight = 1.0 / self._mlp[core].parallelism(now)
-            curves.append(
-                [hits * weight for hits in self.monitors[core].utility_curve()]
-            )
-        allocation = lookahead_partition(
-            curves, self.system.config.llc.associativity
-        )
-        self.last_allocation = allocation
-        self.system.hierarchy.llc.set_partition(allocation)
-        for core in range(self.num_cores):
-            self.monitors[core].reset_stats()
-            self._mlp[core].reset(now)
+        for monitor, mlp in zip(self.monitors, self._mlp):
+            weight = 1.0 / mlp.parallelism(now)
+            mlp.reset(now)
+            curves.append([hits * weight for hits in monitor.utility_curve()])
+        return curves

@@ -16,41 +16,31 @@ from typing import List, Optional
 
 from repro.harness.system import System
 from repro.models.asm import AsmModel
-from repro.models.base import POLICY_CONFIDENCE_FLOOR
-from repro.policies.base import Policy
+from repro.policies.base import AsmPolicy, Policy
 from repro.policies.partition import lookahead_partition
 
 
-class AsmQosPolicy(Policy):
+class AsmQosPolicy(AsmPolicy):
     name = "asm-qos"
 
     def __init__(self, asm: AsmModel, target_core: int, slowdown_bound: float) -> None:
-        super().__init__()
+        super().__init__(asm)
         if slowdown_bound < 1.0:
             raise ValueError("a slowdown bound below 1.0 is unsatisfiable")
-        self.asm = asm
         self.target_core = target_core
         self.slowdown_bound = slowdown_bound
         self.last_allocation: Optional[List[int]] = None
-        # Quanta where degraded telemetry suppressed a repartition.
-        self.skipped_reallocations = 0
 
     def attach(self, system: System) -> None:
-        if self.asm.system is not system:
-            raise ValueError("the AsmModel must be attached to the same system")
         if not 0 <= self.target_core < system.config.num_cores:
             raise ValueError("target core out of range")
         super().attach(system)
 
     def on_quantum_end(self) -> None:
         assert self.system is not None
-        if any(
-            s.confidence < POLICY_CONFIDENCE_FLOOR for s in self.asm.last_quantum
-        ):
-            # A QoS decision on polluted estimates could yank ways from the
-            # protected application; keep the previous partition.
-            self.skipped_reallocations += 1
-            self.trace("skip", reason="low-confidence")
+        # A QoS decision on polluted estimates could yank ways from the
+        # protected application; keep the previous partition.
+        if self.low_confidence():
             return
         total_ways = self.system.config.llc.associativity
         others = [c for c in range(self.num_cores) if c != self.target_core]

@@ -39,9 +39,13 @@ class UcpPolicy(Policy):
     ) -> None:
         self.monitors[core].access(line_addr)
 
+    def _curves(self) -> List[List[float]]:
+        """Each application's utility curve for this quantum."""
+        return [monitor.utility_curve() for monitor in self.monitors]
+
     def on_quantum_end(self) -> None:
         assert self.system is not None
-        curves = [monitor.utility_curve() for monitor in self.monitors]
+        curves = self._curves()
         allocation = lookahead_partition(
             curves, self.system.config.llc.associativity
         )

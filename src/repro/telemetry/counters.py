@@ -47,23 +47,48 @@ FLAG_DELAYED = "delayed-read"
 FLAG_EPOCH_GLITCH = "epoch-ownership-glitch"
 
 
-class CounterVec:
-    """One per-core hardware counter the model increments itself."""
+class _GuardedCounter:
+    """The guarded read path shared by :class:`CounterVec` and
+    :class:`ExternalSample`: one per-core counter's width fault, read
+    index, read fault and stale value."""
 
-    __slots__ = ("name", "kind", "values", "_bank", "_narrow", "_stale", "_reads")
+    __slots__ = ("name", "kind", "_bank", "_narrow", "_stale", "_reads")
 
     def __init__(self, bank: "CounterBank", name: str, kind: str) -> None:
         self.name = name
         self.kind = kind
         self._bank = bank
         n = bank.num_cores
-        self.values: List[int] = [0] * n
         self._narrow = bank.narrow_cores(name)
         # Last width-faulted value each core's telemetry path sampled
         # (what a delayed read replays) and a per-core read index so every
         # read site draws an independent fault coin.
         self._stale: List[Number] = [0] * n
         self._reads = [0] * n
+
+    def _finish(self, core: int, value: Number) -> Number:
+        bank = self._bank
+        if bank.spec is None:
+            return value
+        if self._narrow is not None and self._narrow[core]:
+            value = bank.apply_width_fault(value, core, self.name)
+        index = self._reads[core]
+        self._reads[core] = index + 1
+        out = bank.apply_read_fault(
+            value, core, self.name, self.kind, self._stale[core], index
+        )
+        self._stale[core] = value
+        return out
+
+
+class CounterVec(_GuardedCounter):
+    """One per-core hardware counter the model increments itself."""
+
+    __slots__ = ("values",)
+
+    def __init__(self, bank: "CounterBank", name: str, kind: str) -> None:
+        super().__init__(bank, name, kind)
+        self.values: List[int] = [0] * bank.num_cores
 
     # -- write path (hot) ----------------------------------------------
     def add(self, core: int, amount: int = 1) -> None:
@@ -84,19 +109,7 @@ class CounterVec:
 
     # -- guarded read path ---------------------------------------------
     def read(self, core: int) -> Number:
-        value: Number = self.values[core]
-        bank = self._bank
-        if bank.spec is None:
-            return value
-        if self._narrow is not None and self._narrow[core]:
-            value = bank.apply_width_fault(value, core, self.name)
-        index = self._reads[core]
-        self._reads[core] = index + 1
-        out = bank.apply_read_fault(
-            value, core, self.name, self.kind, self._stale[core], index
-        )
-        self._stale[core] = value
-        return out
+        return self._finish(core, self.values[core])
 
     def reset(self) -> None:
         """Zero the counters in place (aliased ``values`` lists stay live)."""
@@ -105,7 +118,7 @@ class CounterVec:
             values[core] = 0
 
 
-class ExternalSample:
+class ExternalSample(_GuardedCounter):
     """A simulator-owned counter sampled through the bank.
 
     ``reader(core)`` fetches the raw value; models register the reader in
@@ -113,8 +126,7 @@ class ExternalSample:
     counters) or :meth:`rebase`/:meth:`delta` (cumulative counters like
     the controller's queueing cycles)."""
 
-    __slots__ = ("name", "kind", "_bank", "_reader", "_narrow", "_base",
-                 "_stale", "_reads")
+    __slots__ = ("_reader", "_base")
 
     def __init__(
         self,
@@ -123,15 +135,9 @@ class ExternalSample:
         reader: Callable[[int], Number],
         kind: str,
     ) -> None:
-        self.name = name
-        self.kind = kind
-        self._bank = bank
+        super().__init__(bank, name, kind)
         self._reader = reader
-        self._narrow = bank.narrow_cores(name)
-        n = bank.num_cores
-        self._base: List[Number] = [0] * n
-        self._stale: List[Number] = [0] * n
-        self._reads = [0] * n
+        self._base: List[Number] = [0] * bank.num_cores
 
     def rebase(self) -> None:
         """Snapshot the raw values as the new delta baseline.
@@ -146,20 +152,6 @@ class ExternalSample:
 
     def delta(self, core: int) -> Number:
         return self._finish(core, self._reader(core) - self._base[core])
-
-    def _finish(self, core: int, value: Number) -> Number:
-        bank = self._bank
-        if bank.spec is None:
-            return value
-        if self._narrow is not None and self._narrow[core]:
-            value = bank.apply_width_fault(value, core, self.name)
-        index = self._reads[core]
-        self._reads[core] = index + 1
-        out = bank.apply_read_fault(
-            value, core, self.name, self.kind, self._stale[core], index
-        )
-        self._stale[core] = value
-        return out
 
 
 class CounterBank:

@@ -2,6 +2,8 @@
 
 import inspect
 
+import pytest
+
 from repro.cli import DESCRIPTIONS, EXPERIMENTS, Driver, build_parser, main
 
 
@@ -132,6 +134,35 @@ def test_parser_accepts_retry_flags():
     assert args.max_retries == 2
     assert args.retry_backoff == 0.01
     assert args.cell_budget == 5.0
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--mixes", "-2"),
+        ("--quanta", "-1"),
+        ("--workers", "0"),
+        ("--wall-clock-budget", "-1"),
+        ("--wall-clock-budget", "0"),
+        ("--cell-budget", "0"),
+        ("--max-retries", "-1"),
+        ("--retry-backoff", "-0.5"),
+    ],
+)
+def test_parser_rejects_out_of_range_numbers(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["db", flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}: must be" in capsys.readouterr().err
+
+
+def test_parser_accepts_boundary_numbers():
+    args = build_parser().parse_args(
+        ["db", "--mixes", "0", "--quanta", "0", "--workers", "1",
+         "--max-retries", "0", "--retry-backoff", "0"]
+    )
+    assert (args.mixes, args.quanta, args.workers) == (0, 0, 1)
+    assert (args.max_retries, args.retry_backoff) == (0, 0.0)
 
 
 def test_list_includes_campaign_verbs(capsys):

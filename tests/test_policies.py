@@ -82,6 +82,29 @@ def test_asm_cache_requires_attached_model(quick_config, mixed_mix):
         policy.attach(system)
 
 
+@pytest.mark.parametrize(
+    "make_policy",
+    [
+        AsmCachePolicy,
+        AsmMemPolicy,
+        AsmCacheMemPolicy,
+        lambda asm: AsmQosPolicy(asm, 0, 2.0),
+    ],
+    ids=["asm-cache", "asm-mem", "asm-cache-mem", "asm-qos"],
+)
+def test_asm_policy_rejects_model_of_another_system(
+    quick_config, mixed_mix, make_policy
+):
+    config = dataclasses.replace(quick_config, num_cores=4)
+    asm = AsmModel()
+    asm.attach(System(config, mixed_mix.traces()))
+    system = System(config, mixed_mix.traces())
+    listeners = list(system.quantum_listeners)
+    with pytest.raises(ValueError, match="attached to the same system"):
+        make_policy(asm).attach(system)
+    assert system.quantum_listeners == listeners
+
+
 def test_mcfq_partitions(quick_config, mixed_mix):
     system, _, policy = _system_with(
         lambda asm: McfqPolicy(), quick_config, mixed_mix

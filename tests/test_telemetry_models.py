@@ -22,6 +22,9 @@ from repro.harness.system import System
 from repro.models.asm import AsmModel
 from repro.models.base import POLICY_CONFIDENCE_FLOOR
 from repro.policies.asm_cache import AsmCachePolicy
+from repro.policies.asm_mem import AsmMemPolicy
+from repro.policies.combined import AsmCacheMemPolicy
+from repro.policies.qos import AsmQosPolicy
 from repro.resilience import Campaign, replay_failure
 from repro.resilience.campaign import result_from_json, result_to_json
 from repro.resilience.inject import InjectedFault, TraceFaultMix
@@ -194,6 +197,33 @@ def test_policy_reallocates_normally_without_faults(config, mix):
         system.run_quantum()
     assert policy.skipped_reallocations == 0
     assert policy.last_allocation is not None
+
+
+@pytest.mark.parametrize(
+    "make_policy",
+    [AsmMemPolicy, lambda asm: AsmQosPolicy(asm, 0, 2.0), AsmCacheMemPolicy],
+    ids=["asm-mem", "asm-qos", "asm-cache-mem"],
+)
+def test_asm_policy_counts_each_low_confidence_skip(config, mix, make_policy):
+    spec = TelemetrySpec(fault_class="dropped_read", rate=0.9)
+    system = System(
+        dataclasses.replace(config, num_cores=mix.num_cores),
+        mix.traces(),
+        seed=mix.seed,
+        telemetry=spec,
+    )
+    asm = AsmModel(sampled_sets=16)
+    asm.attach(system)
+    policy = make_policy(asm)
+    policy.attach(system)
+    low_quanta = 0
+    for _ in range(3):
+        system.run_quantum()
+        low_quanta += any(
+            s.confidence < POLICY_CONFIDENCE_FLOOR for s in asm.last_quantum
+        )
+    assert low_quanta > 0
+    assert policy.skipped_reallocations == low_quanta
 
 
 # ---------------------------------------------------------------------------
