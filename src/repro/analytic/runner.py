@@ -16,9 +16,9 @@ unchanged:
 * ``instructions`` / ``shared_ipc`` — extrapolated from the converged
   CPI over each quantum.
 
-Analytic cells need **no alone profiles** — the alone fixed point is
-part of the math — which is why the plan step of :mod:`repro.parallel`
-collects no alone profiles for an analytic cell.
+Analytic cells need **no alone runs** — the alone fixed point is part of
+the math — which is why :mod:`repro.parallel` hands an analytic cell no
+alone prefixes and its attempt simulates none.
 """
 
 from __future__ import annotations

@@ -11,17 +11,19 @@ invert it over each shared quantum's instruction span:
 
     actual_slowdown(q) = Q / alone_cycles(inst_begin(q) .. inst_end(q))
 
-Alone runs are memoised in :class:`AloneRunCache` because one alone profile
-serves every model, policy and scheduler evaluated on the same workload.
+Alone runs are memoised in :class:`AloneRunCache`, one serving every model,
+policy and scheduler evaluated on the same workload, and lazy: each quantum
+boundary extends them only as far as the instructions committed.
 """
 
 from __future__ import annotations
 
 import bisect
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.harness.system import System
@@ -40,6 +42,8 @@ SchedulerFactory = Callable[[], Scheduler]
 # A policy factory receives the system's attached models by name so policies
 # can share a model instance (ASM-Cache and ASM-Mem both consume AsmModel).
 PolicyFactory = Callable[[Dict[str, SlowdownModel]], "object"]
+#: Cycles between an alone run's instruction checkpoints.
+CHECKPOINT_INTERVAL = 2000
 
 
 @dataclass
@@ -91,37 +95,71 @@ class AloneProfile:
         return self.time_at(inst_end) - self.time_at(inst_begin)
 
 
+def _checkpoints(trace, config: SystemConfig, interval: int) -> Iterator[int]:
+    """Instructions one application alone on the platform (full cache, no
+    co-runners, no epoch prioritisation) has committed at each
+    ``interval`` cycles, simulated one checkpoint per step."""
+    system = System(
+        dataclasses.replace(config, num_cores=1), [trace], enable_epochs=False
+    )
+    time = 0
+    while True:
+        time += interval
+        system.run_until(time)
+        yield system.cores[0].committed_instructions(time)
+
+
+def _covers(profile: AloneProfile, cycles: int, instruction: float) -> bool:
+    """Whether ``profile`` answers ``time_at(instruction)`` as its whole
+    leg of ``cycles`` would: once its last checkpoint reaches
+    ``instruction`` (interpolation reads no later checkpoint), or once it
+    is the whole leg, in whole intervals (extrapolation)."""
+    insts = profile.instructions
+    whole = len(insts) * profile.checkpoint_interval >= cycles
+    return whole or bool(insts) and insts[-1] >= instruction
+
+
 def run_alone(
     trace,
     config: SystemConfig,
     cycles: int,
-    checkpoint_interval: int = 2000,
+    checkpoint_interval: int = CHECKPOINT_INTERVAL,
 ) -> AloneProfile:
-    """Simulate one application alone on the platform (full cache, no
-    co-runners, no epoch prioritisation — there is nobody to prioritise
-    against) and record its cycle/instruction profile."""
-    alone_config = dataclasses.replace(config, num_cores=1)
-    system = System(alone_config, [trace], enable_epochs=False)
-    instructions: List[int] = []
-    time = 0
-    while time < cycles:
-        time = min(time + checkpoint_interval, cycles)
-        system.run_until(time)
-        instructions.append(system.cores[0].committed_instructions(time))
-    return AloneProfile(checkpoint_interval, instructions)
+    """Simulate one application alone on the platform for ``cycles``,
+    rounded up to whole checkpoint intervals, and record its
+    cycle/instruction profile."""
+    run = _checkpoints(trace, config, checkpoint_interval)
+    count = -(-cycles // checkpoint_interval)
+    return AloneProfile(checkpoint_interval, list(itertools.islice(run, count)))
+
+
+def alone_cap(config: SystemConfig, quanta: int) -> int:
+    """The length cap, in cycles, of the alone legs of a ``quanta``-quantum
+    run: one quantum beyond the run."""
+    return (quanta + 1) * config.quantum_cycles
 
 
 class AloneRunCache:
-    """Memoises alone profiles keyed by (trace identity, config, length).
+    """Memoises alone legs keyed by (trace identity, config, length cap).
 
-    Tracks how it was used: ``hits`` (served from memory), ``misses``
-    (computed via :func:`run_alone`) and ``store_hits`` (loaded from a
-    persistent backing store, where one exists). :meth:`summary` renders a
+    :meth:`get` extends a leg, in whole checkpoints, only until it answers
+    the instruction asked for as the whole leg would. A live leg resumes
+    its one-core run; a prefix simulated elsewhere (``stored``, or a
+    persistent store) that falls short is re-simulated from cycle 0, which
+    repeats it exactly.
+
+    Tracks how it was used: ``hits`` (served from memory, extending a live
+    leg included), ``misses`` (simulated from cycle 0) and ``store_hits``
+    (served by a prefix simulated elsewhere). :meth:`summary` renders a
     one-line account for campaign reports.
     """
 
-    def __init__(self) -> None:
+    def __init__(
+        self, stored: Optional[Mapping[tuple, AloneProfile]] = None
+    ) -> None:
         self._profiles: Dict[tuple, AloneProfile] = {}
+        self._live: Dict[tuple, Iterator[int]] = {}
+        self._stored = dict(stored or {})
         self.hits = 0
         self.misses = 0
         self.store_hits = 0
@@ -145,59 +183,105 @@ class AloneRunCache:
     ) -> tuple:
         return (mix.specs[core], mix.seed, core, cls._config_key(config), cycles)
 
+    def _load(self, key: tuple) -> Optional[AloneProfile]:
+        """A prefix of leg ``key`` simulated elsewhere, or ``None``. Only
+        a live leg's profile grows, so a loaded one is shared as is."""
+        return self._stored.get(key)
+
+    def known(
+        self, mix: WorkloadMix, config: SystemConfig, quanta: int
+    ) -> Dict[tuple, AloneProfile]:
+        """The prefixes held here of the alone legs of a ``quanta``-quantum
+        run of ``mix``, by key; simulates and counts nothing."""
+        cap = alone_cap(config, quanta)
+        known = {}
+        for core in range(mix.num_cores):
+            key = self._key(mix, core, config, cap)
+            profile = self._profiles.get(key) or self._load(key)
+            if profile is not None:
+                known[key] = profile
+        return known
+
+    def _reuse(
+        self, key: tuple, cycles: int, instruction: float
+    ) -> Optional[AloneProfile]:
+        """The known prefix of leg ``key``, counted as a hit, if it covers
+        ``instruction``; otherwise ``None``, counted as a miss."""
+        profile = self._profiles.get(key)
+        stored = profile is None
+        if stored:
+            profile = self._load(key)
+        if profile is None or not _covers(profile, cycles, instruction):
+            self.misses += 1
+            return None
+        if stored:
+            self.store_hits += 1
+            self._profiles[key] = profile
+        else:
+            self.hits += 1
+        return profile
+
+    def _lookup(
+        self,
+        mix: WorkloadMix,
+        core: int,
+        config: SystemConfig,
+        cycles: int,
+        instruction: float,
+    ) -> Tuple[tuple, AloneProfile, bool]:
+        """:meth:`get`'s work: (key, profile, whether it grew)."""
+        key = self._key(mix, core, config, cycles)
+        run = self._live.get(key)
+        if run is None:
+            known = self._reuse(key, cycles, instruction)
+            if known is not None:
+                return key, known, False
+            run = self._live[key] = _checkpoints(
+                mix.trace_for_core(core), config, CHECKPOINT_INTERVAL
+            )
+            self._profiles[key] = AloneProfile(CHECKPOINT_INTERVAL, [])
+        else:
+            self.hits += 1
+        profile = self._profiles[key]
+        grew = not _covers(profile, cycles, instruction)
+        while not _covers(profile, cycles, instruction):
+            profile.instructions.append(next(run))
+        return key, profile, grew
+
     def get(
         self,
         mix: WorkloadMix,
         core: int,
         config: SystemConfig,
         cycles: int,
+        instruction: float = math.inf,
     ) -> AloneProfile:
-        key = self._key(mix, core, config, cycles)
-        profile = self._profiles.get(key)
-        if profile is None:
-            self.misses += 1
-            profile = run_alone(mix.trace_for_core(core), config, cycles)
-            self._profiles[key] = profile
-        else:
-            self.hits += 1
-        return profile
+        """The alone profile of ``mix``'s app on ``core``, capped at
+        ``cycles``, simulated until it answers ``time_at(instruction)``
+        as the whole leg would (by default, the whole leg)."""
+        return self._lookup(mix, core, config, cycles, instruction)[1]
 
-    def peek(
-        self,
-        mix: WorkloadMix,
-        core: int,
-        config: SystemConfig,
-        cycles: int,
-    ) -> Optional[AloneProfile]:
-        """The cached profile, or ``None`` — never computes one."""
-        return self._profiles.get(self._key(mix, core, config, cycles))
+    def keep(self, key: tuple, profile: AloneProfile) -> bool:
+        """Account one run's use of leg ``key``, which another cache left
+        at ``profile``, and keep ``profile`` if it is longer than the
+        prefix known here. Returns whether it was kept."""
+        # The known prefix is as long when it covers a leg of profile's length.
+        length = len(profile.instructions) * profile.checkpoint_interval
+        if self._reuse(key, length, math.inf) is not None:
+            return False
+        self._profiles[key] = profile
+        self._live.pop(key, None)
+        return True
 
-    def seed_profile(
-        self,
-        mix: WorkloadMix,
-        core: int,
-        config: SystemConfig,
-        cycles: int,
-        profile: AloneProfile,
-    ) -> None:
-        """Install a profile computed elsewhere (e.g. a worker process)."""
-        self._profiles[self._key(mix, core, config, cycles)] = profile
-
-    def absorb(self, entries) -> None:
-        """Pre-seed with (key, profile) pairs exported by another cache."""
-        for key, profile in entries:
-            self._profiles[key] = profile
-
-    @property
-    def lookups(self) -> int:
-        """Total profile lookups: hits + misses by construction."""
-        return self.hits + self.misses
+    def prefixes(self) -> List[Tuple[tuple, AloneProfile]]:
+        """(key, profile) of every leg asked for, in the order first asked."""
+        return list(self._profiles.items())
 
     def stats(self) -> Dict[str, int]:
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "lookups": self.lookups,
+            "lookups": self.hits + self.misses,
             "store_hits": self.store_hits,
             "entries": len(self._profiles),
         }
@@ -422,13 +506,9 @@ def run_workload(
         checker.attach()
     watchdog = QuantumWatchdog(wall_clock_budget_s)
 
-    total_cycles = quanta * config.quantum_cycles
+    cap = alone_cap(config, quanta)
     # Explicit None check: an empty AloneRunCache is falsy (len == 0).
     cache = alone_cache if alone_cache is not None else AloneRunCache()
-    profiles = [
-        cache.get(mix, core, config, total_cycles + config.quantum_cycles)
-        for core in range(mix.num_cores)
-    ]
 
     records: List[QuantumRecord] = []
     prev_instructions = [0] * mix.num_cores
@@ -459,7 +539,8 @@ def run_workload(
             if done <= 0:
                 actual.append(float("nan"))
                 continue
-            alone_cycles = profiles[core].cycles_for_span(
+            profile = cache.get(mix, core, config, cap, instructions[core])
+            alone_cycles = profile.cycles_for_span(
                 prev_instructions[core], instructions[core]
             )
             if alone_cycles <= 0 or not math.isfinite(alone_cycles):

@@ -6,21 +6,20 @@ recipe for its slowdown models. Every batch of cells — a
 round — goes through the same three steps:
 
 1. **Plan** — each cell's store key is computed; cells already in the
-   checkpoint store are resumed (``resume``). The alone-run profiles the
-   rest need are collected once each, from the campaign's alone-run cache
-   or store, or computed (in the pool when ``workers > 1``) and persisted.
-   One cache lookup counts per (cell, core), so the summary's cache
-   statistics are the same at any worker count. A profile that fails to
-   compute is left out; the cell's attempt recomputes it and fails
-   through the retry path.
+   checkpoint store are resumed (``resume``). The rest are handed the
+   prefixes of their alone legs that the campaign's alone-run cache or
+   store already holds; the plan step simulates nothing.
 2. **Attempt** — :func:`_attempt` runs one cell once. It is the only place
    that chooses between :func:`~repro.analytic.runner.run_analytic` and
    :func:`~repro.harness.runner.run_workload`, by the cell's
    ``config.engine`` (its fidelity tier; nothing else in a cell names
-   one), and it returns a picklable payload: the result, or the
+   one). It runs an event cell's alone legs too, from the prefixes handed
+   in and only as far as the shared run reads them, and returns a
+   picklable payload: the result and the legs' prefixes, or the
    exception's type/message/traceback/diagnosis.
-3. **Settle** — a result is persisted and counted. A failure feeds the
-   circuit breaker, then is retried under the campaign's
+3. **Settle** — a result is persisted and counted, and so is each alone
+   leg's use; a prefix longer than the campaign's is kept. A failure
+   feeds the circuit breaker, then is retried under the campaign's
    :class:`~repro.durability.retry.RetryPolicy` (attempts left, circuit
    closed, per-cell wall-clock budget not exhausted; deterministic backoff
    before the next attempt) or given up: a replayable
@@ -31,10 +30,12 @@ round — goes through the same three steps:
 backs off and spends its budget before the next one starts. A pool run
 attempts all pending cells of a round across a
 :class:`~concurrent.futures.ProcessPoolExecutor` and settles them **in
-submission order**, so it commits the same records, and surveys accumulate
-floats in the same order, as a serial run — ``workers=N`` is bit-identical
-to ``workers=1``. A cell that needed a retry commits in a later round than
-its neighbours, so the pool's *store append order* can then differ; the
+submission order**, so it commits the same records, alone prefixes
+included, counts the same alone-run cache uses, and surveys accumulate
+floats in the same order, as a serial run — ``workers=N`` is
+bit-identical to ``workers=1``. A cell that needed a retry settles in a
+later round than its neighbours, so the pool's *store append order*, and
+which of two cells sharing an alone leg extends it, can then differ; the
 store is keyed last-record-wins and results stay bit-identical.
 
 A serial give-up without ``keep_going`` re-raises the original exception;
@@ -54,9 +55,9 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import time
 import traceback as _traceback
-from collections import Counter
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
@@ -80,7 +81,6 @@ from repro.harness.runner import (
     AloneRunCache,
     ModelFactory,
     RunResult,
-    run_alone,
     run_workload,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -91,11 +91,6 @@ from repro.workloads.mixes import WorkloadMix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.resilience.campaign import Campaign
-
-#: An alone-run cache key (see AloneRunCache._key) and one worker task.
-ProfileKey = Tuple[Any, ...]
-ProfileTask = Tuple[WorkloadMix, int, SystemConfig, int]
-
 
 @dataclass(frozen=True)
 class CellSpec:
@@ -147,22 +142,12 @@ def _error_payload(exc: BaseException) -> Dict[str, Any]:
     }
 
 
-def _profile_worker(task: ProfileTask) -> Dict[str, Any]:
-    """Compute one alone-run profile: (mix, core, config, cycles)."""
-    mix, core, config, cycles = task
-    try:
-        profile = run_alone(mix.trace_for_core(core), config, cycles)
-        return {"ok": True, "profile": profile}
-    except Exception as exc:  # noqa: BLE001 - isolated and reported
-        return {"ok": False, **_error_payload(exc)}
-
-
 @dataclass(frozen=True)
 class _CellTask:
     """Everything an attempt needs to run one cell, fully picklable."""
 
     spec: CellSpec
-    profiles: Tuple[Tuple[ProfileKey, AloneProfile], ...]
+    prefixes: Dict[Tuple[Any, ...], AloneProfile]  # known alone-leg prefixes
     check_invariants: bool
     wall_clock_budget_s: Optional[float]
     profile: bool = False
@@ -174,22 +159,23 @@ def _attempt(
     """Run one cell once; the only place that picks the fidelity tier.
 
     ``run_kwargs`` are the in-process ``run_workload`` arguments of a
-    :meth:`Campaign.run_mix` call. A failure's payload also holds the
-    exception itself under ``"exc"``, for a serial give-up to re-raise.
-    A profiled cell's payload adds its wall seconds and its shared-run
-    engine events, read from the registry its quanta were snapshotted
-    into (an analytic cell simulates none).
+    :meth:`Campaign.run_mix` call. An event cell's payload holds the
+    prefixes its alone legs reached under ``"alone"``; a failure's holds
+    the exception itself under ``"exc"``, for a serial give-up to
+    re-raise. A profiled cell's payload adds its wall seconds, alone legs
+    included, and its shared-run engine events, read from the registry
+    its quanta were snapshotted into (an analytic cell simulates none).
     """
     spec = task.spec
     run_metrics: Optional[MetricsRegistry] = None
+    cache: Optional[AloneRunCache] = None
     start = perf_counter()
     try:
         if spec.config.engine == "analytic":
             # Closed form: no System, scheduler, telemetry or alone runs.
             result = run_analytic(spec.mix, spec.config, quanta=spec.quanta)
         else:
-            cache = AloneRunCache()
-            cache.absorb(task.profiles)
+            cache = AloneRunCache(task.prefixes)
             kwargs: Dict[str, Any] = dict(run_kwargs or {})
             factories = build_model_factories(spec)
             if factories is not None:
@@ -211,6 +197,8 @@ def _attempt(
     except Exception as exc:  # noqa: BLE001 - isolated and reported
         return {"ok": False, "exc": exc, **_error_payload(exc)}
     payload: Dict[str, Any] = {"ok": True, "result": result}
+    if cache is not None:
+        payload["alone"] = cache.prefixes()
     if task.profile:
         payload["wall_s"] = perf_counter() - start
         payload["events"] = (
@@ -225,9 +213,12 @@ def _attempt(
 
 def _cell_worker(task: _CellTask) -> Dict[str, Any]:
     """The pool's attempt: the exception object stays in the worker,
-    since it need not pickle."""
+    since it need not pickle. Its systems are reference cycles; collected
+    before the next cell, a worker's peak memory stays the same whichever
+    cells the pool hands it."""
     payload = _attempt(task)
     payload.pop("exc", None)
+    gc.collect()
     return payload
 
 
@@ -303,58 +294,6 @@ def _failure_from_payload(
     )
 
 
-def _alone_cycles(cell: CellSpec) -> int:
-    # Must match run_workload: profiles cover one quantum beyond the run.
-    return (cell.quanta + 1) * cell.config.quantum_cycles
-
-
-def _collect_profiles(
-    campaign: "Campaign", cells: Sequence[CellSpec], workers: int
-) -> List[Tuple[Tuple[ProfileKey, AloneProfile], ...]]:
-    """Plan step: each cell's alone profiles, one lookup per (cell, core).
-
-    A key's first use is a lookup in the campaign's cache (a memory hit, a
-    store hit, or a computed miss); every later use in the batch is a hit.
-    Analytic cells need none: the alone leg is part of the closed form.
-    """
-    cache = campaign.alone_cache()
-    cell_keys: List[List[ProfileKey]] = []
-    needed: Dict[ProfileKey, ProfileTask] = {}
-    for cell in cells:
-        keys: List[ProfileKey] = []
-        if cell.config.engine != "analytic":
-            cycles = _alone_cycles(cell)
-            for core in range(cell.mix.num_cores):
-                key = AloneRunCache._key(cell.mix, core, cell.config, cycles)
-                keys.append(key)
-                needed.setdefault(key, (cell.mix, core, cell.config, cycles))
-        cell_keys.append(keys)
-
-    have: Dict[ProfileKey, AloneProfile] = {}
-    missing: List[ProfileKey] = []
-    for key, task in needed.items():
-        store_hits_before = cache.store_hits
-        profile = cache.peek(*task)
-        if profile is None:
-            missing.append(key)
-            continue
-        have[key] = profile
-        if cache.store_hits == store_hits_before:
-            cache.hits += 1  # persistent peek counts store hits itself
-    outcomes = _map(_profile_worker, [needed[key] for key in missing], workers)
-    for key, (kind, value) in zip(missing, outcomes):
-        if kind == "ok" and value["ok"]:
-            have[key] = value["profile"]
-            cache.misses += 1
-            cache.seed_profile(*needed[key], value["profile"])
-    uses = Counter(key for keys in cell_keys for key in keys if key in have)
-    cache.hits += sum(uses.values()) - len(uses)
-    return [
-        tuple((key, have[key]) for key in keys if key in have)
-        for keys in cell_keys
-    ]
-
-
 @dataclass
 class _Pending:
     """A planned cell between its first attempt and its settlement."""
@@ -381,6 +320,9 @@ def _settle(
     spec = cell.task.spec
     cell.attempts += 1
     if payload["ok"]:
+        cache = campaign.alone_cache()
+        for key, prefix in payload.get("alone", ()):
+            cache.keep(key, prefix)
         cell.result = payload["result"]
         if campaign.store is not None:
             campaign.store.put_run(cell.key, result_to_json(payload["result"]))
@@ -421,7 +363,7 @@ def _run_batch(
     the in-process ``run_workload`` arguments of a :meth:`Campaign.run_mix`
     call — reach each of them; with more, the attempts run in the pool.
     """
-    # Plan: resume stored cells, collect the rest's alone profiles.
+    # Plan: resume stored cells, hand the rest their known alone prefixes.
     results: List[Optional[RunResult]] = [None] * len(cells)
     planned: List[Tuple[int, str]] = []
     for i, spec in enumerate(cells):
@@ -439,16 +381,19 @@ def _run_batch(
         else:
             results[i] = result_from_json(stored, spec.config)
             campaign.resumed += 1
-    profiles = _collect_profiles(campaign, [cells[i] for i, _ in planned], workers)
+    cache = campaign.alone_cache()
     pending = [
         _Pending(i, key, _CellTask(
             spec=cells[i],
-            profiles=cell_profiles,
+            # An analytic cell's alone leg is closed form.
+            prefixes={} if cells[i].config.engine == "analytic" else cache.known(
+                cells[i].mix, cells[i].config, cells[i].quanta
+            ),
             check_invariants=campaign.check_invariants,
             wall_clock_budget_s=campaign.wall_clock_budget_s,
             profile=campaign.profile,
         ))
-        for (i, key), cell_profiles in zip(planned, profiles)
+        for i, key in planned
     ]
 
     # Attempt and settle in rounds: each round attempts every unsettled
@@ -497,8 +442,8 @@ def run_cells(
 
     Returns one entry per cell, in order: the :class:`RunResult`, or
     ``None`` for cells whose failure was captured by ``keep_going``.
-    Results and campaign counters are the same at any ``workers``, and so
-    are stores, up to the append order of retried cells.
+    Results are the same at any ``workers``, and so are campaign counters
+    and stores, up to the settle order of retried cells.
     """
     if workers > 1:
         return _run_batch(campaign, cells, workers)

@@ -5,14 +5,15 @@ Every completed run is persisted as one JSON line under
 ``results/.campaign/<experiment>/`` keyed by (experiment, variant, mix
 name, mix seed, config fingerprint, quanta), so an interrupted campaign
 resumes without recomputing finished mixes — resumed results deserialize
-to the exact values the original run produced. The (expensive) alone-run
-profiles are persisted the same way and shared across resumes.
+to the exact values the original run produced. The (expensive) alone runs
+are persisted the same way, as the prefixes the runs read, and shared
+across resumes: a later run that reads further re-simulates one.
 
 Store layout::
 
     results/.campaign/<experiment>/
         runs.jsonl       completed per-mix results, one JSON object per line
-        alone.jsonl      memoised alone-run profiles
+        alone.jsonl      alone-run prefixes (the longest is the last)
         failures.jsonl   captured RunFailure records (replayable)
         metrics.jsonl    per-quantum metrics snapshots (``--profile``)
         degraded.jsonl   DegradedCell records (supervisor gave up)
@@ -36,6 +37,7 @@ structured :class:`~repro.durability.retry.DegradedCell` record.
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -51,7 +53,6 @@ from repro.harness.runner import (
     AloneRunCache,
     QuantumRecord,
     RunResult,
-    run_alone,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.resilience.faults import (
@@ -141,7 +142,7 @@ class CellTiming:
     mix: str
     variant: str
     quanta: int
-    wall_s: float
+    wall_s: float  # the cell's attempt, alone runs included
     events: int  # shared-run engine events
 
     @property
@@ -206,7 +207,8 @@ class CampaignStore:
         record = {
             "key": key,
             "interval": profile.checkpoint_interval,
-            "instructions": profile.instructions,
+            # A copy: a live leg's profile keeps growing after it is put.
+            "instructions": list(profile.instructions),
         }
         self._alone[key] = record
         self._append(self._alone_path, record)
@@ -257,11 +259,15 @@ class CampaignStore:
 
 
 class PersistentAloneRunCache(AloneRunCache):
-    """An :class:`AloneRunCache` that writes through to a campaign store."""
+    """An :class:`AloneRunCache` over a campaign store: prefixes it does
+    not hold are read from the store, and longer ones written back."""
 
     def __init__(self, store: CampaignStore) -> None:
         super().__init__()
         self._store = store
+
+    def _load(self, key: tuple) -> Optional[AloneProfile]:
+        return self._store.get_alone(stable_hash(key))
 
     def get(
         self,
@@ -269,52 +275,18 @@ class PersistentAloneRunCache(AloneRunCache):
         core: int,
         config: SystemConfig,
         cycles: int,
+        instruction: float = math.inf,
     ) -> AloneProfile:
-        key = self._key(mix, core, config, cycles)
-        profile = self._profiles.get(key)
-        if profile is None:
-            hashed = stable_hash(key)
-            profile = self._store.get_alone(hashed)
-            if profile is None:
-                self.misses += 1
-                profile = run_alone(mix.trace_for_core(core), config, cycles)
-                self._store.put_alone(hashed, profile)
-            else:
-                self.store_hits += 1
-            self._profiles[key] = profile
-        else:
-            self.hits += 1
+        key, profile, grew = self._lookup(mix, core, config, cycles, instruction)
+        if grew:
+            self._store.put_alone(stable_hash(key), profile)
         return profile
 
-    def peek(
-        self,
-        mix: WorkloadMix,
-        core: int,
-        config: SystemConfig,
-        cycles: int,
-    ) -> Optional[AloneProfile]:
-        key = self._key(mix, core, config, cycles)
-        profile = self._profiles.get(key)
-        if profile is None:
-            profile = self._store.get_alone(stable_hash(key))
-            if profile is not None:
-                self._profiles[key] = profile
-                self.store_hits += 1
-        return profile
-
-    def seed_profile(
-        self,
-        mix: WorkloadMix,
-        core: int,
-        config: SystemConfig,
-        cycles: int,
-        profile: AloneProfile,
-    ) -> None:
-        key = self._key(mix, core, config, cycles)
-        self._profiles[key] = profile
-        hashed = stable_hash(key)
-        if self._store.get_alone(hashed) is None:
-            self._store.put_alone(hashed, profile)
+    def keep(self, key: tuple, profile: AloneProfile) -> bool:
+        kept = super().keep(key, profile)
+        if kept:
+            self._store.put_alone(stable_hash(key), profile)
+        return kept
 
 
 class Campaign:

@@ -1,14 +1,23 @@
 """Tests for the parallel campaign execution layer (repro.parallel)."""
 
+import gc
 import pickle
 
 import pytest
 
 from repro.config import scaled_config
 from repro.experiments.common import survey_errors
-from repro.harness.runner import AloneProfile, AloneRunCache, run_workload
-from repro.parallel import CellSpec, WorkerRunError, run_cells
-from repro.resilience.campaign import Campaign
+from repro.harness import runner
+from repro.harness.runner import (
+    AloneProfile,
+    AloneRunCache,
+    alone_cap,
+    run_alone,
+    run_workload,
+)
+from repro.parallel import CellSpec, WorkerRunError, _CellTask, _cell_worker, run_cells
+from repro.resilience.campaign import Campaign, CampaignStore
+from repro.resilience.faults import stable_hash
 from repro.durability.retry import RetryPolicy
 from repro.resilience.inject import (
     InjectedFault,
@@ -169,6 +178,56 @@ def test_parallel_reuses_stored_alone_profiles(tmp_path):
     assert cache.misses == 0
 
 
+def _older_store(path, cell, checkpoints=None):
+    """A store holding ``cell``'s alone legs as an older version wrote
+    them: whole, or cut to their first ``checkpoints``."""
+    store = CampaignStore(path)
+    cap = alone_cap(cell.config, cell.quanta)
+    for core in range(cell.mix.num_cores):
+        whole = run_alone(cell.mix.trace_for_core(core), cell.config, cap)
+        key = AloneRunCache._key(cell.mix, core, cell.config, cap)
+        store.put_alone(stable_hash(key), AloneProfile(
+            whole.checkpoint_interval, whole.instructions[:checkpoints],
+        ))
+
+
+def test_older_whole_legs_resume_as_store_hits(tmp_path, monkeypatch):
+    cell = _cell(_mixes(1)[0], quanta=1)
+    [fresh] = Campaign("t", None).run_cells([cell])
+    _older_store(str(tmp_path), cell)
+    written = (tmp_path / "alone.jsonl").read_bytes()
+
+    def no_alone_runs(*args):
+        raise AssertionError("a stored whole leg was simulated again")
+
+    monkeypatch.setattr(runner, "_checkpoints", no_alone_runs)
+    campaign = Campaign("t", str(tmp_path))
+    [result] = campaign.run_cells([cell])
+    assert result.records == fresh.records
+    stats = campaign.alone_cache().stats()
+    assert (stats["store_hits"], stats["misses"]) == (cell.mix.num_cores, 0)
+    assert (tmp_path / "alone.jsonl").read_bytes() == written
+
+
+def test_short_stored_prefixes_are_resimulated(tmp_path):
+    cell = _cell(_mixes(1)[0], quanta=1)
+    fresh_dir, short_dir = str(tmp_path / "fresh"), str(tmp_path / "short")
+    [fresh] = Campaign("t", fresh_dir).run_cells([cell])
+    _older_store(short_dir, cell, checkpoints=2)
+    campaign = Campaign("t", short_dir)
+    [result] = campaign.run_cells([cell])
+    assert result.records == fresh.records
+    assert campaign.alone_cache().misses == cell.mix.num_cores
+    # Each leg is re-simulated from cycle 0 to the prefix a fresh run keeps.
+    fresh_store, short_store = CampaignStore(fresh_dir), CampaignStore(short_dir)
+    cap = alone_cap(cell.config, cell.quanta)
+    for core in range(cell.mix.num_cores):
+        key = stable_hash(AloneRunCache._key(cell.mix, core, cell.config, cap))
+        kept = short_store.get_alone(key)
+        assert kept == fresh_store.get_alone(key)
+        assert len(kept.instructions) > 2
+
+
 # ----------------------------------------------------------------------
 # Picklability of the payloads the pool ships around.
 
@@ -195,6 +254,19 @@ def test_cell_spec_is_picklable():
     clone = pickle.loads(pickle.dumps(cell))
     assert clone == cell
     assert clone.model_builder is benign_model_factories
+
+
+def test_pool_attempt_collects_its_systems():
+    # A worker's peak memory must not depend on which cells it ran
+    # before: the systems of one attempt are gone before the next starts.
+    task = _CellTask(_cell(_mixes(1)[0], quanta=1), {}, False, None)
+    gc.disable()
+    try:
+        payload = _cell_worker(task)
+        assert payload["ok"] and payload["alone"]
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------
@@ -309,11 +381,17 @@ def _alone_fault_cells():
 
 
 def _shared_profile_cells():
-    # Same seed, same app on core 0: the two cells share that profile.
+    # Same seed, same app on core 0: the two cells share that alone leg.
+    # The first cell reads further into it, so the second reuses its prefix.
     return [
         _cell(make_mix(["mcf", "bzip2"], seed=5), quanta=1),
         _cell(make_mix(["mcf", "lbm"], seed=5), quanta=1),
     ]
+
+
+def _shared_profile_cells_reversed():
+    # The shorter reader first: the second cell must extend the prefix.
+    return _shared_profile_cells()[::-1]
 
 
 def _exploding_neighbour_cells():
@@ -326,8 +404,10 @@ def _exploding_neighbour_cells():
 
 @pytest.mark.parametrize(
     "make_cells",
-    [_alone_fault_cells, _shared_profile_cells, _exploding_neighbour_cells],
-    ids=["alone-fault", "shared-profiles", "exploding-neighbour"],
+    [_alone_fault_cells, _shared_profile_cells, _shared_profile_cells_reversed,
+     _exploding_neighbour_cells],
+    ids=["alone-fault", "shared-profiles", "shared-profiles-reversed",
+         "exploding-neighbour"],
 )
 def test_serial_and_pool_keep_the_same_records(tmp_path, make_cells):
     def records(workers):

@@ -1,5 +1,6 @@
 """Tests for the run orchestration and ground-truth machinery."""
 
+import itertools
 import math
 
 import pytest
@@ -8,11 +9,12 @@ from repro.config import scaled_config
 from repro.harness.runner import (
     AloneProfile,
     AloneRunCache,
+    alone_cap,
     run_alone,
     run_workload,
 )
 from repro.models.asm import AsmModel
-from repro.workloads.mixes import make_mix
+from repro.workloads.mixes import WorkloadMix, make_mix
 
 
 def test_alone_profile_interpolation():
@@ -68,6 +70,60 @@ def test_run_alone_produces_monotone_profile():
         a <= b for a, b in zip(profile.instructions, profile.instructions[1:])
     )
     assert profile.instructions[-1] > 0
+
+
+def test_alone_leg_ends_on_a_whole_checkpoint():
+    # Two 3000-cycle quanta cap the legs at 9000 cycles, which is not a
+    # whole number of 2000-cycle checkpoints. time_at reads the last
+    # checkpoint as cycle 10000, so that is where it must be taken.
+    config = scaled_config(1).with_quantum(3000, 1000)
+    mix = make_mix(["mcf"], seed=1)
+    cap = alone_cap(config, 2)
+    assert cap == 9000
+    profile = run_alone(mix.trace_for_core(0), config, cap)
+    assert profile == run_alone(mix.trace_for_core(0), config, 10_000)
+    assert profile.time_at(profile.instructions[-1]) == 10_000
+    assert AloneRunCache().get(mix, 0, config, cap) == profile
+
+
+class StallingMix(WorkloadMix):
+    """A mix whose traces end early: its alone legs go flat."""
+
+    def trace_for_core(self, core):
+        return itertools.islice(super().trace_for_core(core), 300)
+
+
+@pytest.mark.parametrize("stalls", [False, True], ids=["running", "stalled"])
+def test_lazy_leg_answers_as_the_whole_leg(stalls):
+    config = scaled_config().with_quantum(20_000, 5_000)
+    mix = make_mix(["mcf"], seed=1)
+    if stalls:
+        mix = StallingMix(mix.name, mix.specs, mix.seed)
+    cap = 40_000
+    whole = run_alone(mix.trace_for_core(0), config, cap)
+    insts = whole.instructions
+    if stalls:
+        assert insts[-1] == insts[-2]  # the leg is flat by its cap
+    asks = [
+        insts[4] - 1,  # inside the prefix
+        insts[4],  # on a checkpoint
+        insts[9] + 1,
+        insts[-1],
+        insts[-1] + 1,  # past the cap: extrapolated
+        3 * insts[-1],
+    ]
+    live = AloneRunCache()
+    for ask in asks:
+        fresh = AloneRunCache().get(mix, 0, config, cap, ask)
+        extended = live.get(mix, 0, config, cap, ask)
+        for lazy in (fresh, extended):
+            assert lazy.instructions == insts[: len(lazy.instructions)]
+            assert lazy.time_at(ask) == whole.time_at(ask)
+            assert lazy.cycles_for_span(ask // 3, ask) == whole.cycles_for_span(
+                ask // 3, ask
+            )
+    assert len(AloneRunCache().get(mix, 0, config, cap, asks[0]).instructions) == 5
+    assert live.misses == 1 and live.hits == len(asks) - 1  # never restarted
 
 
 def test_alone_cache_reuses_profiles():
