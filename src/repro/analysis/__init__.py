@@ -1,12 +1,9 @@
-"""Post-processing: ASCII charts, paper targets, report assembly."""
+"""Post-processing: paper targets, report assembly."""
 
-from repro.analysis.ascii_chart import bar_chart, grouped_bar_chart
 from repro.analysis.paper_targets import PAPER_TARGETS, target_for
 from repro.analysis.report import build_report
 
 __all__ = [
-    "bar_chart",
-    "grouped_bar_chart",
     "PAPER_TARGETS",
     "target_for",
     "build_report",

@@ -220,8 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cell-budget", default=None,
                         type=_bounded(float, 0, strict=True),
                         metavar="SECONDS",
-                        help="give up retrying a cell once it has consumed "
-                             "this much wall-clock time")
+                        help="give up retrying a cell once its own "
+                             "attempts and backoffs took this much "
+                             "wall-clock time")
     parser.add_argument("--telemetry-faults", type=str, default="",
                         metavar="CLASS[:RATE]",
                         help="inject deterministic telemetry counter faults "
@@ -356,9 +357,6 @@ def main(argv=None) -> int:
     if args.profile and campaign.cell_timings:
         print("\ncell timings:")
         print(campaign.timing_table())
-    if campaign.degraded:
-        print("degraded cells:")
-        print(campaign.degraded_summary())
     if campaign.failures:
         print(campaign.failure_summary())
     if args.out:

@@ -12,8 +12,8 @@ Modules:
   (``REPRO_CHAOS``): self-SIGKILL at named crash points, injected
   ENOSPC/partial-write/slow-fsync;
 * :mod:`repro.durability.retry` — supervised retry
-  (:class:`RetryPolicy`), the per-cell :class:`CircuitBreaker`, and
-  :class:`DegradedCell` outcomes;
+  (:class:`RetryPolicy`) and the per-cell :class:`CircuitBreaker`; a
+  cell given up leaves one ``RunFailure`` with its attempts and reason;
 * :mod:`repro.durability.cli` — ``repro campaign verify|repair|compact``.
 
 Attribute access is lazy (PEP 562), matching :mod:`repro.resilience`:
@@ -49,7 +49,6 @@ _EXPORTS: Dict[str, str] = {
     "active_plan": "repro.durability.chaos",
     "set_plan": "repro.durability.chaos",
     "CircuitBreaker": "repro.durability.retry",
-    "DegradedCell": "repro.durability.retry",
     "RetryPolicy": "repro.durability.retry",
     "TRANSIENT_ERRORS": "repro.durability.retry",
     "failure_signature": "repro.durability.retry",

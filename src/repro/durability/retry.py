@@ -1,4 +1,4 @@
-"""Supervised retry: policy, circuit breaker, and degraded outcomes.
+"""Supervised retry: the retry policy and the circuit breaker.
 
 A campaign cell that fails is not necessarily lost. Worker crashes and
 watchdog timeouts are often *transient* (an OOM-killed sibling, a noisy
@@ -6,7 +6,7 @@ host) and succeed on a second attempt; an assertion failure inside the
 deterministic simulator is not — the same inputs will fail the same way
 forever, and burning the attempt budget on it just delays the campaign.
 
-Three pieces implement the distinction:
+Two pieces implement the distinction:
 
 * :class:`RetryPolicy` — how many attempts a cell gets, how long to
   back off between them (exponential, with *deterministically seeded*
@@ -16,18 +16,18 @@ Three pieces implement the distinction:
   Transient error types (:data:`TRANSIENT_ERRORS`) are always
   retryable; a deterministic error that repeats with the same signature
   opens the circuit and stops further attempts for that cell.
-* :class:`DegradedCell` — the structured outcome recorded when a cell
-  exhausts its attempts/budget under ``keep_going``: the campaign
-  finishes, and the record says exactly why this cell did not.
+
+A cell the supervisor gives up on leaves one
+:class:`~repro.resilience.faults.RunFailure` whose ``attempts`` and
+``reason`` say how many attempts it had and why retrying stopped.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.resilience.faults import RunFailure, stable_hash
+from repro.resilience.faults import stable_hash
 from repro.telemetry.spec import fault_u01
 
 #: Error types treated as transient: worth retrying without suspicion.
@@ -153,87 +153,8 @@ class CircuitBreaker:
         return f"circuit breaker: OPEN for {len(self._open)} cell(s)"
 
 
-#: Reasons a :class:`DegradedCell` may carry.
-DEGRADED_REASONS: Tuple[str, ...] = (
-    "attempts_exhausted",
-    "budget_exhausted",
-    "circuit_open",
-)
-
-
-@dataclass
-class DegradedCell:
-    """Structured record of a cell the supervisor gave up on.
-
-    Recorded alongside the final :class:`RunFailure` (not instead of
-    it) so the failure stays replayable while the degradation carries
-    the supervision story: why retrying stopped and how many attempts
-    were spent. Wall-clock measurements deliberately stay *out* of this
-    record (rule NDT001): ``degraded.jsonl`` is part of the campaign's
-    reproducible byte stream, and the budget outcome is already
-    captured deterministically by ``reason == "budget_exhausted"``.
-    Live timings belong to logs and profiles, not durable records.
-    """
-
-    experiment: str
-    variant: str
-    mix_name: str
-    mix_seed: int
-    cell_fingerprint: str
-    reason: str
-    attempts: int
-    last_error_type: str
-    last_message: str
-
-    def __post_init__(self) -> None:
-        if self.reason not in DEGRADED_REASONS:
-            raise ValueError(
-                f"unknown degradation reason {self.reason!r}; "
-                f"valid: {', '.join(DEGRADED_REASONS)}"
-            )
-
-    @classmethod
-    def from_failure(
-        cls,
-        failure: RunFailure,
-        *,
-        reason: str,
-        attempts: int,
-    ) -> "DegradedCell":
-        """Build the degradation record for ``failure``'s cell."""
-        return cls(
-            experiment=failure.experiment,
-            variant=failure.variant,
-            mix_name=failure.mix_name,
-            mix_seed=failure.mix_seed,
-            cell_fingerprint=failure.fingerprint(),
-            reason=reason,
-            attempts=attempts,
-            last_error_type=failure.error_type,
-            last_message=failure.message,
-        )
-
-    def to_json(self) -> dict:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_json(cls, data: dict) -> "DegradedCell":
-        fields = {f.name for f in dataclasses.fields(cls)}
-        return cls(**{k: v for k, v in data.items() if k in fields})
-
-    def describe(self) -> str:
-        """One-line human-readable degradation description."""
-        return (
-            f"{self.mix_name} (variant {self.variant or '-'}): "
-            f"{self.reason} after {self.attempts} attempt(s) — "
-            f"last error {self.last_error_type}: {self.last_message}"
-        )
-
-
 __all__ = [
     "CircuitBreaker",
-    "DEGRADED_REASONS",
-    "DegradedCell",
     "RetryPolicy",
     "TRANSIENT_ERRORS",
     "failure_signature",

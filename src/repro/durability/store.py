@@ -282,6 +282,32 @@ def _rewrite(
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _salvage(
+    path: str,
+) -> Tuple[RepairResult, DamageReport, List[_ParsedLine], List[_ParsedLine]]:
+    """Scan ``path`` for what a rewrite keeps and what it quarantines.
+
+    Returns the result so far, the damage report, the intact records
+    (legacy v1 payloads included) and the damaged lines other than the
+    torn tail, which was never committed: it is truncated, not
+    quarantined.
+    """
+    parsed, report = _scan(path)
+    keep = [p for p in parsed if p.kind in ("record", "legacy")]
+    quarantine = [
+        p
+        for p in parsed
+        if p.kind in ("mismatch", "corrupt") and p.lineno != report.torn_tail
+    ]
+    result = RepairResult(
+        path=path,
+        kept_records=len(keep),
+        truncated_tail=report.torn_tail is not None,
+        quarantined=len(quarantine),
+    )
+    return result, report, keep, quarantine
+
+
 def repair_log(path: str) -> RepairResult:
     """Truncate torn tails and quarantine damaged records of ``path``.
 
@@ -291,21 +317,10 @@ def repair_log(path: str) -> RepairResult:
     missing header to add. Quarantined lines land in
     ``<path>.quarantine`` for forensics — repair never destroys bytes.
     """
-    parsed, report = _scan(path)
-    result = RepairResult(path=path)
+    result, report, keep, quarantine = _salvage(path)
     if not os.path.exists(path):
         return result
-    keep = [p for p in parsed if p.kind in ("record", "legacy")]
-    quarantine = [p for p in parsed if p.kind in ("mismatch", "corrupt")]
-    result.kept_records = len(keep)
-    result.truncated_tail = report.torn_tail is not None
-    # The torn tail was never committed: truncated, not quarantined.
-    quarantine = [p for p in quarantine if p.lineno != report.torn_tail]
-    result.quarantined = len(quarantine)
-    needs_rewrite = (
-        report.damaged or not report.has_header or report.legacy_records > 0
-    )
-    if needs_rewrite:
+    if report.damaged or not report.has_header or report.legacy_records > 0:
         _rewrite(path, keep, quarantine)
         result.rewritten = True
     return result
@@ -320,18 +335,9 @@ def compact_log(
     record unconditionally (e.g. failure records have no key). The
     surviving records keep their original relative order.
     """
-    parsed, report = _scan(path)
-    result = RepairResult(path=path)
+    result, _report, keep, quarantine = _salvage(path)
     if not os.path.exists(path):
         return result
-    keep = [p for p in parsed if p.kind in ("record", "legacy")]
-    quarantine = [
-        p
-        for p in parsed
-        if p.kind in ("mismatch", "corrupt") and p.lineno != report.torn_tail
-    ]
-    result.truncated_tail = report.torn_tail is not None
-    result.quarantined = len(quarantine)
     last_index: Dict[str, int] = {}
     for i, p in enumerate(keep):
         key = key_of(p.payload)
@@ -352,13 +358,15 @@ def compact_log(
 class KeyedLog:
     """Keyed, last-record-wins view over one :class:`ChecksummedLog`.
 
-    Fleet-state stores (placement rounds, billing records) are naturally
-    keyed streams: a crash-resumed supervisor deterministically replays
-    every round from the beginning and would re-append records identical
-    to the ones already on disk. :meth:`put` makes that replay
-    *idempotent* — a payload equal to the latest record under its key is
-    skipped, so a resume after a mid-run SIGKILL leaves the byte stream
-    exactly as an uninterrupted run would have written it. Damaged lines
+    Fleet-state stores (placement rounds, billing records) and a
+    campaign's runs, alone prefixes and metrics are naturally keyed
+    streams: a crash-resumed supervisor deterministically replays every
+    round from the beginning, and a campaign re-run without resume
+    recomputes every cell, each re-appending records identical to the
+    ones already on disk. :meth:`put` makes that replay *idempotent* — a
+    payload equal to the latest record under its key is skipped, so a
+    resume after a mid-run SIGKILL leaves the byte stream exactly as an
+    uninterrupted run would have written it. Damaged lines
     are skipped on load (the replay recomputes and re-appends them), and
     :func:`compact_log` can drop superseded generations because every
     record carries its key in the ``"key"`` field.

@@ -40,7 +40,6 @@ from repro.lintkit.flow.project import FunctionInfo, ModuleInfo, param_offset
 #: derivation helpers.
 SINK_NAMES: FrozenSet[str] = frozenset(
     {
-        "append_degraded",
         "append_failure",
         "append_line",
         "atomic_write_text",
@@ -358,7 +357,7 @@ class TaintAnalysis:
         # Unresolved call: conservatively forward argument taint — the
         # result of f(x) is a function of x. A real source wins; absent
         # one, parameter markers from *all* arguments are unioned so a
-        # constructor like DegradedCell.from_failure(failure, elapsed_s=e)
+        # constructor like RunFailure(mix_name=name, attempts=n)
         # forwards dependence on every input, not just the first.
         marker_indices: Set[int] = set()
         for taint in (*arg_taints, *kw_taints):

@@ -22,13 +22,15 @@ round — goes through the same three steps:
    feeds the circuit breaker, then is retried under the campaign's
    :class:`~repro.durability.retry.RetryPolicy` (attempts left, circuit
    closed, per-cell wall-clock budget not exhausted; deterministic backoff
-   before the next attempt) or given up: a replayable
-   :class:`~repro.resilience.faults.RunFailure`, plus a
-   :class:`~repro.durability.retry.DegradedCell` when the policy can retry.
+   before the next attempt) or given up: one replayable
+   :class:`~repro.resilience.faults.RunFailure`, which holds the cell's
+   attempts and, when the policy can retry, why retrying stopped. A cell
+   is charged its own attempts' wall seconds plus its own backoffs,
+   whatever else runs beside it.
 
-``workers=1`` runs in-process over one-cell batches, so each cell commits,
-backs off and spends its budget before the next one starts. A pool run
-attempts all pending cells of a round across a
+``workers=1`` runs in-process over one-cell batches, so each cell commits
+and backs off before the next one starts. A pool run attempts all pending
+cells of a round across a
 :class:`~concurrent.futures.ProcessPoolExecutor` and settles them **in
 submission order**, so it commits the same records, alone prefixes
 included, counts the same alone-run cache uses, and surveys accumulate
@@ -162,9 +164,10 @@ def _attempt(
     :meth:`Campaign.run_mix` call. An event cell's payload holds the
     prefixes its alone legs reached under ``"alone"``; a failure's holds
     the exception itself under ``"exc"``, for a serial give-up to
-    re-raise. A profiled cell's payload adds its wall seconds, alone legs
-    included, and its shared-run engine events, read from the registry
-    its quanta were snapshotted into (an analytic cell simulates none).
+    re-raise. Every payload holds the attempt's wall seconds, alone legs
+    included. A profiled cell's payload adds its shared-run engine events,
+    read from the registry its quanta were snapshotted into (an analytic
+    cell simulates none).
     """
     spec = task.spec
     run_metrics: Optional[MetricsRegistry] = None
@@ -195,12 +198,16 @@ def _attempt(
                 **kwargs,
             )
     except Exception as exc:  # noqa: BLE001 - isolated and reported
-        return {"ok": False, "exc": exc, **_error_payload(exc)}
-    payload: Dict[str, Any] = {"ok": True, "result": result}
+        return {
+            "ok": False, "exc": exc, "wall_s": perf_counter() - start,
+            **_error_payload(exc),
+        }
+    payload: Dict[str, Any] = {
+        "ok": True, "result": result, "wall_s": perf_counter() - start,
+    }
     if cache is not None:
         payload["alone"] = cache.prefixes()
     if task.profile:
-        payload["wall_s"] = perf_counter() - start
         payload["events"] = (
             int(run_metrics.counter("engine.events").value)
             if run_metrics is not None else 0
@@ -276,7 +283,8 @@ def _map(
 
 
 def _failure_from_payload(
-    campaign: "Campaign", cell: CellSpec, payload: Dict[str, Any]
+    campaign: "Campaign", cell: CellSpec, payload: Dict[str, Any],
+    attempts: int,
 ) -> RunFailure:
     return RunFailure(
         experiment=campaign.experiment,
@@ -291,6 +299,7 @@ def _failure_from_payload(
         traceback=payload.get("traceback", ""),
         diagnosis=payload.get("diagnosis") or {},
         telemetry=cell.telemetry.to_json() if cell.telemetry is not None else None,
+        attempts=attempts,
     )
 
 
@@ -302,23 +311,23 @@ class _Pending:
     key: str  # checkpoint-store key
     task: _CellTask
     attempts: int = 0
+    spent_s: float = 0.0  # wall seconds of its attempts and backoffs
     fingerprint: str = ""  # circuit-breaker key, once an attempt failed
     result: Optional[RunResult] = None
 
 
 def _settle(
-    campaign: "Campaign",
-    cell: _Pending,
-    payload: Dict[str, Any],
-    elapsed_s: float,
+    campaign: "Campaign", cell: _Pending, payload: Dict[str, Any]
 ) -> Optional[float]:
     """Settle one attempt: persist a result, or retry or give up a failure.
 
     Returns the backoff before the cell's next attempt, or ``None`` once
-    the cell is settled.
+    the cell is settled. A worker that died reports no wall seconds, so
+    its attempt is charged none.
     """
     spec = cell.task.spec
     cell.attempts += 1
+    cell.spent_s += payload.get("wall_s", 0.0)
     if payload["ok"]:
         cache = campaign.alone_cache()
         for key, prefix in payload.get("alone", ()):
@@ -329,7 +338,7 @@ def _settle(
         campaign.computed += 1
         if cell.fingerprint:
             campaign.note_retry_success(cell.fingerprint)
-        if "wall_s" in payload:
+        if campaign.profile:
             campaign.record_timing(
                 spec.mix.name, spec.variant, spec.quanta,
                 payload["wall_s"], payload["events"],
@@ -337,15 +346,17 @@ def _settle(
         if campaign.store is not None and payload.get("metrics"):
             campaign.store.put_metrics(cell.key, payload["metrics"])
         return None
-    failure = _failure_from_payload(campaign, spec, payload)
+    failure = _failure_from_payload(campaign, spec, payload, cell.attempts)
     cell.fingerprint = failure.fingerprint()
     campaign.breaker.record_failure(
         cell.fingerprint, failure.error_type, failure.message
     )
-    if campaign.may_retry(cell.fingerprint, cell.attempts, elapsed_s):
+    if campaign.may_retry(cell.fingerprint, cell.attempts, cell.spent_s):
         campaign.note_retry(cell.fingerprint)
-        return campaign.retry_policy.delay_s(cell.attempts, cell.fingerprint)
-    campaign.record_give_up(failure, cell.attempts, elapsed_s)
+        delay = campaign.retry_policy.delay_s(cell.attempts, cell.fingerprint)
+        cell.spent_s += delay
+        return delay
+    campaign.record_give_up(failure, cell.spent_s)
     if not campaign.keep_going:
         raise payload.get("exc") or WorkerRunError(failure)
     return None
@@ -402,7 +413,6 @@ def _run_batch(
         attempt: Callable[[_CellTask], Dict[str, Any]] = _cell_worker
     else:
         attempt = functools.partial(_attempt, run_kwargs=run_kwargs)
-    started = time.monotonic()
     fanout_start = perf_counter()
     busy_s = 0.0
     active = pending
@@ -415,7 +425,7 @@ def _run_batch(
                 "ok": False, "error_type": "WorkerCrash", "message": value,
             }
             busy_s += payload.get("wall_s", 0.0)
-            delay = _settle(campaign, cell, payload, time.monotonic() - started)
+            delay = _settle(campaign, cell, payload)
             if delay is not None:
                 retry.append(cell)
                 backoff = max(backoff, delay)

@@ -16,7 +16,6 @@ Store layout::
         alone.jsonl      alone-run prefixes (the longest is the last)
         failures.jsonl   captured RunFailure records (replayable)
         metrics.jsonl    per-quantum metrics snapshots (``--profile``)
-        degraded.jsonl   DegradedCell records (supervisor gave up)
         divergence.jsonl fidelity cross-validation reports (analytic vs
                          event oracle — see repro.analytic.crossval)
 
@@ -26,12 +25,18 @@ and monotonic sequence numbers, appended atomically (single write →
 flush → fsync). A crash tears at most the trailing line, which load
 recovers by skipping; checksum-mismatched records are skipped too and
 ``repro campaign verify|repair`` reports/quarantines them. Legacy (v1)
-plain-JSONL stores load transparently and upgrade on repair.
+plain-JSONL stores load transparently and upgrade on repair. Runs, alone
+prefixes and metrics are keyed logs
+(:class:`~repro.durability.store.KeyedLog`): the last record under a key
+wins, and a record equal to it is not appended again, so re-running a
+finished cell leaves the store as it was. Failures and divergence
+reports are append-only histories.
 
 Retry supervision (``retry_policy``): failed cells are re-attempted
 under a :class:`~repro.durability.retry.RetryPolicy` with a per-cell
-circuit breaker; cells that exhaust their attempts/budget leave a
-structured :class:`~repro.durability.retry.DegradedCell` record.
+circuit breaker; a cell the supervisor gives up on leaves one
+:class:`~repro.resilience.faults.RunFailure` that says how many attempts
+it had and why retrying stopped.
 """
 
 from __future__ import annotations
@@ -39,15 +44,15 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.parallel import CellSpec
     from repro.telemetry.spec import TelemetrySpec
 
 from repro.config import SystemConfig
-from repro.durability.retry import CircuitBreaker, DegradedCell, RetryPolicy
-from repro.durability.store import ChecksummedLog, read_log
+from repro.durability.retry import CircuitBreaker, RetryPolicy
+from repro.durability.store import ChecksummedLog, KeyedLog, read_payloads
 from repro.harness.runner import (
     AloneProfile,
     AloneRunCache,
@@ -63,17 +68,6 @@ from repro.resilience.faults import (
 )
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.synthetic import AppSpec
-
-
-def _read_jsonl(path: str) -> List[dict]:
-    """Load a store file's intact records (torn/corrupt lines skipped).
-
-    Delegates to the checksummed reader of :mod:`repro.durability.store`,
-    which also accepts legacy (v1) plain-JSONL lines, so stores written
-    before format v2 keep resuming.
-    """
-    payloads, _report = read_log(path)
-    return [p for p in payloads if isinstance(p, dict)]
 
 
 def mix_to_json(mix: WorkloadMix) -> dict:
@@ -152,46 +146,28 @@ class CellTiming:
 
 
 class CampaignStore:
-    """Append-only checksummed JSONL store for one campaign's state."""
+    """Checksummed JSONL store for one campaign's state: keyed logs for
+    runs, alone prefixes and metrics, append-only logs for failures and
+    divergence reports."""
 
     def __init__(self, root: str) -> None:
         self.root = root
         os.makedirs(root, exist_ok=True)
-        self._runs_path = os.path.join(root, "runs.jsonl")
-        self._alone_path = os.path.join(root, "alone.jsonl")
-        self._failures_path = os.path.join(root, "failures.jsonl")
-        self._metrics_path = os.path.join(root, "metrics.jsonl")
-        self._degraded_path = os.path.join(root, "degraded.jsonl")
-        self._divergence_path = os.path.join(root, "divergence.jsonl")
-        # One checksummed appender per file: tracks the next sequence
-        # number and writes the v2 header on first append.
-        self._logs: Dict[str, ChecksummedLog] = {}
-        # Last record wins so a recomputed key supersedes stale entries.
-        self._runs: Dict[str, dict] = {
-            r["key"]: r["result"]
-            for r in _read_jsonl(self._runs_path)
-            if "key" in r and "result" in r
-        }
-        self._alone: Dict[str, dict] = {
-            r["key"]: r
-            for r in _read_jsonl(self._alone_path)
-            if "key" in r and "instructions" in r
-        }
-
-    def _append(self, path: str, record: dict) -> None:
-        log = self._logs.get(path)
-        if log is None:
-            log = ChecksummedLog(path)
-            self._logs[path] = log
-        log.append(record)
+        self._runs = KeyedLog(os.path.join(root, "runs.jsonl"))
+        self._alone = KeyedLog(os.path.join(root, "alone.jsonl"))
+        self._metrics = KeyedLog(os.path.join(root, "metrics.jsonl"))
+        self._failures = ChecksummedLog(os.path.join(root, "failures.jsonl"))
+        self._divergence = ChecksummedLog(
+            os.path.join(root, "divergence.jsonl")
+        )
 
     # -- per-mix results ------------------------------------------------
     def get_run(self, key: str) -> Optional[dict]:
-        return self._runs.get(key)
+        record = self._runs.get(key)
+        return None if record is None else record.get("result")
 
     def put_run(self, key: str, result: dict) -> None:
-        self._runs[key] = result
-        self._append(self._runs_path, {"key": key, "result": result})
+        self._runs.put(key, {"result": result})
 
     def __len__(self) -> int:
         return len(self._runs)
@@ -204,46 +180,32 @@ class CampaignStore:
         return AloneProfile(record["interval"], list(record["instructions"]))
 
     def put_alone(self, key: str, profile: AloneProfile) -> None:
-        record = {
-            "key": key,
+        self._alone.put(key, {
             "interval": profile.checkpoint_interval,
             # A copy: a live leg's profile keeps growing after it is put.
             "instructions": list(profile.instructions),
-        }
-        self._alone[key] = record
-        self._append(self._alone_path, record)
+        })
 
     # -- metrics snapshots ----------------------------------------------
     def put_metrics(self, key: str, snapshots: List[dict]) -> None:
         """Persist a run's per-quantum metrics snapshots next to its
         checkpoint (same ``key`` as :meth:`put_run`)."""
-        self._append(self._metrics_path, {"key": key, "snapshots": snapshots})
+        self._metrics.put(key, {"snapshots": snapshots})
 
     def get_metrics(self, key: str) -> Optional[List[dict]]:
         """The last metrics snapshots persisted under ``key``, if any."""
-        found: Optional[List[dict]] = None
-        for record in _read_jsonl(self._metrics_path):
-            if record.get("key") == key and "snapshots" in record:
-                found = list(record["snapshots"])
-        return found
+        record = self._metrics.get(key)
+        return None if record is None else list(record["snapshots"])
 
     # -- failures -------------------------------------------------------
     def append_failure(self, failure: RunFailure) -> None:
-        self._append(self._failures_path, failure.to_json())
+        self._failures.append(failure.to_json())
 
     def load_failures(self) -> List[RunFailure]:
-        return [RunFailure.from_json(r) for r in _read_jsonl(self._failures_path)]
-
-    # -- degraded cells -------------------------------------------------
-    def append_degraded(self, cell: DegradedCell) -> None:
-        """Persist one supervisor give-up record."""
-        self._append(self._degraded_path, cell.to_json())
-
-    def load_degraded(self) -> List[DegradedCell]:
-        """Every DegradedCell recorded for this campaign."""
         return [
-            DegradedCell.from_json(r)
-            for r in _read_jsonl(self._degraded_path)
+            RunFailure.from_json(r)
+            for r in read_payloads(self._failures.path)
+            if isinstance(r, dict)
         ]
 
     # -- fidelity divergence reports ------------------------------------
@@ -251,11 +213,14 @@ class CampaignStore:
         """Append one fidelity cross-validation report (see
         :mod:`repro.analytic.crossval`). The payload carries no wall
         clocks, so equal seeds append byte-equal records."""
-        self._append(self._divergence_path, record)
+        self._divergence.append(record)
 
     def load_divergence(self) -> List[dict]:
         """Every divergence report recorded for this campaign."""
-        return _read_jsonl(self._divergence_path)
+        return [
+            r for r in read_payloads(self._divergence.path)
+            if isinstance(r, dict)
+        ]
 
 
 class PersistentAloneRunCache(AloneRunCache):
@@ -305,8 +270,8 @@ class Campaign:
     * persists each freshly computed result before moving on;
     * retries failed runs under ``retry_policy`` (default: one attempt,
       i.e. no retries) with a per-cell circuit breaker — see
-      :mod:`repro.durability.retry`; cells the supervisor gives up on
-      leave a :class:`DegradedCell` record and the final failure;
+      :mod:`repro.durability.retry`; a cell the supervisor gives up on
+      leaves its final failure, with its attempts and give-up reason;
     * with ``profile`` set, times every computed cell (wall seconds,
       engine events — see :meth:`timing_table`) and snapshots a
       per-quantum :class:`~repro.obs.metrics.MetricsRegistry` into the
@@ -339,7 +304,6 @@ class Campaign:
         self.retry_policy = retry_policy or RetryPolicy()
         self.breaker = CircuitBreaker()
         self.failures: List[RunFailure] = []
-        self.degraded: List[DegradedCell] = []
         self.computed = 0
         self.resumed = 0
         #: extra attempts spent on retries (0 when nothing was retried).
@@ -455,31 +419,22 @@ class Campaign:
         self.supervisor_metrics.counter("supervisor.retried_cells").inc()
         self._snap_supervisor()
 
-    def record_give_up(
-        self, failure: RunFailure, attempts: int, elapsed_s: float
-    ) -> None:
-        """Record a cell's final failure (and, when the policy could
-        have retried, the structured :class:`DegradedCell` outcome)."""
+    def record_give_up(self, failure: RunFailure, elapsed_s: float) -> None:
+        """Record a cell's final failure; when the policy could have
+        retried, first set why retrying stopped (``failure.reason``)."""
+        if self.retry_policy.supervised:
+            if not self.breaker.allows(failure.fingerprint()):
+                failure.reason = "circuit_open"
+            elif not self.retry_policy.within_budget(elapsed_s):
+                failure.reason = "budget_exhausted"
+            else:
+                failure.reason = "attempts_exhausted"
         self.failures.append(failure)
         if self.store is not None:
             self.store.append_failure(failure)
-        if not self.retry_policy.supervised:
-            return
-        fingerprint = failure.fingerprint()
-        if not self.breaker.allows(fingerprint):
-            reason = "circuit_open"
-        elif not self.retry_policy.within_budget(elapsed_s):
-            reason = "budget_exhausted"
-        else:
-            reason = "attempts_exhausted"
-        cell = DegradedCell.from_failure(
-            failure, reason=reason, attempts=attempts
-        )
-        self.degraded.append(cell)
-        if self.store is not None:
-            self.store.append_degraded(cell)
-        self.supervisor_metrics.counter("supervisor.degraded_cells").inc()
-        self._snap_supervisor()
+        if failure.reason is not None:
+            self.supervisor_metrics.counter("supervisor.degraded_cells").inc()
+            self._snap_supervisor()
 
     def _snap_supervisor(self) -> None:
         """Snapshot supervision counters into the store's metrics.jsonl
@@ -528,12 +483,6 @@ class Campaign:
     def failure_summary(self) -> str:
         return failure_table(self.failures)
 
-    def degraded_summary(self) -> str:
-        """One line per cell the supervisor gave up on."""
-        if not self.degraded:
-            return "no degraded cells"
-        return "\n".join(cell.describe() for cell in self.degraded)
-
     def summary(self) -> str:
         parts = [f"{self.computed} computed"]
         if self.resumed:
@@ -545,8 +494,9 @@ class Campaign:
             )
         elif self.retry_attempts:
             parts.append(f"{self.retry_attempts} retry attempts")
-        if self.degraded:
-            parts.append(f"{len(self.degraded)} DEGRADED")
+        degraded = sum(1 for f in self.failures if f.reason is not None)
+        if degraded:
+            parts.append(f"{degraded} DEGRADED")
         if self.failures:
             parts.append(f"{len(self.failures)} FAILED")
         line = f"campaign {self.experiment}: " + ", ".join(parts)

@@ -5,8 +5,10 @@ When a per-mix run raises, the campaign captures a :class:`RunFailure`
 carrying everything needed to *deterministically replay* the failing run —
 the full application specs, the mix seed, a fingerprint of the platform
 configuration and the quantum count — alongside the exception and
-traceback. Campaigns finish with a failure-summary table, and
-:func:`replay_failure` re-runs a recorded failure in isolation.
+traceback. Under a retry policy the record also says how many attempts
+the cell had and why the supervisor stopped retrying it. Campaigns finish
+with a failure-summary table, and :func:`replay_failure` re-runs a
+recorded failure in isolation.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig
 from repro.workloads.mixes import WorkloadMix
@@ -50,9 +52,26 @@ def config_fingerprint(config: SystemConfig) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
+#: Why a supervisor stopped retrying a failed cell (``RunFailure.reason``).
+GIVE_UP_REASONS: Tuple[str, ...] = (
+    "attempts_exhausted",
+    "budget_exhausted",
+    "circuit_open",
+)
+
+
 @dataclass
 class RunFailure:
-    """One captured per-mix failure, sufficient for deterministic replay."""
+    """One captured per-mix failure, sufficient for deterministic replay.
+
+    ``attempts`` counts the attempts the cell had, this failure's
+    included. ``reason`` is set only when the retry policy could retry
+    (one of :data:`GIVE_UP_REASONS`): such a cell is *degraded*, given up
+    by the supervisor. Neither is part of :meth:`fingerprint`, and wall
+    clocks stay out of the record (rule NDT001): ``failures.jsonl`` is
+    part of the campaign's reproducible byte stream, and a budget outcome
+    is captured by ``reason == "budget_exhausted"``.
+    """
 
     experiment: str
     variant: str
@@ -69,6 +88,15 @@ class RunFailure:
     # or None for perfect telemetry. Recorded so replay_failure reproduces
     # injected counter faults bit-identically.
     telemetry: Optional[dict] = None
+    attempts: int = 1
+    reason: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        if self.reason is not None and self.reason not in GIVE_UP_REASONS:
+            raise ValueError(
+                f"unknown give-up reason {self.reason!r}; "
+                f"valid: {', '.join(GIVE_UP_REASONS)}"
+            )
 
     def fingerprint(self) -> str:
         """Identity of the failing (experiment, mix, platform, length) cell."""
@@ -132,17 +160,24 @@ def failure_table(failures: Sequence[RunFailure]) -> str:
             f.mix_name,
             f.mix_seed,
             f.error_type,
+            f.attempts,
+            f.reason or "-",
             f.fingerprint(),
             f.message if len(f.message) <= 60 else f.message[:57] + "...",
         ]
         for f in failures
     ]
     return format_table(
-        ["variant", "mix", "seed", "error", "fingerprint", "message"], rows
+        [
+            "variant", "mix", "seed", "error", "attempts", "reason",
+            "fingerprint", "message",
+        ],
+        rows,
     )
 
 
 __all__ = [
+    "GIVE_UP_REASONS",
     "RunFailure",
     "config_fingerprint",
     "failure_table",

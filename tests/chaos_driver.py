@@ -47,7 +47,7 @@ def main(argv=None):
         action="store_true",
         help="profile cells (appends to metrics.jsonl) and run an extra "
         "deterministically-failing mix whose give-up record lands in "
-        "degraded.jsonl — so the kill matrix can tear those stores too",
+        "failures.jsonl — so the kill matrix can tear those stores too",
     )
     args = parser.parse_args(argv)
 
@@ -79,7 +79,7 @@ def main(argv=None):
     if args.faults:
         # A mix whose model raises at quantum 0, every attempt: the
         # supervisor retries once, the breaker proves the failure
-        # deterministic, and the give-up appends to degraded.jsonl.
+        # deterministic, and the give-up appends to failures.jsonl.
         results.append(
             campaign.run_mix(
                 make_mix(["mcf", "bzip2"], seed=13),

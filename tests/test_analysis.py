@@ -1,41 +1,9 @@
-"""Tests for the analysis package (charts, paper targets, report)."""
+"""Tests for the analysis package (paper targets, report)."""
 
 import pytest
 
-from repro.analysis.ascii_chart import bar_chart, grouped_bar_chart
 from repro.analysis.paper_targets import PAPER_TARGETS, target_for
 from repro.analysis.report import _FILE_TO_TARGET, build_report
-
-
-def test_bar_chart_scales_to_peak():
-    chart = bar_chart({"asm": 10.0, "fst": 20.0}, width=10)
-    lines = chart.splitlines()
-    assert lines[0].count("#") == 5
-    assert lines[1].count("#") == 10
-    assert "20.00" in lines[1]
-
-
-def test_bar_chart_zero_values():
-    chart = bar_chart({"a": 0.0, "b": 0.0})
-    assert "#" not in chart
-
-
-def test_bar_chart_validation():
-    with pytest.raises(ValueError):
-        bar_chart({})
-    with pytest.raises(ValueError):
-        bar_chart({"a": -1.0})
-    with pytest.raises(ValueError):
-        bar_chart({"a": 1.0}, width=0)
-
-
-def test_grouped_chart_shares_scale():
-    chart = grouped_bar_chart(
-        {"g1": {"a": 10.0}, "g2": {"a": 20.0}}, width=10
-    )
-    lines = [l for l in chart.splitlines() if "#" in l]
-    assert lines[0].count("#") == 5
-    assert lines[1].count("#") == 10
 
 
 def test_paper_targets_cover_every_experiment_file():

@@ -97,25 +97,25 @@ def test_resume_after_sigkill_is_bit_identical(tmp_path, baseline, spec):
 def faulted_baseline(tmp_path_factory):
     """Digest of an uninterrupted ``--faults`` run: profiled cells
     (metrics.jsonl populated) plus one deterministically-failing mix
-    (degraded.jsonl populated)."""
+    (failures.jsonl populated)."""
     store = tmp_path_factory.mktemp("pristine-faults")
     proc = run_driver(store, faults=True)
     assert proc.returncode == 0, proc.stderr
-    for name in ("metrics.jsonl", "degraded.jsonl", "failures.jsonl"):
+    for name in ("metrics.jsonl", "failures.jsonl"):
         assert (store / name).exists(), f"--faults run never wrote {name}"
     return proc.stdout.strip().splitlines()[-1]
 
 
 #: Crash points against the supervision stores: per-cell metrics
-#: snapshots and the DegradedCell give-up records. As above, hit #1 is
-#: the store header and #2 the first real record.
+#: snapshots and the give-up failure records. As above, hit #1 is the
+#: store header and #2 the first real record.
 SUPERVISION_KILL_SPECS = [
     "kill:before_append@metrics.jsonl#1",
     "kill:mid_record@metrics.jsonl#2",
     "kill:after_append@metrics.jsonl#1",
-    "kill:before_append@degraded.jsonl#1",
-    "kill:mid_record@degraded.jsonl#2",
-    "kill:after_append@degraded.jsonl#1",
+    "kill:before_append@failures.jsonl#1",
+    "kill:mid_record@failures.jsonl#2",
+    "kill:after_append@failures.jsonl#1",
 ]
 
 
@@ -180,16 +180,22 @@ def test_verify_repair_cycle_after_torn_write(tmp_path, baseline):
     assert resumed.stdout.strip().splitlines()[-1] == baseline
 
 
-def test_compact_drops_superseded_checkpoints(tmp_path, baseline):
+def test_compact_drops_superseded_checkpoints(tmp_path, faulted_baseline):
     store = tmp_path / "store"
-    # Two full runs without --resume: every cell is recomputed and
-    # re-appended, so each key appears twice in runs.jsonl.
-    assert run_driver(store).returncode == 0
-    assert run_driver(store).returncode == 0
+    # Two --faults runs without --resume. A recomputed cell equal to its
+    # stored record is not appended again, but the supervisor's metrics
+    # snapshot is re-put under its one key whenever its counters change,
+    # so metrics.jsonl holds superseded generations of that key.
+    assert run_driver(store, faults=True).returncode == 0
+    assert run_driver(store, faults=True).returncode == 0
 
     compact = run_repro("campaign", "compact", str(store))
     assert compact.returncode == 0, compact.stdout + compact.stderr
-    assert "stale dropped" in compact.stdout
+    [metrics_line] = [
+        line for line in compact.stdout.splitlines()
+        if line.startswith("metrics.jsonl")
+    ]
+    assert "stale dropped" in metrics_line
 
     runs = json.loads(
         "["
@@ -199,6 +205,6 @@ def test_compact_drops_superseded_checkpoints(tmp_path, baseline):
     keys = [r["payload"]["key"] for r in runs if "payload" in r]
     assert len(keys) == len(set(keys)) == 2
 
-    resumed = run_driver(store, resume=True)
+    resumed = run_driver(store, resume=True, faults=True)
     assert resumed.returncode == 0, resumed.stderr
-    assert resumed.stdout.strip().splitlines()[-1] == baseline
+    assert resumed.stdout.strip().splitlines()[-1] == faulted_baseline

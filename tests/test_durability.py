@@ -25,7 +25,6 @@ from repro.durability.cli import campaign_main
 from repro.durability.retry import (
     TRANSIENT_ERRORS,
     CircuitBreaker,
-    DegradedCell,
     RetryPolicy,
     failure_signature,
 )
@@ -40,6 +39,7 @@ from repro.durability.store import (
     verify_log,
 )
 from repro.resilience.campaign import Campaign, CampaignStore
+from repro.resilience.faults import RunFailure
 from repro.resilience.inject import (
     InjectedFault,
     exploding_model_factories,
@@ -411,7 +411,7 @@ def test_missing_file_reads_empty_and_repairs_to_nothing(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# retry: policy, breaker, degraded outcomes
+# retry: policy, breaker, give-up records
 
 
 def test_retry_policy_validation():
@@ -480,28 +480,34 @@ def test_failure_signature_and_transient_set():
     assert "WatchdogTimeout" in TRANSIENT_ERRORS
 
 
-def test_degraded_cell_roundtrip_and_validation():
-    cell = DegradedCell(
+def test_run_failure_give_up_roundtrip_and_validation():
+    failure = RunFailure(
         experiment="t",
         variant="v",
         mix_name="m",
         mix_seed=1,
-        cell_fingerprint="abc",
-        reason="attempts_exhausted",
+        specs=[],
+        config_fingerprint="abc",
+        quanta=1,
+        error_type="InjectedFault",
+        message="boom",
         attempts=3,
-        last_error_type="InjectedFault",
-        last_message="boom",
+        reason="attempts_exhausted",
     )
-    restored = DegradedCell.from_json(json.loads(json.dumps(cell.to_json())))
-    assert restored == cell
-    assert "attempts_exhausted" in cell.describe()
-    # Stores written before the wall-clock field was dropped still load:
-    # from_json filters to the current schema.
-    legacy = {**cell.to_json(), "elapsed_s": 1.5}
-    assert DegradedCell.from_json(legacy) == cell
-    assert "elapsed_s" not in cell.to_json()
-    with pytest.raises(ValueError, match="unknown degradation reason"):
-        DegradedCell(**{**cell.to_json(), "reason": "gremlins"})
+    restored = RunFailure.from_json(json.loads(json.dumps(failure.to_json())))
+    assert restored == failure
+    # The give-up fields are not part of the cell's identity.
+    unsupervised = RunFailure(**{**failure.to_json(), "attempts": 1, "reason": None})
+    assert failure.fingerprint() == unsupervised.fingerprint()
+    # Records written before the give-up fields existed still load, as one
+    # unsupervised attempt; from_json also drops keys it does not know.
+    legacy = {
+        k: v for k, v in failure.to_json().items()
+        if k not in ("attempts", "reason")
+    }
+    assert RunFailure.from_json({**legacy, "elapsed_s": 1.5}) == unsupervised
+    with pytest.raises(ValueError, match="unknown give-up reason"):
+        RunFailure(**{**failure.to_json(), "reason": "gremlins"})
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +527,7 @@ def test_campaign_recovers_transient_failure_by_retry(tmp_path):
     assert result is not None
     assert campaign.retried_cells == 1
     assert campaign.retry_attempts == 1
-    assert campaign.failures == [] and campaign.degraded == []
+    assert campaign.failures == []
     assert "1 recovered by retry (1 retry attempts)" in campaign.summary()
 
 
@@ -538,17 +544,19 @@ def test_campaign_circuit_breaker_stops_deterministic_retries(tmp_path):
     # trip_threshold=2: one retry proves the failure repeats, then the
     # circuit opens — the other 7 attempts are not burned.
     assert campaign.retry_attempts == 1
-    assert len(campaign.degraded) == 1
-    degraded = campaign.degraded[0]
-    assert degraded.reason == "circuit_open"
-    assert degraded.attempts == 2
-    assert degraded.last_error_type == "InjectedFault"
     assert len(campaign.failures) == 1
+    failure = campaign.failures[0]
+    assert failure.reason == "circuit_open"
+    assert failure.attempts == 2
+    assert failure.error_type == "InjectedFault"
     assert "1 DEGRADED" in campaign.summary()
-    # The degradation and the final failure both persisted.
+    assert "1 FAILED" in campaign.summary()
+    # The give-up is one persisted record.
     store = CampaignStore(str(tmp_path / "store"))
-    assert [c.reason for c in store.load_degraded()] == ["circuit_open"]
-    assert len(store.load_failures()) == 1
+    assert store.load_failures() == [failure]
+    assert sorted(os.listdir(tmp_path / "store")) == [
+        "failures.jsonl", "metrics.jsonl"
+    ]
 
 
 def test_campaign_retries_wall_clock_timeouts_as_transient(tmp_path):
@@ -560,7 +568,7 @@ def test_campaign_retries_wall_clock_timeouts_as_transient(tmp_path):
         retry_policy=RetryPolicy(max_attempts=3, backoff_s=0.0, jitter=0.0),
     )
     assert campaign.run_mix(_mix(), CONFIG, quanta=1) is None
-    assert [(c.reason, c.attempts) for c in campaign.degraded] == [
+    assert [(f.reason, f.attempts) for f in campaign.failures] == [
         ("attempts_exhausted", 3)
     ]
 
@@ -573,8 +581,8 @@ def test_campaign_unsupervised_failure_raises_without_keep_going(tmp_path):
             model_factories=exploding_model_factories(0),
         )
     # Default policy is unsupervised: a failure is not a degradation.
-    assert campaign.degraded == []
-    assert len(campaign.failures) == 1
+    assert [(f.reason, f.attempts) for f in campaign.failures] == [(None, 1)]
+    assert "DEGRADED" not in campaign.summary()
 
 
 def test_retried_cell_metrics_match_uninterrupted_run(tmp_path):
@@ -638,6 +646,23 @@ def test_campaign_store_survives_torn_tail(tmp_path):
     result = resumed.run_mix(_mix(), CONFIG, quanta=1)
     assert result is not None
     assert resumed.resumed == 1 and resumed.computed == 0
+
+
+def test_rerun_without_resume_appends_no_equal_records(tmp_path):
+    store_dir = tmp_path / "store"
+    Campaign("t", str(store_dir)).run_mix(_mix(), CONFIG, quanta=1)
+    names = ("runs.jsonl", "alone.jsonl")
+    written = {name: (store_dir / name).read_bytes() for name in names}
+    rerun = Campaign("t", str(store_dir))
+    assert rerun.run_mix(_mix(), CONFIG, quanta=1) is not None
+    assert rerun.computed == 1 and rerun.resumed == 0
+    assert {name: (store_dir / name).read_bytes() for name in names} == written
+    # NaN != NaN: a recomputed record holding one is appended again.
+    store = CampaignStore(str(store_dir))
+    store.put_run("nan", {"ipc": [float("nan")]})
+    store.put_run("nan", {"ipc": [float("nan")]})
+    loaded, _ = read_log(str(store_dir / "runs.jsonl"))
+    assert [p["key"] for p in loaded].count("nan") == 2
 
 
 # ---------------------------------------------------------------------------

@@ -199,7 +199,7 @@ def test_io001_gated_to_persistence_packages():
     # The atomic helper itself is the sanctioned wrapper and is exempt.
     assert lint_text(source, module="repro.durability.atomic") == []
     # Outside the persistence packages the rule stays silent.
-    assert lint_text(source, module="repro.workloads.tracefile") == []
+    assert lint_text(source, module="repro.workloads.synthetic") == []
 
 
 def test_io001_ignores_reads_and_computed_modes():

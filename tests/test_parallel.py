@@ -315,7 +315,7 @@ def test_parallel_retry_recovers_worker_crash(tmp_path):
     assert results[0] is not None and results[1] is not None
     assert campaign.retried_cells == 1
     assert campaign.retry_attempts >= 1
-    assert campaign.failures == [] and campaign.degraded == []
+    assert campaign.failures == []
     assert "recovered by retry" in campaign.summary()
 
 
@@ -351,9 +351,9 @@ def test_parallel_circuit_breaker_stops_deterministic_retries():
     # One retry proves the InjectedFault repeats; the circuit opens and
     # the third permitted attempt is never made.
     assert campaign.retry_attempts == 1
-    assert [d.reason for d in campaign.degraded] == ["circuit_open"]
-    assert campaign.degraded[0].attempts == 2
-    assert len(campaign.failures) == 1
+    assert [(f.reason, f.attempts) for f in campaign.failures] == [
+        ("circuit_open", 2)
+    ]
 
 
 def test_parallel_degraded_cell_raises_without_keep_going():
@@ -362,7 +362,35 @@ def test_parallel_degraded_cell_raises_without_keep_going():
     campaign = _retrying_campaign()
     with pytest.raises(WorkerRunError):
         campaign.run_cells(cells, workers=2)
-    assert [d.reason for d in campaign.degraded] == ["circuit_open"]
+    assert [f.reason for f in campaign.failures] == ["circuit_open"]
+
+
+def test_cell_budget_charges_a_pool_cell_only_its_own_time(tmp_path):
+    """A cell's wall-clock budget is spent by its own attempts and
+    backoffs. The flaky cell's failed attempt takes a few hundredths of a
+    second; its siblings take far longer than the budget, and so does the
+    pool round that holds them. Serial and pool must both retry the cell."""
+    budget = 0.25
+    mixes = _mixes(3)
+    for workers in (1, 2):
+        sentinel = str(tmp_path / f"sentinel-{workers}")
+        cells = [
+            _cell(mixes[0], builder=flaky_model_factories,
+                  args=(sentinel, "raise"), quanta=1),
+            _cell(mixes[1], quanta=16),
+            _cell(mixes[2], quanta=16),
+        ]
+        campaign = Campaign(
+            "t", None, keep_going=True,
+            retry_policy=RetryPolicy(
+                max_attempts=2, backoff_s=0.0, jitter=0.0,
+                cell_budget_s=budget,
+            ),
+        )
+        results = campaign.run_cells(cells, workers=workers)
+        assert campaign.failures == [], workers
+        assert all(result is not None for result in results)
+        assert campaign.retried_cells == 1
 
 
 # ----------------------------------------------------------------------
@@ -419,7 +447,7 @@ def test_serial_and_pool_keep_the_same_records(tmp_path, make_cells):
         results = campaign.run_cells(make_cells(), workers=workers)
         stored = {
             name: (store / name).read_bytes() if (store / name).exists() else None
-            for name in ("runs.jsonl", "alone.jsonl", "degraded.jsonl")
+            for name in ("runs.jsonl", "alone.jsonl", "failures.jsonl")
         }
         return {
             "none": [result is None for result in results],
@@ -427,7 +455,6 @@ def test_serial_and_pool_keep_the_same_records(tmp_path, make_cells):
                 (f.error_type, f.mix_name, f.fingerprint())
                 for f in campaign.failures
             ],
-            "degraded": [(d.reason, d.attempts) for d in campaign.degraded],
             "retries": (campaign.retry_attempts, campaign.retried_cells),
             "summary": campaign.summary(),
             **stored,
