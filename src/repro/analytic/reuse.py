@@ -106,7 +106,7 @@ class ReuseProfile:
         return self.mean_gap + 1.0
 
 
-def extract_profile(  # lint: pure -- per-process memo cache, transparent
+def extract_profile(
     mix: WorkloadMix,
     core: int,
     sample_accesses: int = DEFAULT_SAMPLE_ACCESSES,

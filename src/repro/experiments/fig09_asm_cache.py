@@ -8,9 +8,10 @@ memory-intensive workloads because it ignores bandwidth interference.
 
 Granularity note: when the core count equals the cache associativity
 (16 cores on the 16-way LLC), every way-partitioner is forced to one way
-per application and the schemes tie; pair higher core counts with a
-larger LLC (``config.with_llc_size``) as the paper does for its 16-core
-cache results.
+per application and the schemes tie. A larger LLC does not lift this
+floor: ``config.with_llc_size`` adds sets and keeps the ways, so each of
+16 applications still gets one way (ROADMAP item 5 sets size and ways
+together).
 """
 
 from __future__ import annotations
@@ -47,9 +48,11 @@ def run(
     llc_bytes_per_core: int = 0,
     campaign=None,
 ) -> SchemeComparison:
-    """``llc_bytes_per_core`` > 0 scales the LLC with the core count (the
-    paper's larger-cache 16-core study, Section 7.1.2 fourth observation),
-    avoiding the one-way-per-core granularity floor at 16 cores."""
+    """``llc_bytes_per_core`` > 0 scales the LLC's capacity with the core
+    count (the paper's larger-cache 16-core study, Section 7.1.2 fourth
+    observation). It keeps the associativity, so at 16 cores on a 16-way
+    LLC each partitioner still gives every application one way; see the
+    granularity note above."""
     from repro.resilience.campaign import Campaign
 
     config = config or scaled_config()

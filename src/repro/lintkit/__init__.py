@@ -9,14 +9,15 @@ cannot enforce cheaply at runtime:
   set-iteration silently breaks;
 * **cycle counts are integers** — true division feeding a cycle or epoch
   counter truncates differently from ``//`` and quietly turns closed-form
-  accounting identities into float drift;
-* **accounting is conservative** — ``hits + misses == accesses`` at every
-  counter the slowdown models read (Table 1 of the paper), mirrored at
-  runtime by :mod:`repro.resilience.invariants`;
-* **parallel payloads pickle by reference** — lambdas and nested defs
-  submitted to a worker pool fail at runtime, on some platforms only.
+  accounting identities into float drift.
 
-``repro.lintkit`` proves the cheap half of these statically: a small
+Invariants that a test can hold are held there instead: counter
+conservation by :mod:`repro.resilience.invariants` and ASM's
+``counter-conservation`` flag, picklable model recipes by
+:class:`repro.parallel.CellSpec`, and serial == pool stores by the
+byte comparisons in the test suite and CI.
+
+``repro.lintkit`` proves the cheap half of the rest statically: a small
 AST-visitor framework (:mod:`repro.lintkit.base`) hosts simulator-specific
 rules (:mod:`repro.lintkit.rules`), and reports in human, JSON or SARIF
 form. A finding is waived only by a ``# lint: ignore[RULE]`` comment on

@@ -5,7 +5,7 @@ Exit codes: 0 clean (or every finding suppressed by an inline
 1 findings (or wall-time budget exceeded), 2 usage or internal error.
 
 The tree is parsed exactly once: per-file rules run per module, then the
-whole-program rules (NDT001/UNIT001/PUR001) run over one
+whole-program rule (NDT001) runs over one
 :class:`~repro.lintkit.flow.project.Project` built from every parsed
 file. ``--changed-only`` still parses the full tree — project rules need
 the whole symbol table to resolve calls — and only *reports* findings in

@@ -3,9 +3,8 @@
 The per-file rules (:mod:`repro.lintkit.rules`) and the whole-program flow
 layer (:mod:`repro.lintkit.flow`) agree on what counts as a
 nondeterministic value source, how to resolve a call through import
-aliases, which wrappers restore integer-ness to a division, and which
-call sites hand a function to a worker pool. Those facts live here so
-the two layers cannot drift apart.
+aliases, and which wrappers restore integer-ness to a division. Those
+facts live here so the two layers cannot drift apart.
 
 Import resolution handles the aliased forms the original per-file rules
 missed: nested attribute chains (``import datetime as dtm;
@@ -41,13 +40,6 @@ DATETIME_ATTRS: FrozenSet[str] = frozenset({"now", "utcnow", "today"})
 #: seeded generator instances.
 RANDOM_ALLOWED: FrozenSet[str] = frozenset({"Random"})
 BANNED_BUILTINS: FrozenSet[str] = frozenset({"id", "hash"})
-
-#: Executor/pool methods that take a function to run in a worker.
-SUBMIT_ATTRS: FrozenSet[str] = frozenset(
-    {"apply_async", "map", "starmap", "submit"}
-)
-#: Recipe kwargs whose values execute inside workers (see repro.parallel).
-RECIPE_KWARGS: FrozenSet[str] = frozenset({"model_builder"})
 
 #: Wrapping a division in one of these restores integer-ness.
 INT_WRAPPERS: FrozenSet[str] = frozenset({"int", "round", "floor", "ceil", "trunc"})
@@ -237,8 +229,6 @@ __all__ = [
     "INT_WRAPPERS",
     "ImportMap",
     "RANDOM_ALLOWED",
-    "RECIPE_KWARGS",
-    "SUBMIT_ATTRS",
     "WALL_CLOCK_ATTRS",
     "attribute_chain",
     "call_target",

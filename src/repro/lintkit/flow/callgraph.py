@@ -8,8 +8,8 @@ realistic helper chain in this tree (summaries reach ``MAX_PASSES``
 call-graph hops), and a hard guarantee that lint time stays linear in
 project size even on pathological recursive inputs.
 
-:class:`CallGraph` caches call-site resolution so the three analyses
-(taint, units, purity) resolve each call exactly once.
+:class:`CallGraph` caches call-site resolution so the taint analysis
+resolves each call exactly once.
 """
 
 from __future__ import annotations

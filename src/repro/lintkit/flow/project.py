@@ -1,43 +1,27 @@
-"""Project symbol table: modules, classes, functions, call resolution.
+"""Project symbol table: modules, functions, call resolution.
 
-A :class:`Project` indexes every linted module once. Rules and analyses
-resolve names through it instead of re-deriving imports per file:
-
-* ``resolve_call`` — an ``ast.Call`` in a given function to the
-  :class:`FunctionInfo` it invokes, through ``from x import y as z``
-  aliases, ``import m as n`` chains, ``self.method(...)`` and
-  same-module ``ClassName.method(...)`` references.
-* ``resolve_dotted`` — a fully-qualified dotted string (as written in
-  the ``SCALAR_ORACLES`` registry) to a function or class.
+A :class:`Project` indexes every linted module once. Analyses resolve
+calls through :meth:`Project.resolve_call` instead of re-deriving imports
+per file: an ``ast.Call`` in a given function resolves to the
+:class:`FunctionInfo` it invokes, through ``from x import y as z``
+aliases, ``import m as n`` chains, ``self.method(...)`` and same-module
+``ClassName.method(...)`` references.
 
 Resolution is best-effort and sound-for-silence: anything dynamic
 (instance attributes, ``getattr``, re-exported names) returns ``None``
 and downstream analyses treat the call as opaque.
-
-Declared facts
---------------
-Two comment markers on a ``def`` line feed the analyses:
-
-* ``# lint: pure`` — trust the function to have no module-global side
-  effects (PUR001 stops descending).
-* ``# lint: unit[cycles]`` — declare the return unit for dimension
-  inference (UNIT001) when the name alone is ambiguous.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro.lintkit.base import LintContext
 from repro.lintkit.facts import ImportMap, attribute_chain
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-_PURE_RE = re.compile(r"#\s*lint:\s*pure\b")
-_UNIT_RE = re.compile(r"#\s*lint:\s*unit\[([a-z]+)\]")
 
 
 @dataclass
@@ -73,73 +57,26 @@ class FunctionInfo:
             for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)
         ]
 
-    def _def_line(self) -> str:
-        return self.ctx.source_line(self.node.lineno)
-
-    def declared_pure(self) -> bool:
-        """``# lint: pure`` on the def line: trusted to have no effects."""
-        return _PURE_RE.search(self._def_line()) is not None
-
-    def declared_unit(self) -> Optional[str]:
-        """The unit declared by ``# lint: unit[...]`` on the def line."""
-        match = _UNIT_RE.search(self._def_line())
-        return match.group(1) if match else None
-
-
-@dataclass
-class ClassInfo:
-    """One class with its directly-defined methods."""
-
-    module: str
-    name: str
-    node: ast.ClassDef
-    methods: Dict[str, FunctionInfo] = field(default_factory=dict)
-
-    @property
-    def ref(self) -> str:
-        return f"{self.module}.{self.name}"
-
 
 @dataclass
 class ModuleInfo:
-    """One indexed module: symbols, imports, module-level bindings."""
+    """One indexed module: its imports, functions and class names."""
 
     ctx: LintContext
     imports: ImportMap
     #: qualname ("f" or "Cls.m") -> info, for every indexed function.
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)
-    classes: Dict[str, ClassInfo] = field(default_factory=dict)
-    #: names bound by module-level assignments (mutable-global candidates).
-    global_names: FrozenSet[str] = frozenset()
+    classes: Set[str] = field(default_factory=set)
 
     @property
     def name(self) -> str:
         return self.ctx.module
 
 
-def _module_global_names(tree: ast.Module) -> FrozenSet[str]:
-    names: set[str] = set()
-    for stmt in tree.body:
-        targets: List[ast.expr] = []
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-            targets = [stmt.target]
-        for target in targets:
-            for node in ast.walk(target):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-    return frozenset(names)
-
-
 def _index_module(ctx: LintContext) -> ModuleInfo:
     imports = ImportMap()
     imports.visit(ctx.tree)
-    info = ModuleInfo(
-        ctx=ctx,
-        imports=imports,
-        global_names=_module_global_names(ctx.tree),
-    )
+    info = ModuleInfo(ctx=ctx, imports=imports)
     for stmt in ctx.tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             info.functions[stmt.name] = FunctionInfo(
@@ -150,7 +87,6 @@ def _index_module(ctx: LintContext) -> ModuleInfo:
                 ctx=ctx,
             )
         elif isinstance(stmt, ast.ClassDef):
-            cls = ClassInfo(module=ctx.module, name=stmt.name, node=stmt)
             for member in stmt.body:
                 if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
                     method = FunctionInfo(
@@ -161,9 +97,8 @@ def _index_module(ctx: LintContext) -> ModuleInfo:
                         ctx=ctx,
                         class_name=stmt.name,
                     )
-                    cls.methods[member.name] = method
                     info.functions[method.qualname] = method
-            info.classes[stmt.name] = cls
+            info.classes.add(stmt.name)
     return info
 
 
@@ -174,12 +109,9 @@ class Project:
         self.modules = modules
         #: full ref ("pkg.mod.Cls.m") -> info, across all modules.
         self.functions: Dict[str, FunctionInfo] = {}
-        self.classes: Dict[str, ClassInfo] = {}
         for minfo in modules.values():
             for func in minfo.functions.values():
                 self.functions[func.ref] = func
-            for cls in minfo.classes.values():
-                self.classes[cls.ref] = cls
 
     @classmethod
     def from_contexts(cls, contexts: Sequence[LintContext]) -> "Project":
@@ -202,15 +134,6 @@ class Project:
             ):
                 out.append(self.modules[name])
         return out
-
-    def resolve_dotted(
-        self, dotted: str
-    ) -> Optional[Union[FunctionInfo, ClassInfo]]:
-        """A fully-qualified dotted name to its function or class."""
-        func = self.functions.get(dotted)
-        if func is not None:
-            return func
-        return self.classes.get(dotted)
 
     def resolve_call(
         self, call: ast.Call, caller: FunctionInfo
@@ -264,28 +187,10 @@ def param_offset(call: ast.Call, callee: FunctionInfo) -> int:
     return 0
 
 
-def own_statements(node: ast.AST) -> List[ast.stmt]:
-    """Statements in ``node``'s body, skipping nested def/class scopes."""
-    out: List[ast.stmt] = []
-    stack: List[ast.stmt] = list(getattr(node, "body", []))
-    while stack:
-        stmt = stack.pop(0)
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            continue
-        out.append(stmt)
-        for attr in ("body", "orelse", "finalbody"):
-            stack.extend(getattr(stmt, attr, []))
-        for handler in getattr(stmt, "handlers", []):
-            stack.extend(handler.body)
-    return out
-
-
 __all__ = [
-    "ClassInfo",
     "FunctionInfo",
     "FunctionNode",
     "ModuleInfo",
     "Project",
-    "own_statements",
     "param_offset",
 ]

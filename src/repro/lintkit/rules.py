@@ -10,10 +10,6 @@ DET002    no iteration over set/frozenset (or ``.keys()`` views) in
           simulation hot paths (hash order must never reach results)
 CYC001    no true division feeding cycle/epoch/quantum counters
           (cycle arithmetic stays in integers; use ``//``)
-PKL001    parallel payloads must pickle by reference: no lambdas or
-          nested defs handed to pool submission / CellSpec recipes
-ACC001    every class that counts both hits and misses must witness the
-          ``hits + misses == accesses`` conservation law
 TEL001    slowdown models read simulator counters only through their
           ``CounterBank`` accessors (raw access is legal only inside
           ``attach()``, where the externals are registered)
@@ -28,17 +24,11 @@ NDT001    whole-program nondeterminism taint: wall-clock / global-RNG /
           ``id()`` / set-order values must not flow — through any chain
           of calls and returns — into campaign-store writes, run keys,
           fingerprints or serialized output (flow-powered DET001)
-UNIT001   dimension inference: cycle / event / byte / fraction
-          quantities never combined or compared across units, with
-          units carried through helper returns
-PUR001    parallel purity: functions reachable from pool worker
-          payloads never mutate module-global state (per-process
-          copies silently diverge)
 ========  ============================================================
 
-The last three are :class:`~repro.lintkit.base.ProjectRule` subclasses
-living in :mod:`repro.lintkit.flow.rules`; they are imported at the
-bottom of this module so one import registers the full rule set.
+NDT001 is a :class:`~repro.lintkit.base.ProjectRule` living in
+:mod:`repro.lintkit.flow.rules`; it is imported at the bottom of this
+module so one import registers the full rule set.
 """
 
 from __future__ import annotations
@@ -53,8 +43,6 @@ from repro.lintkit.facts import (
     DATETIME_ATTRS as _DATETIME_ATTRS,
     ImportMap as _ImportTracker,
     RANDOM_ALLOWED as _RANDOM_ALLOWED,
-    RECIPE_KWARGS as _RECIPE_KWARGS,
-    SUBMIT_ATTRS as _SUBMIT_ATTRS,
     WALL_CLOCK_ATTRS as _WALL_CLOCK_ATTRS,
     call_target as _call_target,
     describe_setish as _describe_setish,
@@ -389,292 +377,6 @@ class Cyc001TrueDivisionIntoCycles(Rule):
 
 # ----------------------------------------------------------------------
 
-
-class _LocalDefs(ast.NodeVisitor):
-    """Names bound to lambdas or nested def/class inside each function."""
-
-    def __init__(self) -> None:
-        self.unpicklable: Dict[str, str] = {}
-        self._depth = 0
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        if self._depth > 0:
-            self.unpicklable[node.name] = (
-                f"function `{node.name}` defined inside a function"
-            )
-        self._depth += 1
-        self.generic_visit(node)
-        self._depth -= 1
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        if self._depth > 0:
-            self.unpicklable[node.name] = (
-                f"function `{node.name}` defined inside a function"
-            )
-        self._depth += 1
-        self.generic_visit(node)
-        self._depth -= 1
-
-    def visit_ClassDef(self, node: ast.ClassDef) -> None:
-        if self._depth > 0:
-            self.unpicklable[node.name] = (
-                f"class `{node.name}` defined inside a function"
-            )
-        self._depth += 1
-        self.generic_visit(node)
-        self._depth -= 1
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if isinstance(node.value, ast.Lambda):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    self.unpicklable[target.id] = (
-                        f"lambda bound to `{target.id}`"
-                    )
-        self.generic_visit(node)
-
-
-@register
-class Pkl001UnpicklableParallelPayload(Rule):
-    """Lambdas / nested defs handed to worker-pool submission sites.
-
-    Everything crossing a :class:`~concurrent.futures.ProcessPoolExecutor`
-    boundary pickles by *reference*: module-level names only. A lambda or
-    a def nested in a function imports fine, runs fine serially, then
-    raises ``PicklingError`` only when ``--workers`` is used — the rule
-    rejects it at review time instead. CellSpec's ``model_builder``
-    recipe has the same contract.
-    """
-
-    code = "PKL001"
-    summary = "unpicklable callable passed to a parallel payload sink"
-
-    def _is_sink(self, node: ast.Call) -> Optional[str]:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr in _SUBMIT_ATTRS:
-            return f".{func.attr}()"
-        name = (
-            func.id
-            if isinstance(func, ast.Name)
-            else func.attr
-            if isinstance(func, ast.Attribute)
-            else ""
-        )
-        if name in {"CellSpec", "run_cells"}:
-            return name
-        return None
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        local_defs = _LocalDefs()
-        local_defs.visit(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            sink = self._is_sink(node)
-            if sink is None:
-                continue
-            payload_args: List[Tuple[ast.expr, str]] = [
-                (arg, "argument") for arg in node.args
-            ]
-            for kw in node.keywords:
-                if sink in {"CellSpec", "run_cells"} and (
-                    kw.arg is None or kw.arg not in _RECIPE_KWARGS
-                ):
-                    continue
-                payload_args.append((kw.value, f"`{kw.arg}` recipe"))
-            for arg, role in payload_args:
-                if isinstance(arg, ast.Lambda):
-                    yield self.finding(
-                        ctx,
-                        arg,
-                        f"lambda passed as {role} to {sink}: worker "
-                        "payloads pickle by reference — use a "
-                        "module-level function",
-                    )
-                elif (
-                    isinstance(arg, ast.Name)
-                    and arg.id in local_defs.unpicklable
-                ):
-                    yield self.finding(
-                        ctx,
-                        arg,
-                        f"{local_defs.unpicklable[arg.id]} passed as "
-                        f"{role} to {sink}: worker payloads pickle by "
-                        "reference — move it to module level",
-                    )
-
-
-# ----------------------------------------------------------------------
-
-_HITS_RE = re.compile(r"^(?P<prefix>.*?)hits$")
-_MISSES_RE = re.compile(r"^(?P<prefix>.*?)misses$")
-
-
-def _incremented_attr(node: ast.AugAssign) -> Optional[str]:
-    """`self.X += ...` / `self.X[i] += ...` -> "X" (Add increments only)."""
-    if not isinstance(node.op, ast.Add):
-        return None
-    target = node.target
-    if isinstance(target, ast.Subscript):
-        target = target.value
-    if (
-        isinstance(target, ast.Attribute)
-        and isinstance(target.value, ast.Name)
-        and target.value.id == "self"
-    ):
-        return target.attr
-    return None
-
-
-def _self_attr_name(node: ast.expr) -> Optional[str]:
-    """`self.X` or `self.X[i]` -> "X"."""
-    if isinstance(node, ast.Subscript):
-        node = node.value
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
-def _witness_pairs_in(func: ast.AST) -> Set[Tuple[str, str]]:
-    """(attr_a, attr_b) pairs added together somewhere in ``func``.
-
-    Tracks one level of local indirection: ``h = self.hits[i]`` followed
-    by ``h + m`` witnesses (hits, misses) just like the direct form.
-    """
-    local_src: Dict[str, str] = {}
-    for node in ast.walk(func):
-        if isinstance(node, ast.Assign) and len(node.targets) == 1:
-            target = node.targets[0]
-            if isinstance(target, ast.Name):
-                src = _self_attr_name(node.value)
-                if src is not None:
-                    local_src[target.id] = src
-
-    def resolve(expr: ast.expr) -> Optional[str]:
-        attr = _self_attr_name(expr)
-        if attr is not None:
-            return attr
-        if isinstance(expr, ast.Name):
-            return local_src.get(expr.id)
-        return None
-
-    pairs: Set[Tuple[str, str]] = set()
-    for node in ast.walk(func):
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
-            left = resolve(node.left)
-            right = resolve(node.right)
-            if left is not None and right is not None:
-                pairs.add((left, right))
-                pairs.add((right, left))
-    return pairs
-
-
-@register
-class Acc001HitsMissesConservation(Rule):
-    """Conservation law: ``hits + misses == accesses`` per counter group.
-
-    Mirrors the runtime guard in :mod:`repro.resilience.invariants`
-    statically. For every class that *increments* both a ``*hits`` and
-    the matching ``*misses`` attribute, one of two witnesses must exist:
-
-    * a **derived total** — some method adds the pair together
-      (``self.Xhits + self.Xmisses``, directly or through locals), i.e.
-      accesses is computed from the parts and cannot drift; or
-    * a **coupled increment** — every method incrementing the pair also
-      increments an ``*accesses*`` attribute in the same body.
-
-    A lone hits (or misses) counter with no counterpart is exempt: with
-    only one part there is no identity to violate.
-    """
-
-    code = "ACC001"
-    summary = "hits/misses counters without an accesses conservation witness"
-    packages = HOT_PACKAGES
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        for cls in ast.walk(ctx.tree):
-            if not isinstance(cls, ast.ClassDef):
-                continue
-            yield from self._check_class(ctx, cls)
-
-    def _check_class(
-        self, ctx: LintContext, cls: ast.ClassDef
-    ) -> Iterator[Finding]:
-        functions = [
-            n
-            for n in ast.walk(cls)
-            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
-        ]
-        # prefix -> kind -> list of (attr, function, first increment node)
-        groups: Dict[str, Dict[str, List[Tuple[str, ast.AST, ast.AugAssign]]]]
-        groups = {}
-        for func in functions:
-            for node in ast.walk(func):
-                if not isinstance(node, ast.AugAssign):
-                    continue
-                attr = _incremented_attr(node)
-                if attr is None:
-                    continue
-                for kind, pattern in (("hits", _HITS_RE), ("misses", _MISSES_RE)):
-                    match = pattern.match(attr)
-                    if match:
-                        groups.setdefault(
-                            match.group("prefix"), {}
-                        ).setdefault(kind, []).append((attr, func, node))
-        if not groups:
-            return
-
-        witness_pairs: Set[Tuple[str, str]] = set()
-        for func in functions:
-            witness_pairs |= _witness_pairs_in(func)
-
-        for prefix, kinds in sorted(groups.items()):
-            if "hits" not in kinds or "misses" not in kinds:
-                continue  # lone counter: no identity to conserve
-            hits_attr = kinds["hits"][0][0]
-            misses_attr = kinds["misses"][0][0]
-            if (hits_attr, misses_attr) in witness_pairs:
-                continue
-            if self._coupled_increments(kinds):
-                continue
-            first = kinds["hits"][0][2]
-            yield self.finding(
-                ctx,
-                first,
-                f"class `{cls.name}` increments `{hits_attr}`/"
-                f"`{misses_attr}` but never witnesses the conservation "
-                f"law: add a derived total (`self.{hits_attr} + "
-                f"self.{misses_attr}`) or increment a matching "
-                "`*accesses*` counter alongside them",
-            )
-
-    @staticmethod
-    def _coupled_increments(
-        kinds: Dict[str, List[Tuple[str, ast.AST, ast.AugAssign]]]
-    ) -> bool:
-        incrementing_funcs = {
-            id(func): func
-            for sites in kinds.values()
-            for (_, func, _) in sites
-        }
-        for func in incrementing_funcs.values():
-            has_accesses = any(
-                isinstance(node, ast.AugAssign)
-                and (attr := _incremented_attr(node)) is not None
-                and "accesses" in attr
-                for node in ast.walk(func)
-            )
-            if not has_accesses:
-                return False
-        return True
-
-
-# ----------------------------------------------------------------------
-
 #: Simulator-owned counters a slowdown model may only touch inside
 #: ``attach()`` — where it registers them as guarded
 #: :class:`repro.telemetry.counters.CounterBank` externals. Everywhere
@@ -903,12 +605,11 @@ class Io001BarePersistenceWrite(Rule):
                 )
 
 
-# Registers NDT001 / UNIT001 / PUR001. Imported last: the
-# flow rules import the package constants defined above.
+# Registers NDT001. Imported last: the flow rule imports the
+# package constants defined above.
 from repro.lintkit.flow import rules as _flow_rules  # noqa: E402,F401
 
 __all__ = [
-    "Acc001HitsMissesConservation",
     "Cyc001TrueDivisionIntoCycles",
     "DETERMINISM_PACKAGES",
     "Doc001MissingDocstring",
@@ -917,7 +618,6 @@ __all__ = [
     "HOT_PACKAGES",
     "Io001BarePersistenceWrite",
     "PERSISTENCE_PACKAGES",
-    "Pkl001UnpicklableParallelPayload",
     "RAW_COUNTER_ATTRS",
     "Tel001RawCounterRead",
 ]

@@ -68,7 +68,7 @@ class AsmQuantumStats:
 
     @property
     def quantum_accesses(self) -> int:
-        """Total LLC accesses this quantum (conservation witness)."""
+        """Total LLC accesses this quantum: its hits plus its misses."""
         return self.quantum_hits + self.quantum_misses
 
 

@@ -48,7 +48,8 @@ are never captured as cell failures.
 
 Model recipes must be **module-level callables** (pickled by reference):
 ``model_builder(*model_builder_args)`` returns the ``{name: factory}`` dict
-``run_workload`` expects. The in-process arguments of
+``run_workload`` expects, and a :class:`CellSpec` whose recipe or its
+arguments do not pickle raises at construction. The in-process arguments of
 :meth:`Campaign.run_mix` (factories, system hooks) never enter a
 :class:`CellSpec`.
 """
@@ -58,6 +59,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import gc
+import pickle
 import time
 import traceback as _traceback
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
@@ -99,7 +101,9 @@ class CellSpec:
     """One independent unit of campaign work (a single shared run).
 
     ``config.engine`` (``"event"`` or ``"analytic"``) is the cell's
-    fidelity tier; see docs/fidelity.md.
+    fidelity tier; see docs/fidelity.md. The model recipe must pickle,
+    which is checked here so that a lambda or nested def fails in a
+    serial run too, not only once ``--workers`` sends it to a pool.
     """
 
     mix: WorkloadMix
@@ -109,6 +113,9 @@ class CellSpec:
     model_builder: Optional[Callable[..., Dict[str, ModelFactory]]] = None
     model_builder_args: Tuple[Any, ...] = ()
     telemetry: Optional[TelemetrySpec] = None
+
+    def __post_init__(self) -> None:
+        pickle.dumps((self.model_builder, self.model_builder_args))
 
 
 class WorkerRunError(RuntimeError):

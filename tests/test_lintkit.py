@@ -20,16 +20,12 @@ RULE_FIXTURES = {
     "DET001": (9, "repro.cache.fixture"),
     "DET002": (5, "repro.cache.fixture"),
     "CYC001": (5, "repro.cache.fixture"),
-    "PKL001": (4, "fixture_module"),  # ungated: fires outside repro too
-    "ACC001": (2, "repro.cache.fixture"),
     "TEL001": (4, "repro.models.fixture"),
     "DOC001": (4, "repro.obs.fixture"),
     "IO001": (4, "repro.resilience.fixture"),
-    # Flow rules (repro.lintkit.flow): whole-program, so lint_text's
+    # The flow rule (repro.lintkit.flow) is whole-program, so lint_text's
     # one-module project is the entire universe the analysis sees.
     "NDT001": (4, "repro.harness.fixture"),
-    "UNIT001": (4, "repro.cpu.fixture"),
-    "PUR001": (3, "fixture_module"),
 }
 
 
@@ -41,6 +37,19 @@ def lint_fixture(name, module, apply_suppressions=True):
         module=module,
         apply_suppressions=apply_suppressions,
     )
+
+
+#: One DET001 finding: a wall-clock read in a simulation package.
+WALL_CLOCK_READ = "import time\n\n\ndef f():\n    return time.time()\n"
+
+
+def cache_package(root):
+    """``root/repro/cache``, a package DET001 is gated to."""
+    package = root / "repro" / "cache"
+    package.mkdir(parents=True)
+    (root / "repro" / "__init__.py").write_text("")
+    (package / "__init__.py").write_text("")
+    return package
 
 
 def run_cli(*args, cwd=REPO_ROOT):
@@ -108,30 +117,6 @@ def test_cyc001_floor_division_is_clean():
     good = bad.replace("a / b", "a // b")
     assert {f.rule for f in lint_text(bad, module="repro.engine")} == {"CYC001"}
     assert lint_text(good, module="repro.engine") == []
-
-
-def test_pkl001_fires_without_a_package_gate():
-    source = "def f(pool):\n    return pool.submit(lambda: 1)\n"
-    findings = lint_text(source, module="anywhere.at.all")
-    assert [f.rule for f in findings] == ["PKL001"]
-
-
-def test_acc001_derived_total_is_a_witness():
-    source = (
-        "class C:\n"
-        "    def rec(self, hit):\n"
-        "        if hit:\n"
-        "            self.hits += 1\n"
-        "        else:\n"
-        "            self.misses += 1\n"
-    )
-    witnessed = source + (
-        "    @property\n"
-        "    def accesses(self):\n"
-        "        return self.hits + self.misses\n"
-    )
-    assert {f.rule for f in lint_text(source, module="repro.cache.c")} == {"ACC001"}
-    assert lint_text(witnessed, module="repro.cache.c") == []
 
 
 def test_doc001_gated_to_documented_packages():
@@ -283,13 +268,13 @@ def test_repro_lint_clean_on_repo(tmp_path):
 
 
 def test_cli_reports_violations_with_json_output(tmp_path):
-    bad = tmp_path / "payload.py"
-    bad.write_text("def f(pool):\n    return pool.submit(lambda: 1)\n")
+    bad = cache_package(tmp_path) / "payload.py"
+    bad.write_text(WALL_CLOCK_READ)
     result = run_cli(str(bad), "--format", "json")
     assert result.returncode == 1
     report = json.loads(result.stdout)
     assert report["files_scanned"] == 1
-    assert [f["rule"] for f in report["findings"]] == ["PKL001"]
+    assert [f["rule"] for f in report["findings"]] == ["DET001"]
 
 
 def test_cli_list_rules_and_bad_select():
@@ -302,17 +287,17 @@ def test_cli_list_rules_and_bad_select():
 
 
 def test_cli_sarif_output_shape(tmp_path):
-    bad = tmp_path / "payload.py"
-    bad.write_text("def f(pool):\n    return pool.submit(lambda: 1)\n")
+    bad = cache_package(tmp_path) / "payload.py"
+    bad.write_text(WALL_CLOCK_READ)
     result = run_cli(str(bad), "--format", "sarif")
     assert result.returncode == 1
     log = json.loads(result.stdout)
     assert log["version"] == "2.1.0"
     run = log["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-lint"
-    assert [r["id"] for r in run["tool"]["driver"]["rules"]] == ["PKL001"]
+    assert [r["id"] for r in run["tool"]["driver"]["rules"]] == ["DET001"]
     (res,) = run["results"]
-    assert res["ruleId"] == "PKL001"
+    assert res["ruleId"] == "DET001"
     region = res["locations"][0]["physicalLocation"]["region"]
     assert region["startLine"] >= 1 and region["startColumn"] >= 1
     # A clean tree still emits a valid (empty) SARIF log on exit 0.
@@ -342,9 +327,11 @@ def test_cli_changed_only_filters_to_changed_files(tmp_path):
     git("init", "-q")
     git("config", "user.email", "lint@test")
     git("config", "user.name", "lint")
-    stale = tmp_path / "stale.py"
-    fresh = tmp_path / "fresh.py"
-    payload = "def f(pool):\n    return pool.submit(lambda: 1)\n"
+    # Under src/, so the package does not shadow repro in the CLI's cwd.
+    package = cache_package(tmp_path / "src")
+    stale = package / "stale.py"
+    fresh = package / "fresh.py"
+    payload = WALL_CLOCK_READ
     stale.write_text(payload)
     fresh.write_text("X = 1\n")
     git("add", ".")
@@ -360,13 +347,14 @@ def test_cli_changed_only_filters_to_changed_files(tmp_path):
     )
     assert only.returncode == 1
     report = json.loads(only.stdout)
-    # Both files were parsed, but only the modified one is reported.
-    assert report["files_scanned"] == 2
+    # Both files and the two package markers were parsed, but only the
+    # modified file is reported.
+    assert report["files_scanned"] == 4
     paths = {f["path"] for f in report["findings"]}
-    assert paths == {str(fresh)} or paths == {"fresh.py"}, paths
+    assert paths == {str(fresh)} or paths == {"src/repro/cache/fresh.py"}, paths
 
     # An untracked file counts as changed too.
-    extra = tmp_path / "extra.py"
+    extra = package / "extra.py"
     extra.write_text(payload)
     wider = run_cli(
         str(tmp_path), "--changed-only", "--format", "json", cwd=tmp_path

@@ -1,12 +1,25 @@
 """Tests for the parallel campaign execution layer (repro.parallel)."""
 
+import functools
 import gc
+import multiprocessing
 import pickle
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.cloud.node import node_model_factories
 from repro.config import scaled_config
-from repro.experiments.common import survey_errors
+from repro.experiments.common import (
+    headline_models,
+    sampled_models,
+    survey_errors,
+    unsampled_models,
+)
+from repro.experiments.db_workloads import db_models
+from repro.experiments.sec64_mise_vs_asm import mise_vs_asm_models
+from repro.experiments.table3_quantum_epoch import asm_models
+from repro.experiments.telemetry_faults import chaos_model_factories
 from repro.harness import runner
 from repro.harness.runner import (
     AloneProfile,
@@ -63,6 +76,46 @@ def test_parallel_survey_matches_serial():
     assert serial.overall == parallel.overall
     assert serial.per_app == parallel.per_app
     assert serial.per_workload == parallel.per_workload
+
+
+#: The module-level model recipes the drivers and the fleet hand to a pool.
+DRIVER_RECIPES = [
+    (unsampled_models, ()),
+    (sampled_models, (CONFIG,)),
+    (headline_models, (CONFIG,)),
+    (mise_vs_asm_models, (CONFIG,)),
+    (db_models, (CONFIG,)),
+    (chaos_model_factories, (CONFIG,)),
+    (asm_models, (CONFIG,)),
+    (node_model_factories, (CONFIG,)),
+]
+
+
+@pytest.mark.parametrize(
+    "recipe, args", DRIVER_RECIPES,
+    ids=[recipe.__name__ for recipe, _ in DRIVER_RECIPES],
+)
+def test_spawned_pool_matches_serial_for_every_driver_recipe(
+    monkeypatch, recipe, args
+):
+    # A forked worker inherits the parent's module state; a spawned one
+    # (the default on macOS and Windows) starts from a fresh import. A
+    # recipe whose models depend on module state it writes answers the
+    # two differently, and a spawned pool differs from a serial run.
+    spawn = multiprocessing.get_context("spawn")
+    monkeypatch.setattr(
+        "repro.parallel.ProcessPoolExecutor",
+        functools.partial(ProcessPoolExecutor, mp_context=spawn),
+    )
+    mixes = _mixes(2)
+    serial, pool = (
+        survey_errors(
+            mixes, CONFIG, quanta=1, workers=workers,
+            model_builder=recipe, model_builder_args=args,
+        )
+        for workers in (1, 2)
+    )
+    assert serial.overall == pool.overall
 
 
 def test_run_cells_parallel_matches_serial_results():
@@ -254,6 +307,18 @@ def test_cell_spec_is_picklable():
     clone = pickle.loads(pickle.dumps(cell))
     assert clone == cell
     assert clone.model_builder is benign_model_factories
+
+
+@pytest.mark.parametrize("kind", ["lambda", "nested-def"])
+def test_cell_spec_rejects_an_unpicklable_recipe(kind):
+    # A pool pickles the recipe by reference, so it must fail at
+    # construction, in a serial run as well as under --workers.
+    def nested():
+        return benign_model_factories()
+
+    recipe = nested if kind == "nested-def" else lambda: nested()
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        _cell(_mixes(1)[0], builder=recipe)
 
 
 def test_pool_attempt_collects_its_systems():
