@@ -5,8 +5,9 @@ it under a resumable campaign store, prints the fleet summary and the
 per-round dashboard, and (with ``--out``) atomically writes the
 deterministic digest JSON. ``report`` re-renders a finished (or
 crashed) fleet from its durable stores without re-running anything —
-the keyed ``fleet.jsonl``/``billing.jsonl`` logs plus the metrics
-snapshots are the whole dashboard.
+the keyed ``fleet.jsonl``/``billing.jsonl`` logs are the whole
+dashboard, and both verbs print its per-round lines from the same
+round records.
 """
 
 from __future__ import annotations
@@ -82,9 +83,20 @@ def _build_parser() -> argparse.ArgumentParser:
         "report", help="re-render a fleet from its durable stores"
     )
     report.add_argument("store", help="campaign store root of the fleet")
-    report.add_argument("--name", default="fleet",
-                        help="fleet name (metrics key)")
     return parser
+
+
+def _round_lines(rounds: Sequence[Dict[str, Any]]) -> List[str]:
+    """The per-round dashboard: one line per fleet round record."""
+    return [
+        f"  r{r['round']:04d} mode={r['mode']:5s} "
+        f"conf={r['confidence_out']:.3f} "
+        f"placed={len(r.get('placements', []))} "
+        f"queue={len(r.get('queue', []))} shed={r.get('shed', [])} "
+        f"kills={r.get('kills', [])} migrated={r.get('migrated', [])} "
+        f"violations={r.get('violations', [])}"
+        for r in rounds
+    ]
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -138,10 +150,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     result = supervisor.run()
     print(result.summary())
-    print()
-    from repro.obs.metrics import render_metric_series
-
-    print(render_metric_series(supervisor.metrics.snapshots))
+    print("\n".join(_round_lines(result.rounds)))
     print()
     print(campaign.summary())
     if args.out:
@@ -157,7 +166,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     from repro.durability.store import KeyedLog
-    from repro.obs.metrics import render_metric_series
 
     fleet_path = os.path.join(args.store, "fleet.jsonl")
     billing_path = os.path.join(args.store, "billing.jsonl")
@@ -185,32 +193,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
           f"{kills} kill(s), {migrated} migration(s), "
           f"{violations} violation round-entries, "
           f"{bound_basis} bound-basis invoice line(s)")
-    for record in rounds:
-        placed = len(record.get("placements", []))
-        print(f"  r{record['round']:04d} mode={record['mode']:5s} "
-              f"conf={record['confidence_out']:.3f} placed={placed} "
-              f"kills={record.get('kills', [])} "
-              f"migrated={record.get('migrated', [])}")
+    for line in _round_lines(rounds):
+        print(line)
     if charges:
         total = sum(charges.values())
         print(f"  billed total: {total:.3f} across "
               f"{len(charges)} tenant(s)")
-    snapshots = _fleet_snapshots(args.store, args.name)
-    if snapshots:
-        print()
-        print(render_metric_series(snapshots))
     return 0
-
-
-def _fleet_snapshots(
-    store: str, name: str
-) -> Optional[List[Dict[str, Any]]]:
-    """The fleet's persisted metrics snapshots, if any."""
-    from repro.resilience.campaign import CampaignStore
-
-    if not os.path.exists(os.path.join(store, "metrics.jsonl")):
-        return None
-    return CampaignStore(store).get_metrics(f"__fleet__:{name}")
 
 
 def cloud_main(argv: Optional[Sequence[str]] = None) -> int:

@@ -16,8 +16,8 @@ One fleet run is a sequence of *rounds*. Each round:
    (never a corrupted counter alone); violations trigger supervised
    migration; billing records are appended to the keyed store;
 7. the round record (placements, mode, both confidences, every chaos
-   and scheduling event) is appended to the keyed fleet store and the
-   metrics registry snapshots.
+   and scheduling event) is appended to the keyed fleet store, the one
+   record of the round that ``repro cloud run|report`` print from.
 
 Every decision derives from the spec, the seed, and simulator outputs,
 so a same-seed replay is bit-identical — and because cell results
@@ -45,7 +45,6 @@ from repro.cloud.admission import AdmissionController
 from repro.cloud.tenants import Tenant, tenant_stream
 from repro.config import SystemConfig
 from repro.durability.store import KeyedLog
-from repro.obs.metrics import MetricsRegistry
 from repro.parallel import CellSpec, run_cells
 from repro.resilience.campaign import Campaign
 
@@ -177,7 +176,6 @@ class FleetSupervisor:
         # Node failures must degrade the round, not abort the fleet.
         self.campaign.keep_going = True
         self.workers = workers
-        self.metrics = MetricsRegistry()
         self._fleet_log: Optional[KeyedLog] = None
         self._billing_log: Optional[KeyedLog] = None
         if campaign.store is not None:
@@ -194,14 +192,13 @@ class FleetSupervisor:
         events: NodeEvents,
     ) -> CellSpec:
         spec = self.spec
-        builder = spec.model_builder or node_model_factories
         return CellSpec(
             mix=node_mix(spec.name, spec.seed, round_index, node_id, tenants),
             config=self.config,
             quanta=spec.quanta_per_round,
             variant=f"{spec.name}:r{round_index:03d}:n{node_id:02d}",
-            model_builder=builder,
-            model_builder_args=(self.config,) + spec.model_builder_args,
+            recipe=spec.recipe or node_model_factories,
+            recipe_args=(self.config,) + spec.recipe_args,
             telemetry=events.telemetry,
         )
 
@@ -262,7 +259,6 @@ class FleetSupervisor:
                     scheduler.note_node_kill(node.node_id)
             admission.requeue(evacuated)
             result.node_kills += len(kills)
-            self.metrics.counter("fleet.node_kills").inc(len(kills))
 
             # 2. Arrivals and admission.
             shed = admission.offer(arrivals.get(round_index, []))
@@ -271,11 +267,6 @@ class FleetSupervisor:
                 done[tenant.tenant_id] = True
             confidence_in = fleet_confidence
             mode = scheduler.mode_for(confidence_in)
-            if spec.placement == "asm" and mode == "naive":
-                # The graceful-degradation event the acceptance drill
-                # counts: ASM placement fell back to naive bin-packing.
-                self.metrics.counter("fleet.degraded_to_naive").inc()
-            self.metrics.counter(f"fleet.rounds_{mode}").inc()
             free = sum(n.free_cores for n in scheduler.candidates(round_index))
             admitted = admission.admit(confidence_in, free)
             admitted_ids = [t.tenant_id for t in admitted]
@@ -422,12 +413,6 @@ class FleetSupervisor:
                 if node_id is not None:
                     scheduler.release(tenant.tenant_id, node_id)
             admission.requeue(still_migrating)
-            self.metrics.counter("fleet.migrations").inc(
-                len(still_migrating)
-            )
-            self.metrics.counter("fleet.sla_violations").inc(
-                len(violations)
-            )
 
             if confidences:
                 fleet_confidence = sum(confidences) / len(confidences)
@@ -438,7 +423,7 @@ class FleetSupervisor:
                 # nodes run).
                 fleet_confidence = 1.0
 
-            # 6. Durable round record + metrics snapshot.
+            # 6. Durable round record.
             round_record: Dict[str, Any] = {
                 "round": round_index,
                 "mode": mode,
@@ -461,9 +446,6 @@ class FleetSupervisor:
             result.rounds.append(round_record)
             if self._fleet_log is not None:
                 self._fleet_log.put(f"r{round_index:04d}", round_record)
-            self._snap_round(
-                round_index, fleet_confidence, len(placement), admission
-            )
             if all(
                 done.get(t.tenant_id) for t in stream
             ) and admission.queue_length == 0:
@@ -481,25 +463,7 @@ class FleetSupervisor:
         result.unserved = sorted(
             t.tenant_id for t in stream if not done.get(t.tenant_id)
         )
-        if self.campaign.store is not None:
-            self.campaign.store.put_metrics(
-                f"__fleet__:{spec.name}", self.metrics.snapshots
-            )
         return result
-
-    def _snap_round(
-        self,
-        round_index: int,
-        confidence: float,
-        active_tenants: int,
-        admission: AdmissionController,
-    ) -> None:
-        """Record the per-round fleet dashboard sample."""
-        self.metrics.gauge("fleet.confidence").set(confidence)
-        self.metrics.gauge("fleet.active_tenants").set(active_tenants)
-        self.metrics.gauge("fleet.queue").set(admission.queue_length)
-        self.metrics.gauge("fleet.shed_total").set(admission.shed)
-        self.metrics.snap(round_index)
 
 
 __all__ = ["FleetResult", "FleetSupervisor", "MODEL_NAME"]

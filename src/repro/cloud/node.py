@@ -1,4 +1,4 @@
-"""Node-level building blocks: state, model recipes, worst-case bound.
+"""Node-level building blocks: state, cell recipes, worst-case bound.
 
 A *node* is one multi-core machine of the fleet. Its round of service
 is exactly one campaign cell: the tenants placed on it become a
@@ -12,23 +12,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.cloud.tenants import Tenant
 from repro.config import SystemConfig
-from repro.harness.runner import ModelFactory
 from repro.models.asm import AsmModel
 from repro.workloads.mixes import WorkloadMix
 
 
-def node_model_factories(config: SystemConfig) -> Dict[str, ModelFactory]:
-    """Default per-node slowdown-model recipe: one ASM per cell.
+def node_model_factories(config: SystemConfig) -> Dict[str, Any]:
+    """Default per-node cell recipe: one ASM per cell.
 
     Module-level so :class:`~repro.parallel.CellSpec` can pickle it by
     reference into the worker processes.
     """
     sets = config.ats_sampled_sets
-    return {"asm": lambda: AsmModel(sampled_sets=sets)}
+    return {"model_factories": {"asm": lambda: AsmModel(sampled_sets=sets)}}
 
 
 def node_mix(

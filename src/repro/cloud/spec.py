@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.analytic.runner import FIDELITY_TIERS
-from repro.harness.runner import ModelFactory
 from repro.models.base import POLICY_CONFIDENCE_FLOOR
 from repro.telemetry.spec import FAULT_CLASSES
 
@@ -61,10 +60,10 @@ class FleetChaosSpec:
 class FleetSpec:
     """One fleet run: topology, tenant stream, policies, chaos.
 
-    ``model_builder`` overrides the per-node slowdown-model recipe (a
-    module-level callable, pickled by reference into the cell workers;
-    called as ``model_builder(config, *model_builder_args)``) — the
-    hook the determinism tests use to inject worker crashes.
+    ``recipe`` overrides the per-node cell recipe (a module-level
+    callable, pickled by reference into the cell workers; called as
+    ``recipe(config, *recipe_args)``) — the hook the determinism tests
+    use to inject worker crashes.
     """
 
     name: str = "fleet"
@@ -91,8 +90,8 @@ class FleetSpec:
     migration_max_attempts: int = 3
     migration_backoff_rounds: float = 1.0
     chaos: FleetChaosSpec = field(default_factory=FleetChaosSpec)
-    model_builder: Optional[Callable[..., Dict[str, ModelFactory]]] = None
-    model_builder_args: Tuple[Any, ...] = ()
+    recipe: Optional[Callable[..., Dict[str, Any]]] = None
+    recipe_args: Tuple[Any, ...] = ()
 
     def __post_init__(self) -> None:
         if self.num_nodes < 1:

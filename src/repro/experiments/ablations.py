@@ -13,11 +13,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.config import SystemConfig, scaled_config
-from repro.experiments.common import default_mixes, format_table
-from repro.harness.runner import AloneRunCache, run_workload
+from repro.experiments.common import default_mixes, format_table, run_schemes
 from repro.harness import metrics
 from repro.models.asm import AsmModel
 
@@ -33,43 +32,51 @@ class AblationResult:
         )
 
 
+def _variants(
+    config: SystemConfig, sampling_sweep: Sequence[Optional[int]]
+) -> Dict[str, Dict[str, Any]]:
+    variants: Dict[str, Dict[str, Any]] = {}
+    for sets in sampling_sweep:
+        label = f"ats-sampled-{sets}" if sets else "ats-full"
+        variants[label] = dict(
+            model_factories={"asm": lambda s=sets: AsmModel(sampled_sets=s)}
+        )
+    variants["round-robin-epochs"] = dict(
+        model_factories={
+            "asm": lambda: AsmModel(sampled_sets=config.ats_sampled_sets)
+        },
+        epoch_assignment="round_robin",
+    )
+    variants["no-queueing-correction"] = dict(
+        model_factories={"asm": lambda: AsmModel(
+            sampled_sets=config.ats_sampled_sets, queueing_correction=False
+        )},
+    )
+    return variants
+
+
 def run(
     num_mixes: int = 6,
     quanta: int = 2,
     sampling_sweep: Sequence[Optional[int]] = (4, 16, 64, None),
     config: Optional[SystemConfig] = None,
     seed: int = 42,
+    campaign=None,
+    workers: int = 1,
 ) -> AblationResult:
+    from repro.resilience.campaign import Campaign
+
     config = config or scaled_config()
     mixes = default_mixes(num_mixes, config.num_cores, seed=seed)
-    cache = AloneRunCache()
+    runs = run_schemes(
+        # Without a campaign: one with no store, so a failing run raises.
+        campaign if campaign is not None else Campaign("ablations"),
+        _variants, mixes, config, quanta, workers,
+        args=(tuple(sampling_sweep),),
+    )
     result = AblationResult()
-
-    def mean_error(model_factory, epoch_assignment: str = "random") -> float:
-        errors = []
-        for mix in mixes:
-            res = run_workload(
-                mix,
-                config,
-                model_factories={"asm": model_factory},
-                quanta=quanta,
-                alone_cache=cache,
-                epoch_assignment=epoch_assignment,
-            )
-            errors.extend(e for core in res.errors_for("asm") for e in core)
-        return metrics.mean(errors) if errors else float("nan")
-
-    for sets in sampling_sweep:
-        label = f"ats-sampled-{sets}" if sets else "ats-full"
-        result.errors[label] = mean_error(lambda s=sets: AsmModel(sampled_sets=s))
-
-    result.errors["round-robin-epochs"] = mean_error(
-        lambda: AsmModel(sampled_sets=config.ats_sampled_sets),
-        epoch_assignment="round_robin",
-    )
-    result.errors["no-queueing-correction"] = mean_error(
-        lambda: AsmModel(
-            sampled_sets=config.ats_sampled_sets, queueing_correction=False
-        )
-    )
+    for label, results in runs.items():
+        done = [res for res in results if res is not None]
+        errors = [e for res in done for core in res.errors_for("asm") for e in core]
+        result.errors[label] = metrics.mean(errors) if errors else float("nan")
     return result

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig, scaled_config
 
@@ -12,7 +12,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.resilience.campaign import Campaign
     from repro.telemetry.spec import TelemetrySpec
 from repro.harness import metrics
-from repro.harness.runner import ModelFactory, RunResult
+from repro.harness.runner import RunResult
 from repro.models.asm import AsmModel
 from repro.models.fst import FstModel
 from repro.models.mise import MiseModel
@@ -24,34 +24,34 @@ from repro.workloads.mixes import WorkloadMix, random_mixes
 EQUAL_OVERHEAD_FILTER_COUNTERS = 1024
 
 
-def unsampled_models() -> Dict[str, ModelFactory]:
+def unsampled_models() -> Dict[str, Any]:
     """Figure 2 configuration: exact/full structures for every model."""
-    return {
+    return {"model_factories": {
         "fst": lambda: FstModel(filter_counters=None),
         "ptca": lambda: PtcaModel(sampled_sets=None),
         "asm": lambda: AsmModel(sampled_sets=None),
-    }
+    }}
 
 
-def sampled_models(config: SystemConfig) -> Dict[str, ModelFactory]:
+def sampled_models(config: SystemConfig) -> Dict[str, Any]:
     """Figure 3 configuration: sampled ATS and equal-size pollution filter."""
     sets = config.ats_sampled_sets
-    return {
+    return {"model_factories": {
         "fst": lambda: FstModel(filter_counters=EQUAL_OVERHEAD_FILTER_COUNTERS),
         "ptca": lambda: PtcaModel(sampled_sets=sets),
         "asm": lambda: AsmModel(sampled_sets=sets),
-    }
+    }}
 
 
-def headline_models(config: SystemConfig) -> Dict[str, ModelFactory]:
+def headline_models(config: SystemConfig) -> Dict[str, Any]:
     """The paper's headline comparison: unsampled FST/PTCA (their best
     configuration) against sampled (practical) ASM."""
-    return {
+    return {"model_factories": {
         "fst": lambda: FstModel(filter_counters=None),
         "ptca": lambda: PtcaModel(sampled_sets=None),
         "asm": lambda: AsmModel(sampled_sets=config.ats_sampled_sets),
         "mise": lambda: MiseModel(),
-    }
+    }}
 
 
 @dataclass
@@ -103,16 +103,16 @@ def survey_errors(
     variant: str = "",
     *,
     workers: int = 1,
-    model_builder: Callable[..., Dict[str, ModelFactory]],
-    model_builder_args: Sequence = (),
+    recipe: Callable[..., Dict[str, Any]],
+    recipe_args: Sequence = (),
     telemetry: Optional["TelemetrySpec"] = None,
 ) -> ErrorSurvey:
     """Run every mix as one campaign cell and collect every model's
     estimation errors.
 
     Each mix becomes a :class:`~repro.parallel.CellSpec` whose models come
-    from the module-level recipe ``model_builder(*model_builder_args)``,
-    and the cells run through :func:`repro.parallel.run_cells` — serially,
+    from the module-level recipe ``recipe(*recipe_args)``, and the cells
+    run through :func:`repro.parallel.run_cells` — serially,
     or across ``workers`` processes with identical results. Under a
     :class:`repro.resilience.campaign.Campaign`, previously completed mixes
     resume from its store, failing mixes are captured (and skipped when
@@ -136,15 +136,15 @@ def survey_errors(
     from repro.parallel import CellSpec
     from repro.resilience.campaign import Campaign
 
-    survey = ErrorSurvey(model_names=list(model_builder(*model_builder_args)))
+    survey = ErrorSurvey(model_names=list(recipe(*recipe_args).get("model_factories", ())))
     cells = [
         CellSpec(
             mix=mix,
             config=config,
             quanta=quanta,
             variant=variant,
-            model_builder=model_builder,
-            model_builder_args=tuple(model_builder_args),
+            recipe=recipe,
+            recipe_args=tuple(recipe_args),
             telemetry=telemetry,
         )
         for mix in mixes
@@ -222,37 +222,76 @@ class SchemeComparison:
         )
 
 
+def scheme_recipe(
+    schemes: Callable[..., Dict[str, Dict[str, Any]]], name: str, *args: Any
+) -> Dict[str, Any]:
+    """The cell recipe of scheme ``name`` in the scheme table
+    ``schemes(*args)``: a module-level function mapping each scheme's name
+    to its ``run_workload`` keyword arguments."""
+    return schemes(*args)[name]
+
+
+def run_schemes(
+    campaign: "Campaign",
+    schemes: Callable[..., Dict[str, Dict[str, Any]]],
+    mixes: Sequence[WorkloadMix],
+    config: SystemConfig,
+    quanta: int,
+    workers: int = 1,
+    *,
+    args: Tuple[Any, ...] = (),
+    prefix: str = "",
+) -> Dict[str, List[Optional[RunResult]]]:
+    """Run each mix under each scheme of ``schemes(config, *args)``, one
+    cell of variant ``prefix + name`` per pair, as one
+    :meth:`Campaign.run_cells` batch, so the schemes of a mix share its
+    alone legs. Returns each scheme's results in mix order."""
+    from repro.parallel import CellSpec
+
+    names = list(schemes(config, *args))
+    cells = [
+        CellSpec(
+            mix=mix,
+            config=config,
+            quanta=quanta,
+            variant=prefix + name,
+            recipe=scheme_recipe,
+            recipe_args=(schemes, name, config) + args,
+        )
+        for name in names
+        for mix in mixes
+    ]
+    results = iter(campaign.run_cells(cells, workers=workers))
+    return {name: [next(results) for _ in mixes] for name in names}
+
+
 def compare_schemes(
     title: str,
     configs: Sequence[SystemConfig],
-    schemes: Callable[[SystemConfig], Dict[str, dict]],
+    schemes: Callable[[SystemConfig], Dict[str, Dict[str, Any]]],
     mixes_per_count: Optional[Dict[int, int]],
     quanta: int,
     seed: int,
     campaign: "Campaign",
+    workers: int = 1,
 ) -> SchemeComparison:
-    """Run every scheme of ``schemes(config)`` on each config's mixes.
+    """Run every scheme of the table ``schemes(config)`` on each config's
+    mixes (:func:`run_schemes`).
 
     Each config's core count picks its mix count from ``mixes_per_count``
     (default 5/3/2 mixes at 4/8/16 cores, otherwise 3) and seeds its mixes
-    with ``seed + cores``; every run is one campaign cell."""
+    with ``seed + cores``."""
     mixes_per_count = mixes_per_count or {4: 5, 8: 3, 16: 2}
     result = SchemeComparison(title)
     for cfg in configs:
         cores = cfg.num_cores
         mixes = default_mixes(mixes_per_count.get(cores, 3), cores, seed=seed + cores)
-        for scheme, kwargs in schemes(cfg).items():
-            runs = [
-                campaign.run_mix(
-                    mix,
-                    cfg,
-                    quanta=quanta,
-                    variant=f"{cores}cores-{scheme}",
-                    **kwargs,
-                )
-                for mix in mixes
-            ]
-            result.outcomes[(cores, scheme)] = fairness_of_runs(runs)
+        runs = run_schemes(
+            campaign, schemes, mixes, cfg, quanta, workers,
+            prefix=f"{cores}cores-",
+        )
+        for scheme, results in runs.items():
+            result.outcomes[(cores, scheme)] = fairness_of_runs(results)
     return result
 
 
@@ -268,5 +307,7 @@ __all__ = [
     "fairness_of_runs",
     "SchemeComparison",
     "compare_schemes",
+    "run_schemes",
+    "scheme_recipe",
     "scaled_config",
 ]

@@ -34,11 +34,11 @@ class DbWorkloadsResult:
 
 def db_models(config: SystemConfig):
     """Unsampled FST/PTCA vs sampled ASM (module-level: picklable)."""
-    return {
+    return {"model_factories": {
         "fst": lambda: FstModel(filter_counters=None),
         "ptca": lambda: PtcaModel(sampled_sets=None),
         "asm": lambda: AsmModel(sampled_sets=config.ats_sampled_sets),
-    }
+    }}
 
 
 def run(
@@ -58,7 +58,7 @@ def run(
         quanta=quanta,
         campaign=campaign,
         workers=workers,
-        model_builder=db_models,
-        model_builder_args=(config,),
+        recipe=db_models,
+        recipe_args=(config,),
     )
     return DbWorkloadsResult(survey=survey)

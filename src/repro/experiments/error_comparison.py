@@ -75,8 +75,8 @@ def run(
         campaign=campaign,
         variant=variant,
         workers=workers,
-        model_builder=sampled_models if sampled else unsampled_models,
-        model_builder_args=(config,) if sampled else (),
+        recipe=sampled_models if sampled else unsampled_models,
+        recipe_args=(config,) if sampled else (),
         telemetry=telemetry,
     )
     return ErrorComparisonResult(survey=survey, sampled=sampled)

@@ -91,7 +91,7 @@ def run(
                 config=resolve_fidelity(config, tier),
                 quanta=quanta,
                 variant=f"fid:{tier}",
-                model_builder=unsampled_models,
+                recipe=unsampled_models,
             )
             for mix in mixes
         ]

@@ -68,7 +68,7 @@ def run(
         quanta=quanta,
         campaign=campaign,
         workers=workers,
-        model_builder=headline_models,
-        model_builder_args=(config,),
+        recipe=headline_models,
+        recipe_args=(config,),
     )
     return ErrorDistributionResult(survey=survey)

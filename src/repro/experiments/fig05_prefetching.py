@@ -60,8 +60,8 @@ def run(
         campaign=campaign,
         variant="base",
         workers=workers,
-        model_builder=headline_models,
-        model_builder_args=(config,),
+        recipe=headline_models,
+        recipe_args=(config,),
     )
     prefetch_config = config.with_prefetcher(True)
     pref = survey_errors(
@@ -71,7 +71,7 @@ def run(
         campaign=campaign,
         variant="prefetch",
         workers=workers,
-        model_builder=headline_models,
-        model_builder_args=(prefetch_config,),
+        recipe=headline_models,
+        recipe_args=(prefetch_config,),
     )
     return PrefetchingResult(with_prefetch=pref, without_prefetch=base)

@@ -12,6 +12,10 @@ For each memory-intensive workload and application we obtain:
 The paper's point: per-request subtraction misestimates the distribution,
 and sampling makes PTCA's estimates far worse, while ASM's aggregate
 estimate tracks the measured distribution closely.
+
+The one driver that calls ``run_workload`` itself instead of submitting
+campaign cells: it reads each model's internals (its last quantum's alone
+miss-time estimates) after the run, which a cell's result does not carry.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Dict, List, Optional
 
 from repro.config import SystemConfig, scaled_config
 from repro.experiments.common import format_table, sampled_models, unsampled_models
-from repro.harness.runner import AloneRunCache, run_workload
+from repro.harness.runner import run_workload
 from repro.harness.system import System
 from repro.harness import metrics
 from repro.models.asm import AsmModel
@@ -144,7 +148,8 @@ def run(
     # The paper uses its most memory-intensive workloads here.
     pool = [s for s in CATALOG.values() if intensity_class(s) != "low"]
     mixes = random_mixes(num_mixes, config.num_cores, seed=seed, pool=pool)
-    factories = sampled_models(config) if sampled else unsampled_models()
+    recipe = sampled_models(config) if sampled else unsampled_models()
+    factories = recipe["model_factories"]
     result = LatencyDistributionResult(sampled=sampled)
     result.estimates = {
         "actual": [],
@@ -153,7 +158,6 @@ def run(
         "fst": [],
         "ptca": [],
     }
-    cache = AloneRunCache()
     cycles = quanta * config.quantum_cycles
 
     for mix in mixes:
@@ -168,7 +172,7 @@ def run(
             return make
 
         wrapped = {name: keep(name, f) for name, f in factories.items()}
-        run_workload(mix, config, model_factories=wrapped, quanta=quanta, alone_cache=cache)
+        run_workload(mix, config, model_factories=wrapped, quanta=quanta)
         for core in range(mix.num_cores):
             per_request, union_avg = _alone_miss_times(mix, core, config, cycles)
             result.estimates["actual"].append(per_request)

@@ -65,7 +65,7 @@ def run(
             campaign=campaign,
             variant=f"{cores}cores",
             workers=workers,
-            model_builder=headline_models,
-            model_builder_args=(cfg,),
+            recipe=headline_models,
+            recipe_args=(cfg,),
         )
     return result

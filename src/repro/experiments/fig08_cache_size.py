@@ -59,7 +59,7 @@ def run(
             campaign=campaign,
             variant=f"llc{size // 1024}k",
             workers=workers,
-            model_builder=headline_models,
-            model_builder_args=(cfg,),
+            recipe=headline_models,
+            recipe_args=(cfg,),
         )
     return result

@@ -47,6 +47,7 @@ def run(
     seed: int = 42,
     llc_bytes_per_core: int = 0,
     campaign=None,
+    workers: int = 1,
 ) -> SchemeComparison:
     """``llc_bytes_per_core`` > 0 scales the LLC's capacity with the core
     count (the paper's larger-cache 16-core study, Section 7.1.2 fourth
@@ -71,4 +72,5 @@ def run(
         seed,
         # Without a campaign: one with no store, so a failing run raises.
         campaign if campaign is not None else Campaign("fig09"),
+        workers,
     )

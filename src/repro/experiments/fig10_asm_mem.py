@@ -40,6 +40,7 @@ def run(
     config: Optional[SystemConfig] = None,
     seed: int = 42,
     campaign=None,
+    workers: int = 1,
 ) -> SchemeComparison:
     from repro.resilience.campaign import Campaign
 
@@ -53,4 +54,5 @@ def run(
         seed,
         # Without a campaign: one with no store, so a failing run raises.
         campaign if campaign is not None else Campaign("fig10"),
+        workers,
     )

@@ -10,12 +10,11 @@ capacity for the co-runners.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.config import SystemConfig, scaled_config
-from repro.experiments.common import format_table
+from repro.experiments.common import format_table, run_schemes
 from repro.harness import metrics
-from repro.harness.runner import AloneRunCache, run_workload
 from repro.models.asm import AsmModel
 from repro.policies.qos import AsmQosPolicy, NaiveQosPolicy
 from repro.workloads.mixes import make_mix
@@ -44,38 +43,45 @@ class QosResult:
         )
 
 
+def _schemes(
+    config: SystemConfig, bounds: Sequence[float]
+) -> Dict[str, Dict[str, Any]]:
+    sampled = config.ats_sampled_sets
+    schemes = {
+        "naive-qos": dict(
+            policy_factories=[lambda models: NaiveQosPolicy(TARGET_CORE)],
+        ),
+    }
+    for bound in bounds:
+        schemes[f"asm-qos-{bound}"] = dict(
+            model_factories={"asm": lambda: AsmModel(sampled_sets=sampled)},
+            policy_factories=[
+                lambda models, b=bound: AsmQosPolicy(models["asm"], TARGET_CORE, b)
+            ],
+        )
+    return schemes
+
+
 def run(
     apps: Sequence[str] = DEFAULT_APPS,
     bounds: Sequence[float] = (1.5, 2.0, 2.5, 3.0),
     quanta: int = 3,
     config: Optional[SystemConfig] = None,
     seed: int = 3,
+    campaign=None,
+    workers: int = 1,
 ) -> QosResult:
+    from repro.resilience.campaign import Campaign
+
     config = config or scaled_config()
     mix = make_mix(list(apps), seed=seed)
-    cache = AloneRunCache()
     result = QosResult(apps=apps, bounds=bounds)
-
-    naive = run_workload(
-        mix,
-        config,
-        quanta=quanta,
-        alone_cache=cache,
-        policy_factories=[lambda models: NaiveQosPolicy(TARGET_CORE)],
+    runs = run_schemes(
+        # Without a campaign: one with no store, so a failing run raises.
+        campaign if campaign is not None else Campaign("fig11"),
+        _schemes, [mix], config, quanta, workers, args=(tuple(bounds),),
     )
-    result.slowdowns["naive-qos"] = naive.mean_actual_slowdowns()
-
-    sampled = config.ats_sampled_sets
-    for bound in bounds:
-        res = run_workload(
-            mix,
-            config,
-            quanta=quanta,
-            alone_cache=cache,
-            model_factories={"asm": lambda: AsmModel(sampled_sets=sampled)},
-            policy_factories=[
-                lambda models, b=bound: AsmQosPolicy(models["asm"], TARGET_CORE, b)
-            ],
-        )
-        result.slowdowns[f"asm-qos-{bound}"] = res.mean_actual_slowdowns()
+    for scheme, [res] in runs.items():
+        if res is not None:
+            result.slowdowns[scheme] = res.mean_actual_slowdowns()
     return result

@@ -67,10 +67,10 @@ class MiseVsAsmResult:
 
 def mise_vs_asm_models(config: SystemConfig):
     """MISE against sampled ASM (module-level: picklable for workers)."""
-    return {
+    return {"model_factories": {
         "mise": lambda: MiseModel(),
         "asm": lambda: AsmModel(sampled_sets=config.ats_sampled_sets),
-    }
+    }}
 
 
 def run(
@@ -89,7 +89,7 @@ def run(
         quanta=quanta,
         campaign=campaign,
         workers=workers,
-        model_builder=mise_vs_asm_models,
-        model_builder_args=(config,),
+        recipe=mise_vs_asm_models,
+        recipe_args=(config,),
     )
     return MiseVsAsmResult(survey=survey)

@@ -9,11 +9,15 @@ it found), reporting ~14.6% better fairness at comparable performance on a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 from repro.config import SystemConfig, scaled_config
-from repro.experiments.common import default_mixes, fairness_of_runs, format_table
-from repro.harness.runner import AloneRunCache, run_workload
+from repro.experiments.common import (
+    default_mixes,
+    fairness_of_runs,
+    format_table,
+    run_schemes,
+)
 from repro.mem.schedulers import ParbsScheduler
 from repro.models.asm import AsmModel
 from repro.policies.combined import AsmCacheMemPolicy
@@ -35,18 +39,9 @@ class CombinedResult:
         )
 
 
-def run(
-    num_cores: int = 8,
-    num_mixes: int = 3,
-    quanta: int = 3,
-    config: Optional[SystemConfig] = None,
-    seed: int = 42,
-) -> CombinedResult:
-    config = (config or scaled_config()).with_cores(num_cores)
-    mixes = default_mixes(num_mixes, num_cores, seed=seed)
-    cache = AloneRunCache()
+def _schemes(config: SystemConfig) -> Dict[str, Dict[str, Any]]:
     sampled = config.ats_sampled_sets
-    schemes = {
+    return {
         "frfcfs+nopart": dict(),
         "parbs+ucp": dict(
             scheduler_factory=ParbsScheduler,
@@ -57,11 +52,27 @@ def run(
             policy_factories=[lambda models: AsmCacheMemPolicy(models["asm"])],
         ),
     }
+
+
+def run(
+    num_cores: int = 8,
+    num_mixes: int = 3,
+    quanta: int = 3,
+    config: Optional[SystemConfig] = None,
+    seed: int = 42,
+    campaign=None,
+    workers: int = 1,
+) -> CombinedResult:
+    from repro.resilience.campaign import Campaign
+
+    config = (config or scaled_config()).with_cores(num_cores)
+    mixes = default_mixes(num_mixes, num_cores, seed=seed)
+    runs = run_schemes(
+        # Without a campaign: one with no store, so a failing run raises.
+        campaign if campaign is not None else Campaign("sec72"),
+        _schemes, mixes, config, quanta, workers,
+    )
     result = CombinedResult()
-    for scheme, kwargs in schemes.items():
-        runs = [
-            run_workload(mix, config, quanta=quanta, alone_cache=cache, **kwargs)
-            for mix in mixes
-        ]
-        result.outcomes[scheme] = fairness_of_runs(runs)
+    for scheme, results in runs.items():
+        result.outcomes[scheme] = fairness_of_runs(results)
     return result

@@ -12,7 +12,7 @@ absolute quantum.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig, scaled_config
 from repro.experiments.common import (
@@ -20,7 +20,6 @@ from repro.experiments.common import (
     format_table,
     survey_errors,
 )
-from repro.harness.runner import ModelFactory
 from repro.models.asm import AsmModel
 
 
@@ -42,9 +41,10 @@ class QuantumEpochResult:
         )
 
 
-def asm_models(config: SystemConfig) -> Dict[str, ModelFactory]:
+def asm_models(config: SystemConfig) -> Dict[str, Any]:
     """Table 3's one estimator: ASM with the config's sampled ATS."""
-    return {"asm": lambda: AsmModel(sampled_sets=config.ats_sampled_sets)}
+    sets = config.ats_sampled_sets
+    return {"model_factories": {"asm": lambda: AsmModel(sampled_sets=sets)}}
 
 
 def run(
@@ -54,6 +54,7 @@ def run(
     config: Optional[SystemConfig] = None,
     seed: int = 42,
     campaign=None,
+    workers: int = 1,
 ) -> QuantumEpochResult:
     from repro.resilience.campaign import Campaign
 
@@ -77,8 +78,9 @@ def run(
                 cfg,
                 quanta=quanta,
                 campaign=campaign,
-                model_builder=asm_models,
-                model_builder_args=(cfg,),
+                workers=workers,
+                recipe=asm_models,
+                recipe_args=(cfg,),
             )
             result.errors[(quantum, epoch)] = survey.mean_error("asm")
     return result

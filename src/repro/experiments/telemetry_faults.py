@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.config import SystemConfig, scaled_config
 from repro.experiments.common import (
     EQUAL_OVERHEAD_FILTER_COUNTERS,
-    ModelFactory,
     default_mixes,
     format_table,
 )
@@ -39,19 +38,19 @@ from repro.telemetry import FAULT_CLASSES, TelemetrySpec
 DEFAULT_RATES: Tuple[float, ...] = (0.01, 0.1)
 
 
-def chaos_model_factories(config: SystemConfig) -> Dict[str, ModelFactory]:
+def chaos_model_factories(config: SystemConfig) -> Dict[str, Any]:
     """All five slowdown models in their practical configurations.
 
     Module-level (picklable by reference) so the chaos suite can fan cells
     out across worker processes."""
     sets = config.ats_sampled_sets
-    return {
+    return {"model_factories": {
         "asm": lambda: _asm(sets),
         "mise": lambda: _mise(),
         "fst": lambda: _fst(),
         "ptca": lambda: _ptca(sets),
         "stfm": lambda: _stfm(),
-    }
+    }}
 
 
 def _asm(sets: int):
@@ -200,8 +199,8 @@ def run(
                 config=config,
                 quanta=quanta,
                 variant=variant,
-                model_builder=chaos_model_factories,
-                model_builder_args=(config,),
+                recipe=chaos_model_factories,
+                recipe_args=(config,),
                 telemetry=spec,
             )
             for mix in mixes

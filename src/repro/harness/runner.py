@@ -95,6 +95,10 @@ class AloneProfile:
         return self.time_at(inst_end) - self.time_at(inst_begin)
 
 
+#: Live alone legs by key: each leg's growing profile and its one-core run.
+LiveLegs = Dict[tuple, Tuple[AloneProfile, Iterator[int]]]
+
+
 def _checkpoints(trace, config: SystemConfig, interval: int) -> Iterator[int]:
     """Instructions one application alone on the platform (full cache, no
     co-runners, no epoch prioritisation) has committed at each
@@ -146,19 +150,24 @@ class AloneRunCache:
     the instruction asked for as the whole leg would. A live leg resumes
     its one-core run; a prefix simulated elsewhere (``stored``, or a
     persistent store) that falls short is re-simulated from cycle 0, which
-    repeats it exactly.
+    repeats it exactly. ``live`` maps a key to its live leg (profile, run)
+    and may be shared: caches built over one dict extend each other's
+    live legs, while each reports only the legs it was asked for.
 
     Tracks how it was used: ``hits`` (served from memory, extending a live
-    leg included), ``misses`` (simulated from cycle 0) and ``store_hits``
-    (served by a prefix simulated elsewhere). :meth:`summary` renders a
-    one-line account for campaign reports.
+    leg included), ``misses`` (a use past the longest prefix known here:
+    simulated here, or kept from another cache) and ``store_hits`` (served
+    by a prefix simulated elsewhere). :meth:`summary` renders a one-line
+    account for campaign reports.
     """
 
     def __init__(
-        self, stored: Optional[Mapping[tuple, AloneProfile]] = None
+        self,
+        stored: Optional[Mapping[tuple, AloneProfile]] = None,
+        live: Optional[LiveLegs] = None,
     ) -> None:
         self._profiles: Dict[tuple, AloneProfile] = {}
-        self._live: Dict[tuple, Iterator[int]] = {}
+        self._live: LiveLegs = {} if live is None else live
         self._stored = dict(stored or {})
         self.hits = 0
         self.misses = 0
@@ -183,6 +192,15 @@ class AloneRunCache:
     ) -> tuple:
         return (mix.specs[core], mix.seed, core, cls._config_key(config), cycles)
 
+    @classmethod
+    def leg_keys(
+        cls, mix: WorkloadMix, config: SystemConfig, quanta: int
+    ) -> List[tuple]:
+        """The keys of the alone legs of a ``quanta``-quantum run of
+        ``mix``, one per core."""
+        cap = alone_cap(config, quanta)
+        return [cls._key(mix, core, config, cap) for core in range(mix.num_cores)]
+
     def _load(self, key: tuple) -> Optional[AloneProfile]:
         """A prefix of leg ``key`` simulated elsewhere, or ``None``. Only
         a live leg's profile grows, so a loaded one is shared as is."""
@@ -193,10 +211,8 @@ class AloneRunCache:
     ) -> Dict[tuple, AloneProfile]:
         """The prefixes held here of the alone legs of a ``quanta``-quantum
         run of ``mix``, by key; simulates and counts nothing."""
-        cap = alone_cap(config, quanta)
         known = {}
-        for core in range(mix.num_cores):
-            key = self._key(mix, core, config, cap)
+        for key in self.leg_keys(mix, config, quanta):
             profile = self._profiles.get(key) or self._load(key)
             if profile is not None:
                 known[key] = profile
@@ -231,18 +247,19 @@ class AloneRunCache:
     ) -> Tuple[tuple, AloneProfile, bool]:
         """:meth:`get`'s work: (key, profile, whether it grew)."""
         key = self._key(mix, core, config, cycles)
-        run = self._live.get(key)
-        if run is None:
+        leg = self._live.get(key)
+        if leg is None:
             known = self._reuse(key, cycles, instruction)
             if known is not None:
                 return key, known, False
-            run = self._live[key] = _checkpoints(
-                mix.trace_for_core(core), config, CHECKPOINT_INTERVAL
+            leg = self._live[key] = (
+                AloneProfile(CHECKPOINT_INTERVAL, []),
+                _checkpoints(mix.trace_for_core(core), config, CHECKPOINT_INTERVAL),
             )
-            self._profiles[key] = AloneProfile(CHECKPOINT_INTERVAL, [])
         else:
             self.hits += 1
-        profile = self._profiles[key]
+        profile, run = leg
+        self._profiles[key] = profile
         grew = not _covers(profile, cycles, instruction)
         while not _covers(profile, cycles, instruction):
             profile.instructions.append(next(run))
@@ -264,12 +281,15 @@ class AloneRunCache:
     def keep(self, key: tuple, profile: AloneProfile) -> bool:
         """Account one run's use of leg ``key``, which another cache left
         at ``profile``, and keep ``profile`` if it is longer than the
-        prefix known here. Returns whether it was kept."""
+        prefix known here, as a copy: the other cache's leg may still be
+        live and growing. Returns whether it was kept."""
         # The known prefix is as long when it covers a leg of profile's length.
         length = len(profile.instructions) * profile.checkpoint_interval
         if self._reuse(key, length, math.inf) is not None:
             return False
-        self._profiles[key] = profile
+        self._profiles[key] = AloneProfile(
+            profile.checkpoint_interval, list(profile.instructions)
+        )
         self._live.pop(key, None)
         return True
 

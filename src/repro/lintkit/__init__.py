@@ -13,7 +13,7 @@ cannot enforce cheaply at runtime:
 
 Invariants that a test can hold are held there instead: counter
 conservation by :mod:`repro.resilience.invariants` and ASM's
-``counter-conservation`` flag, picklable model recipes by
+``counter-conservation`` flag, picklable cell recipes by
 :class:`repro.parallel.CellSpec`, and serial == pool stores by the
 byte comparisons in the test suite and CI.
 

@@ -50,7 +50,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    render_metric_series,
 )
 from repro.obs.sinks import JsonlSink, NullSink, RingBufferSink, read_jsonl
 
@@ -68,7 +67,6 @@ __all__ = [
     "JsonlSink",
     "MODEL",
     "MetricsRegistry",
-    "render_metric_series",
     "NullSink",
     "POLICY",
     "QUANTUM",

@@ -169,61 +169,10 @@ class MetricsRegistry:
         return record
 
 
-def render_metric_series(
-    snapshots: Sequence[Dict[str, Any]],
-    names: Optional[Sequence[str]] = None,
-) -> str:
-    """Render registry snapshots as a per-metric time-series table.
-
-    One row per scalar metric (counters and gauges; histogram dicts are
-    skipped), one column per snapshot, labelled by the snapshot's
-    ``cycle`` stamp. ``names`` restricts and orders the rows; by default
-    every scalar metric that appears in any snapshot is shown, sorted.
-    The fleet dashboard (``repro cloud report``) renders its per-round
-    samples through this.
-    """
-    if not snapshots:
-        return "(no metric snapshots)"
-    if names is None:
-        seen: Dict[str, None] = {}
-        for snap in snapshots:
-            for key in sorted(snap):
-                if key != "cycle" and isinstance(
-                    snap[key], (int, float)
-                ):
-                    seen[key] = None
-        names = sorted(seen)
-    header = ["metric"] + [str(snap.get("cycle", "?")) for snap in snapshots]
-    rows: List[List[str]] = []
-    for name in names:
-        cells = [name]
-        for snap in snapshots:
-            value = snap.get(name)
-            cells.append(
-                f"{value:g}" if isinstance(value, (int, float)) else "-"
-            )
-        rows.append(cells)
-    widths = [
-        max(len(header[i]), *(len(row[i]) for row in rows))
-        if rows
-        else len(header[i])
-        for i in range(len(header))
-    ]
-    lines = [
-        "  ".join(header[i].ljust(widths[i]) for i in range(len(header)))
-    ]
-    for row in rows:
-        lines.append(
-            "  ".join(row[i].rjust(widths[i]) for i in range(len(row)))
-        )
-    return "\n".join(lines)
-
-
 __all__ = [
     "Counter",
     "DEFAULT_EDGES",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "render_metric_series",
 ]

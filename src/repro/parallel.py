@@ -1,9 +1,9 @@
 """The one executor for campaign cells, serial or across worker processes.
 
 A *cell* is one (mix, config, quanta, variant) simulation together with the
-recipe for its slowdown models. Every batch of cells — a
-:meth:`Campaign.run_mix` call, a survey, a ``--workers N`` sweep, a fleet
-round — goes through the same three steps:
+recipe for the machine under test. Every batch of cells — a
+:meth:`Campaign.run_mix` call, a survey, a policy comparison, a
+``--workers N`` sweep, a fleet round — goes through the same three steps:
 
 1. **Plan** — each cell's store key is computed; cells already in the
    checkpoint store are resumed (``resume``). The rest are handed the
@@ -15,8 +15,8 @@ round — goes through the same three steps:
    ``config.engine`` (its fidelity tier; nothing else in a cell names
    one). It runs an event cell's alone legs too, from the prefixes handed
    in and only as far as the shared run reads them, and returns a
-   picklable payload: the result and the legs' prefixes, or the
-   exception's type/message/traceback/diagnosis.
+   picklable payload: the result and the prefixes of the cell's own
+   legs, or the exception's type/message/traceback/diagnosis.
 3. **Settle** — a result is persisted and counted, and so is each alone
    leg's use; a prefix longer than the campaign's is kept. A failure
    feeds the circuit breaker, then is retried under the campaign's
@@ -29,16 +29,22 @@ round — goes through the same three steps:
    whatever else runs beside it.
 
 ``workers=1`` runs in-process over one-cell batches, so each cell commits
-and backs off before the next one starts. A pool run attempts all pending
-cells of a round across a
-:class:`~concurrent.futures.ProcessPoolExecutor` and settles them **in
-submission order**, so it commits the same records, alone prefixes
-included, counts the same alone-run cache uses, and surveys accumulate
-floats in the same order, as a serial run — ``workers=N`` is
-bit-identical to ``workers=1``. A cell that needed a retry settles in a
-later round than its neighbours, so the pool's *store append order*, and
-which of two cells sharing an alone leg extends it, can then differ; the
-store is keyed last-record-wins and results stay bit-identical.
+and backs off before the next one starts. The cells of one serial
+:func:`run_cells` call share their live alone legs: an attempt extends
+the legs earlier cells left running instead of re-simulating them from
+cycle 0, a failed attempt discards the legs it touched, and a leg is
+released once the last cell of the call that uses it has settled. A pool
+run attempts all pending cells of a round across a
+:class:`~concurrent.futures.ProcessPoolExecutor`, each attempt from the
+prefixes it was handed, and settles them **in submission order**. Either
+way each leg is the same deterministic simulation, so a pool run commits
+the same records, alone prefixes included, counts the same alone-run
+cache uses, and surveys accumulate floats in the same order, as a serial
+run — ``workers=N`` is bit-identical to ``workers=1``. A cell that needed
+a retry settles in a later round than its neighbours, so the pool's
+*store append order*, and which of two cells sharing an alone leg extends
+it, can then differ; the store is keyed last-record-wins and results stay
+bit-identical.
 
 A serial give-up without ``keep_going`` re-raises the original exception;
 a pool give-up raises :class:`WorkerRunError` with the worker's traceback.
@@ -46,18 +52,18 @@ A worker that dies outright (the pool breaks) is a ``WorkerCrash`` failure:
 the pool is rebuilt and the surviving cells resubmitted. Store I/O errors
 are never captured as cell failures.
 
-Model recipes must be **module-level callables** (pickled by reference):
-``model_builder(*model_builder_args)`` returns the ``{name: factory}`` dict
-``run_workload`` expects, and a :class:`CellSpec` whose recipe or its
-arguments do not pickle raises at construction. The in-process arguments of
-:meth:`Campaign.run_mix` (factories, system hooks) never enter a
-:class:`CellSpec`.
+A cell's recipe must be a **module-level callable** (pickled by
+reference): ``recipe(*recipe_args)`` returns the keyword arguments of
+:func:`~repro.harness.runner.run_workload` that build the machine under
+test — ``model_factories``, ``policy_factories``, ``scheduler_factory``,
+``epoch_assignment``, ``system_hooks`` — and may build closures to do it.
+A :class:`CellSpec` whose recipe or its arguments do not pickle raises at
+construction.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import gc
 import pickle
 import time
@@ -71,7 +77,6 @@ from typing import (
     Callable,
     Dict,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -83,7 +88,7 @@ from repro.config import SystemConfig
 from repro.harness.runner import (
     AloneProfile,
     AloneRunCache,
-    ModelFactory,
+    LiveLegs,
     RunResult,
     run_workload,
 )
@@ -101,21 +106,23 @@ class CellSpec:
     """One independent unit of campaign work (a single shared run).
 
     ``config.engine`` (``"event"`` or ``"analytic"``) is the cell's
-    fidelity tier; see docs/fidelity.md. The model recipe must pickle,
-    which is checked here so that a lambda or nested def fails in a
-    serial run too, not only once ``--workers`` sends it to a pool.
+    fidelity tier; see docs/fidelity.md. ``recipe(*recipe_args)`` returns
+    ``run_workload``'s keyword arguments for the machine under test
+    (``None``: the bare platform). The recipe must pickle, which is
+    checked here so that a lambda or nested def fails in a serial run
+    too, not only once ``--workers`` sends it to a pool.
     """
 
     mix: WorkloadMix
     config: SystemConfig
     quanta: int = 1
     variant: str = ""
-    model_builder: Optional[Callable[..., Dict[str, ModelFactory]]] = None
-    model_builder_args: Tuple[Any, ...] = ()
+    recipe: Optional[Callable[..., Dict[str, Any]]] = None
+    recipe_args: Tuple[Any, ...] = ()
     telemetry: Optional[TelemetrySpec] = None
 
     def __post_init__(self) -> None:
-        pickle.dumps((self.model_builder, self.model_builder_args))
+        pickle.dumps((self.recipe, self.recipe_args))
 
 
 class WorkerRunError(RuntimeError):
@@ -127,12 +134,6 @@ class WorkerRunError(RuntimeError):
             f"{failure.message}\n{failure.traceback}"
         )
         self.failure = failure
-
-
-def build_model_factories(spec: CellSpec) -> Optional[Dict[str, ModelFactory]]:
-    if spec.model_builder is None:
-        return None
-    return spec.model_builder(*spec.model_builder_args)
 
 
 # ----------------------------------------------------------------------
@@ -163,18 +164,18 @@ class _CellTask:
 
 
 def _attempt(
-    task: _CellTask, run_kwargs: Optional[Mapping[str, Any]] = None
+    task: _CellTask, legs: Optional[LiveLegs] = None
 ) -> Dict[str, Any]:
     """Run one cell once; the only place that picks the fidelity tier.
 
-    ``run_kwargs`` are the in-process ``run_workload`` arguments of a
-    :meth:`Campaign.run_mix` call. An event cell's payload holds the
-    prefixes its alone legs reached under ``"alone"``; a failure's holds
-    the exception itself under ``"exc"``, for a serial give-up to
-    re-raise. Every payload holds the attempt's wall seconds, alone legs
-    included. A profiled cell's payload adds its shared-run engine events,
-    read from the registry its quanta were snapshotted into (an analytic
-    cell simulates none).
+    ``legs`` are the live alone legs of a serial batch, which the attempt
+    extends; a pool attempt starts with none. An event cell's payload
+    holds the prefixes its own alone legs reached under ``"alone"``; a
+    failure's holds the exception itself under ``"exc"``, for a serial
+    give-up to re-raise. Every payload holds the attempt's wall seconds,
+    alone legs included. A profiled cell's payload adds its shared-run
+    engine events, read from the registry its quanta were snapshotted
+    into (an analytic cell simulates none).
     """
     spec = task.spec
     run_metrics: Optional[MetricsRegistry] = None
@@ -185,11 +186,8 @@ def _attempt(
             # Closed form: no System, scheduler, telemetry or alone runs.
             result = run_analytic(spec.mix, spec.config, quanta=spec.quanta)
         else:
-            cache = AloneRunCache(task.prefixes)
-            kwargs: Dict[str, Any] = dict(run_kwargs or {})
-            factories = build_model_factories(spec)
-            if factories is not None:
-                kwargs["model_factories"] = factories
+            cache = AloneRunCache(task.prefixes, legs)
+            machine = spec.recipe(*spec.recipe_args) if spec.recipe else {}
             # Fresh per attempt: a failed attempt's counters must not leak
             # into a retried cell's persisted metrics.
             run_metrics = MetricsRegistry() if task.profile else None
@@ -202,9 +200,13 @@ def _attempt(
                 wall_clock_budget_s=task.wall_clock_budget_s,
                 telemetry=spec.telemetry,
                 run_metrics=run_metrics,
-                **kwargs,
+                **machine,
             )
     except Exception as exc:  # noqa: BLE001 - isolated and reported
+        if cache is not None and legs is not None:
+            # Its legs may have run past the prefixes the campaign keeps.
+            for key, _ in cache.prefixes():
+                legs.pop(key, None)
         return {
             "ok": False, "exc": exc, "wall_s": perf_counter() - start,
             **_error_payload(exc),
@@ -278,15 +280,6 @@ def _run_tasks(
         pending = retry
     # Every index was either completed or attributed as a crash above.
     return cast(List[Tuple[str, Any]], outcomes)
-
-
-def _map(
-    fn: Callable[[Any], Any], payloads: Sequence[Any], workers: int
-) -> List[Tuple[str, Any]]:
-    """:func:`_run_tasks` when ``workers > 1``, else ``fn`` in-process."""
-    if workers > 1:
-        return _run_tasks(fn, payloads, workers)
-    return [("ok", fn(payload)) for payload in payloads]
 
 
 def _failure_from_payload(
@@ -373,13 +366,12 @@ def _run_batch(
     campaign: "Campaign",
     cells: Sequence[CellSpec],
     workers: int = 1,
-    run_kwargs: Optional[Mapping[str, Any]] = None,
+    legs: Optional[LiveLegs] = None,
 ) -> List[Optional[RunResult]]:
     """Plan, attempt and settle one batch of cells.
 
-    With ``workers=1`` the attempts run in-process, and ``run_kwargs`` —
-    the in-process ``run_workload`` arguments of a :meth:`Campaign.run_mix`
-    call — reach each of them; with more, the attempts run in the pool.
+    With ``workers=1`` the attempts run in-process and extend ``legs``;
+    with more, they run in the pool.
     """
     # Plan: resume stored cells, hand the rest their known alone prefixes.
     results: List[Optional[RunResult]] = [None] * len(cells)
@@ -416,15 +408,16 @@ def _run_batch(
 
     # Attempt and settle in rounds: each round attempts every unsettled
     # cell, and a retried cell waits out the round's longest backoff.
-    if workers > 1:
-        attempt: Callable[[_CellTask], Dict[str, Any]] = _cell_worker
-    else:
-        attempt = functools.partial(_attempt, run_kwargs=run_kwargs)
     fanout_start = perf_counter()
     busy_s = 0.0
     active = pending
     while active:
-        outcomes = _map(attempt, [cell.task for cell in active], workers)
+        if workers > 1:
+            outcomes = _run_tasks(
+                _cell_worker, [cell.task for cell in active], workers
+            )
+        else:
+            outcomes = [("ok", _attempt(cell.task, legs)) for cell in active]
         retry: List[_Pending] = []
         backoff = 0.0
         for cell, (kind, value) in zip(active, outcomes):
@@ -460,18 +453,26 @@ def run_cells(
     Returns one entry per cell, in order: the :class:`RunResult`, or
     ``None`` for cells whose failure was captured by ``keep_going``.
     Results are the same at any ``workers``, and so are campaign counters
-    and stores, up to the settle order of retried cells.
+    and stores, up to the settle order of retried cells. A serial call's
+    cells extend each other's live alone legs; each leg is released once
+    the last cell that uses it has settled.
     """
     if workers > 1:
         return _run_batch(campaign, cells, workers)
-    return [
-        result for cell in cells for result in _run_batch(campaign, [cell])
-    ]
+    keys = [AloneRunCache.leg_keys(c.mix, c.config, c.quanta) for c in cells]
+    last_use = {key: i for i, cell_keys in enumerate(keys) for key in cell_keys}
+    legs: LiveLegs = {}
+    results: List[Optional[RunResult]] = []
+    for i, cell in enumerate(cells):
+        results += _run_batch(campaign, [cell], legs=legs)
+        for key in keys[i]:
+            if last_use[key] == i:
+                legs.pop(key, None)
+    return results
 
 
 __all__ = [
     "CellSpec",
     "WorkerRunError",
-    "build_model_factories",
     "run_cells",
 ]

@@ -7,7 +7,8 @@ name, mix seed, config fingerprint, quanta), so an interrupted campaign
 resumes without recomputing finished mixes — resumed results deserialize
 to the exact values the original run produced. The (expensive) alone runs
 are persisted the same way, as the prefixes the runs read, and shared
-across resumes: a later run that reads further re-simulates one.
+across resumes: a run of a later invocation that reads further than a
+stored prefix re-simulates it.
 
 Store layout::
 
@@ -257,8 +258,8 @@ class PersistentAloneRunCache(AloneRunCache):
 class Campaign:
     """Fault isolation + checkpoint/resume around a sweep of per-mix runs.
 
-    Experiment drivers call :meth:`run_mix` instead of ``run_workload``;
-    the campaign then
+    Experiment drivers hand it their cells (:meth:`run_cells`) instead of
+    calling ``run_workload``; the campaign then
 
     * returns the persisted result without simulating when ``resume`` is
       set and the (mix, config, quanta) cell is already in the store;
@@ -377,14 +378,12 @@ class Campaign:
         quanta: int = 1,
         variant: str = "",
         telemetry: Optional["TelemetrySpec"] = None,
-        **run_kwargs,
     ) -> Optional[RunResult]:
-        """Run one mix under the campaign's fault/checkpoint discipline.
-
-        A one-cell batch through the cell executor of
-        :mod:`repro.parallel`. ``run_kwargs`` (model, policy and scheduler
-        factories, system hooks) reach ``run_workload`` in-process. Returns
-        the :class:`RunResult`, or ``None`` when the run failed and
+        """Run one mix on the bare platform under the campaign's
+        fault/checkpoint discipline: a one-cell :meth:`run_cells` batch,
+        so a machine under test comes from a
+        :class:`~repro.parallel.CellSpec` recipe. Returns the
+        :class:`RunResult`, or ``None`` when the run failed and
         ``keep_going`` captured it."""
         from repro import parallel
 
@@ -392,7 +391,7 @@ class Campaign:
             mix=mix, config=config, quanta=quanta, variant=variant,
             telemetry=telemetry,
         )
-        return parallel._run_batch(self, [cell], run_kwargs=run_kwargs)[0]
+        return parallel.run_cells(self, [cell])[0]
 
     # -- retry supervision (the settle step of repro.parallel) ----------
     def may_retry(

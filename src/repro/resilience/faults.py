@@ -129,7 +129,7 @@ def rebuild_mix(failure: RunFailure) -> WorkloadMix:
     return WorkloadMix(name=failure.mix_name, specs=specs, seed=failure.mix_seed)
 
 
-def replay_failure(failure: RunFailure, config: SystemConfig, **run_kwargs):
+def replay_failure(failure: RunFailure, config: SystemConfig, **kwargs):
     """Re-run the failing mix on ``config`` (which must match the recorded
     fingerprint) — the deterministic simulator reproduces the failure, or a
     fixed build proves it is gone. Extra kwargs pass to ``run_workload``."""
@@ -142,12 +142,12 @@ def replay_failure(failure: RunFailure, config: SystemConfig, **run_kwargs):
         )
     from repro.harness.runner import run_workload
 
-    run_kwargs.setdefault("quanta", failure.quanta)
-    if failure.telemetry is not None and "telemetry" not in run_kwargs:
+    kwargs.setdefault("quanta", failure.quanta)
+    if failure.telemetry is not None and "telemetry" not in kwargs:
         from repro.telemetry.spec import TelemetrySpec
 
-        run_kwargs["telemetry"] = TelemetrySpec.from_json(failure.telemetry)
-    return run_workload(rebuild_mix(failure), config, **run_kwargs)
+        kwargs["telemetry"] = TelemetrySpec.from_json(failure.telemetry)
+    return run_workload(rebuild_mix(failure), config, **kwargs)
 
 
 def failure_table(failures: Sequence[RunFailure]) -> str:

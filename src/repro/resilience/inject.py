@@ -74,39 +74,41 @@ class ProcessKillerModel(SlowdownModel):
         os._exit(13)
 
 
-# Module-level model builders, picklable by reference, for driving the
+# Module-level cell recipes, picklable by reference, for driving the
 # parallel execution layer's failure paths from tests and chaos drills
-# (see repro.parallel.CellSpec.model_builder).
+# (see repro.parallel.CellSpec.recipe).
 
 def benign_model_factories(estimate: float = 1.0):
     """A single constant-estimate model (an ExplodingModel set to never
     fire) — the cheapest possible picklable cell recipe."""
-    return {"constant": lambda: ExplodingModel(1 << 30, estimate=estimate)}
+    return {"model_factories": {
+        "constant": lambda: ExplodingModel(1 << 30, estimate=estimate)
+    }}
 
 
 def exploding_model_factories(explode_at: int = 0):
     """A model that raises :class:`InjectedFault` at quantum ``explode_at``."""
-    return {"exploding": lambda: ExplodingModel(explode_at)}
+    return {"model_factories": {"exploding": lambda: ExplodingModel(explode_at)}}
 
 
 def process_killer_factories():
     """A model that hard-kills its process at the first quantum boundary."""
-    return {"killer": lambda: ProcessKillerModel()}
+    return {"model_factories": {"killer": lambda: ProcessKillerModel()}}
 
 
 def flaky_model_factories(sentinel: str, mode: str = "raise"):
     """A model that fails once (recording the fact in ``sentinel``) and
     then behaves — the transient-failure shape retries recover from."""
-    return {"flaky": lambda: FlakyModel(sentinel, mode)}
+    return {"model_factories": {"flaky": lambda: FlakyModel(sentinel, mode)}}
 
 
 def flaky_node_model_factories(config, sentinel: str, mode: str = "kill"):
-    """Fleet-node recipe (the ``FleetSpec.model_builder`` shape, called
-    as ``builder(config, *args)``) whose model fails exactly once —
+    """Fleet-node recipe (the ``FleetSpec.recipe`` shape, called as
+    ``recipe(config, *args)``) whose model fails exactly once —
     published under the ``asm`` name so the fleet supervisor reads its
     estimates. The fleet determinism drills inject this to prove a
     parallel fleet with a worker crash matches a crash-free serial one."""
-    return {"asm": lambda: FlakyModel(sentinel, mode)}
+    return {"model_factories": {"asm": lambda: FlakyModel(sentinel, mode)}}
 
 
 class FlakyModel(SlowdownModel):

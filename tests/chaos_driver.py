@@ -80,15 +80,16 @@ def main(argv=None):
         # A mix whose model raises at quantum 0, every attempt: the
         # supervisor retries once, the breaker proves the failure
         # deterministic, and the give-up appends to failures.jsonl.
-        results.append(
-            campaign.run_mix(
-                make_mix(["mcf", "bzip2"], seed=13),
-                config,
+        results += campaign.run_cells([
+            CellSpec(
+                mix=make_mix(["mcf", "bzip2"], seed=13),
+                config=config,
                 quanta=args.quanta,
                 variant="faulty",
-                model_factories=exploding_model_factories(0),
+                recipe=exploding_model_factories,
+                recipe_args=(0,),
             )
-        )
+        ])
     digest = [
         result_to_json(result) if result is not None else None
         for result in results

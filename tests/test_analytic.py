@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analytic import cpi
 from repro.analytic.cpi import solve_alone, solve_shared
 from repro.analytic.crossval import (
     ASM_DIVERGENCE_TOLERANCE_PCT,
@@ -18,6 +19,7 @@ from repro.analytic.crossval import (
 )
 from repro.analytic.reuse import (
     _PROFILE_CACHE,
+    ReuseProfile,
     _bucket_bounds,
     extract_profile,
     profile_mix,
@@ -154,6 +156,25 @@ def test_profile_matches_an_explicit_lru_stack(seed):
             assert dataclasses.astuple(profile) == reference
 
 
+def test_cpi_of_matches_the_closed_form():
+    # A hand-built profile, so the check reads only _cpi_of's algebra:
+    # CPI = CPI_exec + (1 - wf) / (g + 1) * (h * L_llc / olap + (1 - h) * stall).
+    profile = ReuseProfile(
+        spec_name="hand", accesses=1, mean_gap=3.0, write_frac=0.25,
+        seq_frac=0.0, cold_frac=0.0, buckets=(),
+    )
+    gap, stall = 3.0, 180.0
+    core = CONFIG.core
+    olap = cpi._overlap(gap, core.window_size)
+    for hit_rate in (0.2, 0.6, 0.9):
+        expected = cpi._cpi_exec(gap, core.issue_width) + (1 - 0.25) / (
+            gap + 1
+        ) * (hit_rate * CONFIG.llc.latency / olap + (1 - hit_rate) * stall)
+        assert cpi._cpi_of(profile, hit_rate, stall, CONFIG) == pytest.approx(
+            expected, rel=1e-12
+        )
+
+
 def test_shared_solve_never_beats_alone():
     mix = _mix(2)
     profiles = profile_mix(mix, sample_accesses=4096)
@@ -255,7 +276,7 @@ def test_cellspec_fidelity_parallel_matches_serial():
 def test_survey_at_analytical_fidelity():
     mixes = default_mixes(2, CONFIG.num_cores, seed=4)
     survey = survey_errors(
-        mixes, ANALYTIC, quanta=2, model_builder=unsampled_models
+        mixes, ANALYTIC, quanta=2, recipe=unsampled_models
     )
     # The surrogate's estimate IS its ground truth; models it did not
     # run simply collect no errors instead of poisoning the survey.
@@ -326,7 +347,7 @@ def test_analytic_survey_records_a_failed_twin(tmp_path):
     mixes = default_mixes(2, CONFIG.num_cores, seed=5)
     survey = survey_errors(
         mixes, ANALYTIC, quanta=1, campaign=campaign,
-        model_builder=exploding_model_factories,
+        recipe=exploding_model_factories,
     )
     assert survey.overall.get("exploding", []) == []
     assert campaign.computed == 2

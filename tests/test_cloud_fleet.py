@@ -100,8 +100,8 @@ def test_parallel_fleet_with_worker_crash_matches_serial(tmp_path):
     serial_sentinel = tmp_path / "serial-sentinel"
     serial_sentinel.write_text("disarmed\n")
     spec = small_spec(
-        model_builder=flaky_node_model_factories,
-        model_builder_args=(str(serial_sentinel), "kill"),
+        recipe=flaky_node_model_factories,
+        recipe_args=(str(serial_sentinel), "kill"),
     )
     serial = run_fleet(spec)
 
@@ -110,8 +110,8 @@ def test_parallel_fleet_with_worker_crash_matches_serial(tmp_path):
     # the cell, and the fleet must still match the serial run exactly.
     crash_sentinel = tmp_path / "crash-sentinel"
     spec = small_spec(
-        model_builder=flaky_node_model_factories,
-        model_builder_args=(str(crash_sentinel), "kill"),
+        recipe=flaky_node_model_factories,
+        recipe_args=(str(crash_sentinel), "kill"),
     )
     policy = RetryPolicy(max_attempts=3, backoff_s=0.0, jitter=0.0)
     parallel = run_fleet(spec, workers=2, policy=policy)

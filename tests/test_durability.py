@@ -38,6 +38,7 @@ from repro.durability.store import (
     repair_log,
     verify_log,
 )
+from repro.parallel import CellSpec
 from repro.resilience.campaign import Campaign, CampaignStore
 from repro.resilience.faults import RunFailure
 from repro.resilience.inject import (
@@ -61,6 +62,13 @@ def no_ambient_chaos(monkeypatch):
 
 def _mix(seed=11):
     return make_mix(["mcf", "bzip2"], seed=seed)
+
+
+def _run_one(campaign, mix, quanta, recipe, *recipe_args):
+    """Run one cell of ``mix`` on CONFIG built by ``recipe``."""
+    cell = CellSpec(mix=mix, config=CONFIG, quanta=quanta, recipe=recipe,
+                    recipe_args=recipe_args)
+    return campaign.run_cells([cell])[0]
 
 
 def _write_clean_log(path, payloads):
@@ -520,9 +528,8 @@ def test_campaign_recovers_transient_failure_by_retry(tmp_path):
         "t", str(tmp_path / "store"),
         retry_policy=RetryPolicy(max_attempts=3, backoff_s=0.0, jitter=0.0),
     )
-    result = campaign.run_mix(
-        _mix(), CONFIG, quanta=1,
-        model_factories=flaky_model_factories(sentinel, "raise"),
+    result = _run_one(
+        campaign, _mix(), 1, flaky_model_factories, sentinel, "raise"
     )
     assert result is not None
     assert campaign.retried_cells == 1
@@ -536,10 +543,7 @@ def test_campaign_circuit_breaker_stops_deterministic_retries(tmp_path):
         "t", str(tmp_path / "store"), keep_going=True,
         retry_policy=RetryPolicy(max_attempts=9, backoff_s=0.0, jitter=0.0),
     )
-    result = campaign.run_mix(
-        _mix(), CONFIG, quanta=1,
-        model_factories=exploding_model_factories(0),
-    )
+    result = _run_one(campaign, _mix(), 1, exploding_model_factories, 0)
     assert result is None
     # trip_threshold=2: one retry proves the failure repeats, then the
     # circuit opens — the other 7 attempts are not burned.
@@ -576,10 +580,7 @@ def test_campaign_retries_wall_clock_timeouts_as_transient(tmp_path):
 def test_campaign_unsupervised_failure_raises_without_keep_going(tmp_path):
     campaign = Campaign("t", str(tmp_path / "store"))
     with pytest.raises(InjectedFault):
-        campaign.run_mix(
-            _mix(), CONFIG, quanta=1,
-            model_factories=exploding_model_factories(0),
-        )
+        _run_one(campaign, _mix(), 1, exploding_model_factories, 0)
     # Default policy is unsupervised: a failure is not a degradation.
     assert [(f.reason, f.attempts) for f in campaign.failures] == [(None, 1)]
     assert "DEGRADED" not in campaign.summary()
@@ -597,18 +598,12 @@ def test_retried_cell_metrics_match_uninterrupted_run(tmp_path):
 
     open(sentinel, "w").close()  # sentinel present: flaky never fires
     clean = Campaign("t", clean_dir, profile=True, retry_policy=policy)
-    clean.run_mix(
-        mix, CONFIG, quanta=2,
-        model_factories=flaky_model_factories(sentinel, "raise"),
-    )
+    _run_one(clean, mix, 2, flaky_model_factories, sentinel, "raise")
     assert clean.retry_attempts == 0
 
     os.unlink(sentinel)  # sentinel absent: first attempt fails
     retried = Campaign("t", retried_dir, profile=True, retry_policy=policy)
-    retried.run_mix(
-        mix, CONFIG, quanta=2,
-        model_factories=flaky_model_factories(sentinel, "raise"),
-    )
+    _run_one(retried, mix, 2, flaky_model_factories, sentinel, "raise")
     assert retried.retry_attempts == 1
 
     key = clean.run_key(mix, CONFIG, 2)
@@ -625,10 +620,7 @@ def test_supervisor_metrics_persisted_in_store(tmp_path):
         "t", store_dir,
         retry_policy=RetryPolicy(max_attempts=3, backoff_s=0.0, jitter=0.0),
     )
-    campaign.run_mix(
-        _mix(), CONFIG, quanta=1,
-        model_factories=flaky_model_factories(sentinel, "raise"),
-    )
+    _run_one(campaign, _mix(), 1, flaky_model_factories, sentinel, "raise")
     snapshots = CampaignStore(store_dir).get_metrics("__supervisor__")
     assert snapshots, "supervisor counters not persisted"
     assert snapshots[-1]["supervisor.retried_cells"] == 1

@@ -65,13 +65,13 @@ def test_error_survey_empty_model():
 
 def test_model_factory_bundles():
     config = scaled_config()
-    for bundle in (unsampled_models(), sampled_models(config), headline_models(config)):
-        for name, factory in bundle.items():
+    for recipe in (unsampled_models(), sampled_models(config), headline_models(config)):
+        for name, factory in recipe["model_factories"].items():
             model = factory()
             assert hasattr(model, "attach"), name
-    sampled = sampled_models(config)["asm"]()
+    sampled = sampled_models(config)["model_factories"]["asm"]()
     assert sampled.sampled_sets == config.ats_sampled_sets
-    unsampled = unsampled_models()["asm"]()
+    unsampled = unsampled_models()["model_factories"]["asm"]()
     assert unsampled.sampled_sets is None
     assert EQUAL_OVERHEAD_FILTER_COUNTERS > 0
 

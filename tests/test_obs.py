@@ -423,16 +423,20 @@ def test_stage_profiler_spans_are_exclusive():
 # ----------------------------------------------------------------------
 # Campaign profile mode.
 
+def _asm_cell(mix):
+    """A two-quantum cell of ``mix`` with sampled ASM attached."""
+    from repro.experiments.table3_quantum_epoch import asm_models
+    from repro.parallel import CellSpec
+
+    return CellSpec(mix=mix, config=CONFIG, quanta=2, recipe=asm_models,
+                    recipe_args=(CONFIG,))
+
+
 def test_campaign_profile_mode(tmp_path):
     store_dir = str(tmp_path / "camp")
     campaign = Campaign("obs-test", store_dir, profile=True)
     mix = _mix()
-    factories = {
-        "asm": lambda: AsmModel(sampled_sets=CONFIG.ats_sampled_sets)
-    }
-    result = campaign.run_mix(
-        mix, CONFIG, quanta=2, model_factories=factories
-    )
+    [result] = campaign.run_cells([_asm_cell(mix)])
     assert result is not None
     assert len(campaign.cell_timings) == 1
     timing = campaign.cell_timings[0]
@@ -449,14 +453,9 @@ def test_campaign_profile_mode(tmp_path):
 
 
 def test_campaign_profile_results_match_unprofiled(tmp_path):
-    factories = {
-        "asm": lambda: AsmModel(sampled_sets=CONFIG.ats_sampled_sets)
-    }
-    plain = Campaign("plain", None).run_mix(
-        _mix(), CONFIG, quanta=2, model_factories=factories
-    )
-    profiled = Campaign("prof", None, profile=True).run_mix(
-        _mix(), CONFIG, quanta=2, model_factories=factories
+    [plain] = Campaign("plain", None).run_cells([_asm_cell(_mix())])
+    [profiled] = Campaign("prof", None, profile=True).run_cells(
+        [_asm_cell(_mix())]
     )
     assert _fingerprint(plain) == _fingerprint(profiled)
 
@@ -467,7 +466,7 @@ def test_profiled_cells_match_across_worker_counts(tmp_path):
 
     cells = [
         CellSpec(mix=make_mix(apps, seed=3), config=CONFIG, quanta=2,
-                 model_builder=benign_model_factories)
+                 recipe=benign_model_factories)
         for apps in (["mcf", "bzip2"], ["milc", "ft"])
     ]
     cells.append(CellSpec(mix=make_mix(["lbm", "soplex"], seed=3),

@@ -1,7 +1,9 @@
 """Tests for the parallel campaign execution layer (repro.parallel)."""
 
+import dataclasses
 import functools
 import gc
+import json
 import multiprocessing
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -13,8 +15,16 @@ from repro.config import scaled_config
 from repro.experiments.common import (
     headline_models,
     sampled_models,
+    scheme_recipe,
     survey_errors,
     unsampled_models,
+)
+from repro.experiments import (
+    ablations,
+    fig09_asm_cache,
+    fig10_asm_mem,
+    fig11_qos,
+    sec72_combined,
 )
 from repro.experiments.db_workloads import db_models
 from repro.experiments.sec64_mise_vs_asm import mise_vs_asm_models
@@ -29,7 +39,7 @@ from repro.harness.runner import (
     run_workload,
 )
 from repro.parallel import CellSpec, WorkerRunError, _CellTask, _cell_worker, run_cells
-from repro.resilience.campaign import Campaign, CampaignStore
+from repro.resilience.campaign import Campaign, CampaignStore, result_to_json
 from repro.resilience.faults import stable_hash
 from repro.durability.retry import RetryPolicy
 from repro.resilience.inject import (
@@ -54,8 +64,8 @@ def _cell(mix, builder=benign_model_factories, args=(), quanta=2):
         mix=mix,
         config=CONFIG,
         quanta=quanta,
-        model_builder=builder,
-        model_builder_args=args,
+        recipe=builder,
+        recipe_args=args,
     )
 
 
@@ -66,11 +76,11 @@ def test_parallel_survey_matches_serial():
     mixes = _mixes(3)
     serial = survey_errors(
         mixes, CONFIG, quanta=2, workers=1,
-        model_builder=benign_model_factories,
+        recipe=benign_model_factories,
     )
     parallel = survey_errors(
         mixes, CONFIG, quanta=2, workers=2,
-        model_builder=benign_model_factories,
+        recipe=benign_model_factories,
     )
     assert serial.model_names == parallel.model_names
     assert serial.overall == parallel.overall
@@ -78,7 +88,7 @@ def test_parallel_survey_matches_serial():
     assert serial.per_workload == parallel.per_workload
 
 
-#: The module-level model recipes the drivers and the fleet hand to a pool.
+#: The module-level cell recipes the drivers and the fleet hand to a pool.
 DRIVER_RECIPES = [
     (unsampled_models, ()),
     (sampled_models, (CONFIG,)),
@@ -88,12 +98,25 @@ DRIVER_RECIPES = [
     (chaos_model_factories, (CONFIG,)),
     (asm_models, (CONFIG,)),
     (node_model_factories, (CONFIG,)),
+    # The policy drivers' scheme tables, one scheme each through the
+    # recipe they share.
+    (scheme_recipe, (fig09_asm_cache._schemes, "asm-cache", CONFIG)),
+    (scheme_recipe, (fig10_asm_mem._schemes, "tcm", CONFIG)),
+    (scheme_recipe, (fig11_qos._schemes, "asm-qos-2.0", CONFIG, (2.0,))),
+    (scheme_recipe, (sec72_combined._schemes, "parbs+ucp", CONFIG)),
+    (scheme_recipe, (ablations._variants, "round-robin-epochs", CONFIG, (16,))),
 ]
+
+
+def _recipe_id(recipe, args):
+    if recipe is scheme_recipe:
+        return args[0].__module__.rsplit(".", 1)[-1]
+    return recipe.__name__
 
 
 @pytest.mark.parametrize(
     "recipe, args", DRIVER_RECIPES,
-    ids=[recipe.__name__ for recipe, _ in DRIVER_RECIPES],
+    ids=[_recipe_id(recipe, args) for recipe, args in DRIVER_RECIPES],
 )
 def test_spawned_pool_matches_serial_for_every_driver_recipe(
     monkeypatch, recipe, args
@@ -107,15 +130,15 @@ def test_spawned_pool_matches_serial_for_every_driver_recipe(
         "repro.parallel.ProcessPoolExecutor",
         functools.partial(ProcessPoolExecutor, mp_context=spawn),
     )
-    mixes = _mixes(2)
+    cells = [_cell(mix, recipe, args, quanta=1) for mix in _mixes(2)]
     serial, pool = (
-        survey_errors(
-            mixes, CONFIG, quanta=1, workers=workers,
-            model_builder=recipe, model_builder_args=args,
-        )
+        [
+            json.dumps(result_to_json(result), sort_keys=True)
+            for result in Campaign("t", None).run_cells(cells, workers=workers)
+        ]
         for workers in (1, 2)
     )
-    assert serial.overall == pool.overall
+    assert serial == pool
 
 
 def test_run_cells_parallel_matches_serial_results():
@@ -129,10 +152,6 @@ def test_parallel_results_bit_identical_to_serial():
     """The determinism contract DET001/DET002 protect statically: the
     *serialized* records of a parallel sweep are byte-for-byte equal to a
     serial one — float formatting included, not just value equality."""
-    import json
-
-    from repro.resilience.campaign import result_to_json
-
     cells = [_cell(mix) for mix in _mixes(2)]
     serial = Campaign("t", None).run_cells(cells, workers=1)
     parallel = Campaign("t", None).run_cells(cells, workers=2)
@@ -286,9 +305,7 @@ def test_short_stored_prefixes_are_resimulated(tmp_path):
 
 def test_run_result_pickle_roundtrip():
     mix = make_mix(["mcf", "libquantum", "astar", "povray"], seed=3)
-    result = run_workload(
-        mix, CONFIG, model_factories=benign_model_factories(), quanta=1
-    )
+    result = run_workload(mix, CONFIG, quanta=1, **benign_model_factories())
     clone = pickle.loads(pickle.dumps(result))
     assert clone == result
     assert clone.mean_actual_slowdowns() == result.mean_actual_slowdowns()
@@ -306,7 +323,7 @@ def test_cell_spec_is_picklable():
     cell = _cell(_mixes(1)[0])
     clone = pickle.loads(pickle.dumps(cell))
     assert clone == cell
-    assert clone.model_builder is benign_model_factories
+    assert clone.recipe is benign_model_factories
 
 
 @pytest.mark.parametrize("kind", ["lambda", "nested-def"])
@@ -395,12 +412,10 @@ def test_parallel_retry_result_matches_serial_retry(tmp_path):
         workers=2,
     )
     serial_campaign = _retrying_campaign()
-    serial_result = serial_campaign.run_mix(
-        mix, CONFIG, quanta=1,
-        model_factories=flaky_model_factories(serial_sentinel, "raise"),
+    [serial_result] = serial_campaign.run_cells(
+        [_cell(mix, builder=flaky_model_factories,
+               args=(serial_sentinel, "raise"), quanta=1)],
     )
-    from repro.resilience.campaign import result_to_json
-
     assert result_to_json(parallel_result) == result_to_json(serial_result)
 
 
@@ -495,12 +510,36 @@ def _exploding_neighbour_cells():
     ]
 
 
+class SecondAloneFaultMix(WorkloadMix):
+    """A mix whose core-1 alone run raises, after core 0's alone run has
+    been read; its shared run is clean."""
+
+    def trace_for_core(self, core):
+        if core:
+            raise InjectedFault(f"alone run of core {core} failed")
+        return super().trace_for_core(core)
+
+
+def _failed_extender_cells():
+    # The failing cell reads further into the shared mcf leg than the cell
+    # before it. A serial batch must drop what it simulated, so the last
+    # cell reads the kept prefix, as a pool attempt does.
+    longer = make_mix(["mcf", "bzip2"], seed=5)
+    shorter = make_mix(["mcf", "lbm"], seed=5)
+    return [
+        _cell(shorter, quanta=1),
+        _cell(SecondAloneFaultMix(longer.name, longer.specs, longer.seed),
+              quanta=1),
+        dataclasses.replace(_cell(shorter, quanta=1), variant="again"),
+    ]
+
+
 @pytest.mark.parametrize(
     "make_cells",
     [_alone_fault_cells, _shared_profile_cells, _shared_profile_cells_reversed,
-     _exploding_neighbour_cells],
+     _exploding_neighbour_cells, _failed_extender_cells],
     ids=["alone-fault", "shared-profiles", "shared-profiles-reversed",
-         "exploding-neighbour"],
+         "exploding-neighbour", "failed-extender"],
 )
 def test_serial_and_pool_keep_the_same_records(tmp_path, make_cells):
     def records(workers):
@@ -526,3 +565,23 @@ def test_serial_and_pool_keep_the_same_records(tmp_path, make_cells):
         }
 
     assert records(1) == records(2)
+
+
+def test_serial_batch_simulates_a_shared_leg_once(monkeypatch):
+    # The second cell reads further into the mcf leg than the first: a
+    # serial batch extends the leg the first cell left live instead of
+    # simulating it again from cycle 0.
+    started = []
+    checkpoints = runner._checkpoints
+
+    def count_starts(trace, config, interval):
+        started.append(trace)
+        return checkpoints(trace, config, interval)
+
+    monkeypatch.setattr(runner, "_checkpoints", count_starts)
+    cells = _shared_profile_cells_reversed()
+    campaign = Campaign("t", None)
+    results = campaign.run_cells(cells)
+    assert len(started) == 3  # mcf once, lbm once, bzip2 once
+    fresh = [Campaign("t", None).run_cells([cell])[0] for cell in cells]
+    assert [r.records for r in results] == [r.records for r in fresh]

@@ -8,6 +8,7 @@ import pytest
 from repro.config import scaled_config
 from repro.harness.runner import run_workload
 from repro.models.asm import AsmModel
+from repro.parallel import CellSpec
 from repro.resilience import (
     Campaign,
     InvariantChecker,
@@ -23,10 +24,10 @@ from repro.resilience.inject import (
     CorruptingTrace,
     CounterCorruptionInjector,
     EngineStallInjector,
-    ExplodingModel,
     InjectedFault,
     SpinInjector,
     TraceFaultMix,
+    exploding_model_factories,
 )
 from repro.resilience.watchdog import WatchdogStall, WatchdogTimeout
 from repro.workloads.mixes import make_mix
@@ -40,6 +41,37 @@ def config():
 def _mixes(n=3, seed=5):
     names = [["mcf", "bzip2"], ["ft", "libquantum"], ["gcc", "lbm"]]
     return [make_mix(names[i % 3], seed=seed + i) for i in range(n)]
+
+
+def _run_one(campaign, mix, config, recipe, *recipe_args, **cell):
+    """Run one cell of ``mix`` on ``config`` built by ``recipe``."""
+    spec = CellSpec(mix=mix, config=config, recipe=recipe,
+                    recipe_args=recipe_args, **cell)
+    return campaign.run_cells([spec])[0]
+
+
+# Module-level cell recipes: a cell's recipe must pickle by reference.
+
+def _boom_recipe():
+    def boom(system):
+        raise RuntimeError("boom")
+
+    return {"system_hooks": [boom]}
+
+
+def _corrupted_demand_recipe():
+    return {
+        "model_factories": {"asm": lambda: AsmModel(sampled_sets=16)},
+        "system_hooks": [
+            CounterCorruptionInjector(
+                50_000, lambda s: _corrupt_demand(s)
+            ).attach
+        ],
+    }
+
+
+def _stalled_engine_recipe():
+    return {"system_hooks": [EngineStallInjector(at_cycle=40_000).attach]}
 
 
 # ---------------------------------------------------------------------------
@@ -57,13 +89,9 @@ def test_stable_hash_is_deterministic(config):
 
 def test_run_failure_roundtrip_and_rebuild(config):
     mix = _mixes(1)[0]
-
-    def boom(system):
-        raise RuntimeError("boom")
-
     campaign = Campaign("t", keep_going=True)
-    assert campaign.run_mix(
-        mix, config, quanta=2, variant="v", system_hooks=[boom]
+    assert _run_one(
+        campaign, mix, config, _boom_recipe, quanta=2, variant="v"
     ) is None
     [failure] = campaign.failures
     assert failure.error_type == "RuntimeError"
@@ -120,11 +148,9 @@ def test_without_keep_going_the_fault_propagates(config):
 
 def test_exploding_model_is_captured(config):
     campaign = Campaign("model", keep_going=True)
-    result = campaign.run_mix(
-        _mixes(1)[0],
-        config,
+    result = _run_one(
+        campaign, _mixes(1)[0], config, exploding_model_factories, 0,
         quanta=1,
-        model_factories={"exploding": lambda: ExplodingModel(explode_at=0)},
     )
     assert result is None
     assert campaign.failures[0].error_type == "InjectedFault"
@@ -264,16 +290,8 @@ def test_invariant_violation_names_component_and_cycle():
 def test_campaign_captures_invariant_violation(config):
     mix = _mixes(1)[0]
     campaign = Campaign("inv", keep_going=True, check_invariants=True)
-    result = campaign.run_mix(
-        mix,
-        config,
-        quanta=1,
-        model_factories={"asm": lambda: AsmModel(sampled_sets=16)},
-        system_hooks=[
-            CounterCorruptionInjector(
-                50_000, lambda s: _corrupt_demand(s)
-            ).attach
-        ],
+    result = _run_one(
+        campaign, mix, config, _corrupted_demand_recipe, quanta=1
     )
     assert result is None
     assert campaign.failures[0].error_type == "InvariantViolation"
@@ -300,11 +318,8 @@ def test_watchdog_catches_stopped_engine(config):
 
 def test_watchdog_failure_carries_diagnosis(config):
     campaign = Campaign("wd", keep_going=True)
-    result = campaign.run_mix(
-        _mixes(1)[0],
-        config,
-        quanta=1,
-        system_hooks=[EngineStallInjector(at_cycle=40_000).attach],
+    result = _run_one(
+        campaign, _mixes(1)[0], config, _stalled_engine_recipe, quanta=1
     )
     assert result is None
     failure = campaign.failures[0]

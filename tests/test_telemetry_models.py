@@ -54,11 +54,11 @@ def run_with(mix, config, cache, telemetry, quanta=2):
     return run_workload(
         mix,
         config,
-        model_factories=telemetry_faults.chaos_model_factories(config),
         quanta=quanta,
         alone_cache=cache,
         telemetry=telemetry,
         check_invariants=True,
+        **telemetry_faults.chaos_model_factories(config),
     )
 
 
