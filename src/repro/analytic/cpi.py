@@ -140,19 +140,24 @@ def _stalls(
         / dram.total_banks
         for i in range(n)
     ]
+    # Plain float adds, left to right, here and below: sum() compensates
+    # float sums from Python 3.12 on, which would make the solution
+    # depend on the interpreter's version.
+    traffic = 0.0
+    for i in range(n):
+        traffic += miss_rates[i] * (1.0 + profiles[i].write_frac)
     bus_util = min(
-        _MAX_UTILISATION,
-        sum(miss_rates[i] * (1.0 + profiles[i].write_frac) for i in range(n))
-        * dram.burst_time
-        / dram.channels,
+        _MAX_UTILISATION, traffic * dram.burst_time / dram.channels
     )
     bus_wait = bus_util / (1.0 - bus_util) * dram.burst_time
     stalls: List[float] = []
     latencies: List[float] = []
     for i, profile in enumerate(profiles):
-        blocking = CROSS_BLOCKING_KAPPA * sum(
-            utils[j] * batches[j] * services[j] for j in range(n) if j != i
-        )
+        co_runner_load = 0.0
+        for j in range(n):
+            if j != i:
+                co_runner_load += utils[j] * batches[j] * services[j]
+        blocking = CROSS_BLOCKING_KAPPA * co_runner_load
         overlapped = (config.llc.latency + services[i] + bus_wait) / batches[i]
         serial = (
             profile.seq_frac * services[i] * (1.0 + profile.write_frac)

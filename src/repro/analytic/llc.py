@@ -65,11 +65,13 @@ def shared_hit_rates(
             if mean_sd >= capacity_lines:
                 continue  # misses alone; interference cannot help
             elapsed = mean_td / own_rate
-            inflated = mean_sd + sum(
-                other.distinct_lines(rates[j] * elapsed)
-                for j, other in enumerate(profiles)
-                if j != i
-            )
+            # Plain float adds, left to right: sum() compensates float
+            # sums from Python 3.12 on.
+            insertions = 0.0
+            for j, other in enumerate(profiles):
+                if j != i:
+                    insertions += other.distinct_lines(rates[j] * elapsed)
+            inflated = mean_sd + insertions
             if inflated < capacity_lines:
                 hits += count
         hit_rates.append(hits / profile.accesses)

@@ -33,16 +33,17 @@ is what makes 100M-cycle cells take seconds instead of minutes.
 
 from __future__ import annotations
 
-import bisect
+import itertools
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.workloads.mixes import WorkloadMix
 from repro.workloads.synthetic import AppSpec, SyntheticTrace
 
 #: Accesses sampled per core when profiling a generator. Extraction is
 #: O(n log n) in this; at 32768 a cold paper-scale 4-core cell, four
-#: profiles plus the solve, takes ~0.5 s (docs/fidelity.md) while the
+#: profiles plus the solve, takes ~0.3 s (docs/fidelity.md) while the
 #: distance CDFs are already stable to a few percent.
 DEFAULT_SAMPLE_ACCESSES = 32768
 
@@ -148,41 +149,47 @@ _PROFILE_CACHE: Dict[Tuple[AppSpec, int, int, int], ReuseProfile] = {}
 def _extract(
     spec: AppSpec, trace: SyntheticTrace, sample_accesses: int
 ) -> ReuseProfile:
+    gaps, lines, writes = trace.take(sample_accesses)
+    gap_total = sum(gaps)
+    write_total = sum(writes)
+    del gaps, writes  # only the line column is walked; free the rest
+    # Sequential accesses: lines exactly one past their predecessor.
+    seq = operator.countOf(
+        map(operator.sub, itertools.islice(lines, 1, None), lines), 1
+    )
+    bounds = _bucket_bounds(sample_accesses)
+    # Bucket of every possible stack distance (all lie below the last
+    # bound), as bisect_right(bounds, distance) - 1 would find it. The
+    # ~15% growth keeps bucket indices below 256 for any sample that
+    # fits in memory.
+    bucket_of = b"".join(
+        bytes([b]) * (hi - lo)
+        for b, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    )
+    counts = [0] * len(bounds)
+    sd_sums = [0] * len(bounds)
+    td_sums = [0] * len(bounds)
     # Fenwick tree of superseded timestamps: timestamp s sits at index
     # s + 1, and tree[i] counts the superseded ones whose index lies in
-    # (i - (i & -i), i].
+    # (i - (i & -i), i]. Each reuse supersedes one timestamp, so the
+    # superseded count is also the reuse count.
     size = sample_accesses + 1
     tree = [0] * size
     superseded = 0
     last_access: Dict[int, int] = {}
-    bounds = _bucket_bounds(sample_accesses)
-    counts = [0] * len(bounds)
-    sd_sums = [0] * len(bounds)
-    td_sums = [0] * len(bounds)
-    cold = 0
-    gap_total = 0
-    writes = 0
-    seq = 0
-    prev_line: Optional[int] = None
-    for t, (gap, line, is_write) in zip(range(sample_accesses), trace):
-        gap_total += gap
-        if is_write:
-            writes += 1
-        if prev_line is not None and line == prev_line + 1:
-            seq += 1
-        prev_line = line
-        t0 = last_access.get(line)
+    first_touch = last_access.setdefault
+    for t, line in enumerate(lines):
+        t0 = first_touch(line, t)
+        if t0 == t:
+            continue  # cold: the line's first touch, one dict operation
         last_access[line] = t
-        if t0 is None:
-            cold += 1
-            continue
         i = t0 + 1  # prefix walk: superseded timestamps up to t0
         superseded_le_t0 = 0
         while i:
             superseded_le_t0 += tree[i]
             i &= i - 1
         stack_distance = t - t0 - 1 - (superseded - superseded_le_t0)
-        bucket = bisect.bisect_right(bounds, stack_distance) - 1
+        bucket = bucket_of[stack_distance]
         counts[bucket] += 1
         sd_sums[bucket] += stack_distance
         td_sums[bucket] += t - t0
@@ -200,9 +207,9 @@ def _extract(
         spec_name=spec.name,
         accesses=sample_accesses,
         mean_gap=gap_total / sample_accesses,
-        write_frac=writes / sample_accesses,
+        write_frac=write_total / sample_accesses,
         seq_frac=seq / sample_accesses,
-        cold_frac=cold / sample_accesses,
+        cold_frac=(sample_accesses - superseded) / sample_accesses,
         buckets=buckets,
     )
 

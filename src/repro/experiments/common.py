@@ -133,10 +133,33 @@ def survey_errors(
     seeded sample of its cells against their event twins and persists the
     divergence report (:mod:`repro.analytic.crossval`).
     """
+    (survey,) = survey_configs(
+        mixes, [config], quanta, campaign, variant, workers=workers,
+        recipe=recipe, recipe_args=recipe_args, telemetry=telemetry,
+    )
+    return survey
+
+
+def survey_configs(
+    mixes: Sequence[WorkloadMix],
+    configs: Sequence[SystemConfig],
+    quanta: int = 2,
+    campaign: Optional["Campaign"] = None,
+    variant: str = "",
+    *,
+    workers: int = 1,
+    recipe: Callable[..., Dict[str, Any]],
+    recipe_args: Sequence = (),
+    telemetry: Optional["TelemetrySpec"] = None,
+) -> List[ErrorSurvey]:
+    """:func:`survey_errors` on each of ``configs``, in order, with every
+    cell in one :meth:`~repro.resilience.campaign.Campaign.run_cells`
+    batch, so configs whose alone legs share keys (those that differ only
+    in epoch length) extend the legs instead of re-simulating them."""
     from repro.parallel import CellSpec
     from repro.resilience.campaign import Campaign
 
-    survey = ErrorSurvey(model_names=list(recipe(*recipe_args).get("model_factories", ())))
+    model_names = list(recipe(*recipe_args).get("model_factories", ()))
     cells = [
         CellSpec(
             mix=mix,
@@ -147,18 +170,24 @@ def survey_errors(
             recipe_args=tuple(recipe_args),
             telemetry=telemetry,
         )
+        for config in configs
         for mix in mixes
     ]
     camp = campaign if campaign is not None else Campaign("adhoc-survey")
     results = camp.run_cells(cells, workers=workers)
-    for result in results:
-        if result is not None:
-            survey.add_run(result)
-    if config.engine == "analytic" and camp.store is not None:
-        from repro.analytic.crossval import cross_validate
+    surveys = []
+    for k, config in enumerate(configs):
+        group = slice(k * len(mixes), (k + 1) * len(mixes))
+        survey = ErrorSurvey(model_names=list(model_names))
+        for result in results[group]:
+            if result is not None:
+                survey.add_run(result)
+        if config.engine == "analytic" and camp.store is not None:
+            from repro.analytic.crossval import cross_validate
 
-        cross_validate(camp, cells, results)
-    return survey
+            cross_validate(camp, cells[group], results[group])
+        surveys.append(survey)
+    return surveys
 
 
 def default_mixes(count: int, num_cores: int, seed: int = 42) -> List[WorkloadMix]:
@@ -302,6 +331,7 @@ __all__ = [
     "headline_models",
     "ErrorSurvey",
     "survey_errors",
+    "survey_configs",
     "default_mixes",
     "format_table",
     "fairness_of_runs",

@@ -18,7 +18,7 @@ from repro.config import SystemConfig, scaled_config
 from repro.experiments.common import (
     default_mixes,
     format_table,
-    survey_errors,
+    survey_configs,
 )
 from repro.models.asm import AsmModel
 
@@ -61,26 +61,24 @@ def run(
     config = config or scaled_config()
     result = QuantumEpochResult()
     budget = max(quantum_lengths)  # equal simulated time per cell
-    # One campaign, so one alone-run cache, across all cells: within a
-    # quantum-length row the simulated horizon is identical, so ground
-    # truth is fully shared. Without one: a campaign with no store, so a
-    # failing run raises.
+    # One campaign across all cells. Within a quantum-length row the
+    # simulated horizon is identical and an alone leg's key holds no epoch
+    # length, so each row is one batch of cells whose columns extend the
+    # same alone legs. Without a campaign: one with no store, so a failing
+    # run raises.
     campaign = campaign if campaign is not None else Campaign("table3")
+    mixes = default_mixes(num_mixes, config.num_cores, seed=seed)
     for quantum in quantum_lengths:
-        for epoch in epoch_lengths:
-            if quantum % epoch:
-                continue
-            cfg = config.with_quantum(quantum, epoch)
-            mixes = default_mixes(num_mixes, cfg.num_cores, seed=seed)
-            quanta = max(1, budget // quantum)
-            survey = survey_errors(
-                mixes,
-                cfg,
-                quanta=quanta,
-                campaign=campaign,
-                workers=workers,
-                recipe=asm_models,
-                recipe_args=(cfg,),
-            )
+        epochs = [epoch for epoch in epoch_lengths if not quantum % epoch]
+        surveys = survey_configs(
+            mixes,
+            [config.with_quantum(quantum, epoch) for epoch in epochs],
+            quanta=max(1, budget // quantum),
+            campaign=campaign,
+            workers=workers,
+            recipe=asm_models,
+            recipe_args=(config,),
+        )
+        for epoch, survey in zip(epochs, surveys):
             result.errors[(quantum, epoch)] = survey.mean_error("asm")
     return result

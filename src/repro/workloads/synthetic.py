@@ -28,7 +28,7 @@ import random
 import zlib
 from dataclasses import dataclass, replace
 from math import log
-from typing import Iterator
+from typing import Iterator, List, Tuple
 
 from repro.cpu.trace import TraceRecord
 
@@ -74,6 +74,9 @@ class AppSpec:
 # ranking across the address space bijectively (Knuth multiplicative hash).
 _SCRAMBLE_PRIME = 2654435761
 
+# Records each refill of __next__'s buffer draws.
+_REFILL = 256
+
 
 class SyntheticTrace(Iterator[TraceRecord]):
     """Infinite deterministic access stream for one application.
@@ -89,38 +92,74 @@ class SyntheticTrace(Iterator[TraceRecord]):
         # (Python's str hash is salted per interpreter run).
         name_salt = zlib.crc32(spec.name.encode()) & 0xFFFF
         self._rng = random.Random((seed << 16) ^ name_salt)
-        self._uniform = self._rng.random
         self._next_seq = 0  # sequential scan cursor within footprint
         # Exponential rates, as random.expovariate takes them; 0.0 marks
         # a zero mean gap, which draws nothing.
         mean_gap = spec.mean_gap
         self._gap_lambd = 1.0 / mean_gap if mean_gap > 0 else 0.0
         self._rank_lambd = 1.0 / spec.reuse_depth
+        # Records drawn ahead for __next__, the next one last.
+        self._pending: List[TraceRecord] = []
 
     def __iter__(self) -> "SyntheticTrace":
         return self
 
     def __next__(self) -> TraceRecord:
+        pending = self._pending
+        if not pending:
+            gaps, lines, writes = self.take(_REFILL)
+            pending.extend(
+                map(TraceRecord, gaps[::-1], lines[::-1], writes[::-1])
+            )
+        return pending.pop()
+
+    def take(self, n: int) -> Tuple[List[int], List[int], List[bool]]:
+        """The next ``n`` records as three columns: gaps, line addresses
+        and store flags.
+
+        Records ``next()`` has already drawn come first, so ``take`` and
+        ``next`` interleave on one stream.
+        """
+        gaps = [0] * n
+        lines = [0] * n
+        writes = [False] * n
+        pending = self._pending
+        drawn = min(n, len(pending))
+        for i in range(drawn):
+            gaps[i], lines[i], writes[i] = pending.pop()
+
         # Draws inline random.expovariate's formula, -log(1 - U) / lambd,
-        # so the stream matches one drawn through the stdlib bit for bit.
-        # Keep the division: multiplying by the mean rounds differently.
-        uniform = self._uniform
+        # and randrange's getrandbits rejection loop, so the stream
+        # matches one drawn through the stdlib bit for bit. Keep the
+        # division: multiplying by the mean rounds differently.
+        uniform = self._rng.random
+        getrandbits = self._rng.getrandbits
         spec = self.spec
         footprint = spec.footprint_lines
+        bits = footprint.bit_length()
+        reuse_prob = spec.reuse_prob
+        seq_frac = spec.seq_frac
+        write_frac = spec.write_frac
         gap_lambd = self._gap_lambd
-
-        gap = int(-log(1.0 - uniform()) / gap_lambd) if gap_lambd else 0
-
-        if uniform() < spec.reuse_prob:
-            # Hot-set access: geometric popularity rank, scrambled so the
-            # hot set is scattered in the address space.
-            rank = int(-log(1.0 - uniform()) / self._rank_lambd) % footprint
-            line = (rank * _SCRAMBLE_PRIME) % footprint
-        elif uniform() < spec.seq_frac:
-            line = self._next_seq
-            self._next_seq = (line + 1) % footprint
-        else:
-            line = self._rng.randrange(footprint)
-        return TraceRecord(
-            gap, self.base_line + line, uniform() < spec.write_frac
-        )
+        rank_lambd = self._rank_lambd
+        base = self.base_line
+        next_seq = self._next_seq
+        for i in range(drawn, n):
+            if gap_lambd:
+                gaps[i] = int(-log(1.0 - uniform()) / gap_lambd)
+            if uniform() < reuse_prob:
+                # Hot-set access: geometric popularity rank, scrambled so
+                # the hot set is scattered in the address space.
+                rank = int(-log(1.0 - uniform()) / rank_lambd) % footprint
+                lines[i] = base + (rank * _SCRAMBLE_PRIME) % footprint
+            elif uniform() < seq_frac:
+                lines[i] = base + next_seq
+                next_seq = (next_seq + 1) % footprint
+            else:
+                line = getrandbits(bits)
+                while line >= footprint:
+                    line = getrandbits(bits)
+                lines[i] = base + line
+            writes[i] = uniform() < write_frac
+        self._next_seq = next_seq
+        return gaps, lines, writes

@@ -27,6 +27,7 @@ from repro.experiments import (
     table3_quantum_epoch,
 )
 from repro.experiments.common import format_table
+from repro.harness import runner
 from repro.resilience.campaign import Campaign
 
 
@@ -132,6 +133,24 @@ def test_table3_resumes_under_a_stored_campaign(tiny_config, tmp_path):
     resumed = Campaign("table3", store, resume=True)
     assert sweep(resumed).errors == fresh.errors
     assert (resumed.computed, resumed.resumed) == (0, 2)
+
+
+def test_table3_row_simulates_each_alone_leg_once(monkeypatch):
+    # A row's epoch columns share their alone legs, and the later columns
+    # read further into them: each leg starts once and is extended.
+    started = []
+    checkpoints = runner._checkpoints
+
+    def count_starts(trace, config, interval):
+        started.append(trace)
+        return checkpoints(trace, config, interval)
+
+    monkeypatch.setattr(runner, "_checkpoints", count_starts)
+    config = scaled_config()
+    table3_quantum_epoch.run(
+        quantum_lengths=(200_000,), num_mixes=2, config=config
+    )
+    assert len(started) == 2 * config.num_cores
 
 
 def test_sec64_driver(tiny_config):

@@ -100,20 +100,52 @@ def _stdlib_trace(spec, seed, base_line):
         yield TraceRecord(gap, base_line + line, rng.random() < spec.write_frac)
 
 
-# apki 1000 makes mean_gap 0: the generator draws no gap at all.
+# apki 1000 makes mean_gap 0: the generator draws no gap at all. Its
+# footprint is a small power of two, so randrange draws one bit more
+# than the largest line needs and rejects about half its draws, the
+# footprint itself included.
 _ZERO_GAP = AppSpec("zero-gap", apki=1000, reuse_prob=0.4, reuse_depth=64,
-                    footprint_lines=50_000, seq_frac=0.5)
+                    footprint_lines=64, seq_frac=0.5)
 
-
-@pytest.mark.parametrize(
+# Every catalog app, a reusing hog, a pure streaming hog with no hot set,
+# and the zero-gap spec.
+_DRAW_SPECS = pytest.mark.parametrize(
     "spec",
-    list(CATALOG.values()) + [hog_spec(0.7, 0.4), _ZERO_GAP],
+    list(CATALOG.values())
+    + [hog_spec(0.7, 0.4), hog_spec(1.0, 0.0), _ZERO_GAP],
     ids=lambda spec: spec.name,
 )
+
+
+@_DRAW_SPECS
 def test_trace_matches_stdlib_draws(spec):
+    # 20,000 next() calls cross many refills of the draw-ahead buffer.
     trace = SyntheticTrace(spec, seed=11, base_line=3 << 28)
     reference = _stdlib_trace(spec, 11, 3 << 28)
     assert _take(trace, 20_000) == _take(reference, 20_000)
+
+
+@_DRAW_SPECS
+def test_take_matches_stdlib_draws(spec):
+    trace = SyntheticTrace(spec, seed=11, base_line=3 << 28)
+    reference = _take(_stdlib_trace(spec, 11, 3 << 28), 20_000)
+    assert trace.take(20_000) == tuple(map(list, zip(*reference)))
+
+
+@_DRAW_SPECS
+def test_next_and_take_interleave_on_one_stream(spec):
+    # Takes that start inside the buffer next() filled, end inside it,
+    # run past it, and next() calls that refill it in between.
+    trace = SyntheticTrace(spec, seed=11, base_line=3 << 28)
+    records = []
+    for op, n in [("next", 3), ("take", 100), ("next", 400), ("take", 0),
+                  ("take", 1), ("next", 1), ("take", 1000), ("next", 256)]:
+        if op == "next":
+            records.extend(next(trace) for _ in range(n))
+        else:
+            records.extend(map(TraceRecord, *trace.take(n)))
+    reference = _stdlib_trace(spec, 11, 3 << 28)
+    assert records == _take(reference, len(records))
 
 
 def test_spec_validation():
