@@ -27,6 +27,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
+from repro.harness.metrics import mean
 from repro.harness.runner import RunResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -100,7 +101,7 @@ class DivergenceReport:
                 if e.model == model and e.abs_pct == e.abs_pct  # drop NaN
             ]
             out[model] = {
-                "mean_abs_pct": sum(errors) / len(errors) if errors else 0.0,
+                "mean_abs_pct": mean(errors) if errors else 0.0,
                 "max_abs_pct": max(errors) if errors else 0.0,
                 "count": float(len(errors)),
             }
@@ -163,7 +164,7 @@ def compare_results(
                     model=model,
                     fidelity=fidelity,
                     oracle=oracle_means[core],
-                    estimate=sum(values) / len(values),
+                    estimate=mean(values),
                 )
             )
     return entries

@@ -45,6 +45,7 @@ from repro.cloud.admission import AdmissionController
 from repro.cloud.tenants import Tenant, tenant_stream
 from repro.config import SystemConfig
 from repro.durability.store import KeyedLog
+from repro.harness.metrics import mean
 from repro.parallel import CellSpec, run_cells
 from repro.resilience.campaign import Campaign
 
@@ -56,18 +57,14 @@ def _mean_finite(values: List[float]) -> float:
     """Mean of the finite entries; ``inf`` when there are none (an
     unusable estimate must fail towards the worst-case bound)."""
     finite = [v for v in values if math.isfinite(v)]
-    if not finite:
-        return math.inf
-    return sum(finite) / len(finite)
+    return mean(finite) if finite else math.inf
 
 
 def _mean_actual(values: List[float]) -> float:
     """Mean ground-truth slowdown; ``nan`` when no quantum made
     progress (oracle violations cannot be judged)."""
     finite = [v for v in values if not math.isnan(v)]
-    if not finite:
-        return math.nan
-    return sum(finite) / len(finite)
+    return mean(finite) if finite else math.nan
 
 
 @dataclass
@@ -384,9 +381,7 @@ class FleetSupervisor:
                         ):
                             migrated.append(tenant_by_id[tenant_id])
                 scheduler.pressure[node_id] = (
-                    sum(node_pressure) / len(node_pressure)
-                    if node_pressure
-                    else 1.0
+                    mean(node_pressure) if node_pressure else 1.0
                 )
                 scheduler.note_node_round(
                     node_id, ok=True, min_confidence=node_confidence
@@ -415,7 +410,7 @@ class FleetSupervisor:
             admission.requeue(still_migrating)
 
             if confidences:
-                fleet_confidence = sum(confidences) / len(confidences)
+                fleet_confidence = mean(confidences)
             elif not active:
                 # An idle fleet has no telemetry to distrust; without
                 # this reset a fully-evacuated degraded fleet would

@@ -159,7 +159,7 @@ class Engine:
                         next_deadline_check = executed + _DEADLINE_CHECK_EVENTS
                         # Watchdog only: the wall clock never reaches
                         # simulation state, it can only abort the run.
-                        now_mono = _time.monotonic()  # lint: ignore[DET001]
+                        now_mono = _time.monotonic()
                         if now_mono > wall_deadline:
                             self.events_executed = executed
                             pending = (
@@ -179,7 +179,7 @@ class Engine:
         if wall_deadline is not None and not self._stopped and executed:
             # Watchdog only (see above): a drain-time overshoot still
             # raises, but the clock never influences simulation state.
-            now_mono = _time.monotonic()  # lint: ignore[DET001]
+            now_mono = _time.monotonic()
             if now_mono > wall_deadline:
                 raise DeadlineExceeded(
                     self.now,

@@ -13,9 +13,11 @@ The paper's point: per-request subtraction misestimates the distribution,
 and sampling makes PTCA's estimates far worse, while ASM's aggregate
 estimate tracks the measured distribution closely.
 
-The one driver that calls ``run_workload`` itself instead of submitting
-campaign cells: it reads each model's internals (its last quantum's alone
-miss-time estimates) after the run, which a cell's result does not carry.
+The one driver that submits no campaign cells: it reads each model's
+internals (its last quantum's alone miss-time estimates), which a cell's
+result does not carry. So it builds the shared system, attaches the models
+and runs the quanta itself; it never simulates the alone legs a cell's
+ground-truth slowdowns need, only the alone runs it measures.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ from typing import Dict, List, Optional
 
 from repro.config import SystemConfig, scaled_config
 from repro.experiments.common import format_table, sampled_models, unsampled_models
-from repro.harness.runner import run_workload
 from repro.harness.system import System
 from repro.harness import metrics
 from repro.models.asm import AsmModel
+from repro.models.base import OutstandingTracker
 from repro.models.fst import FstModel
 from repro.models.ptca import PtcaModel
 from repro.workloads.catalog import CATALOG, intensity_class
@@ -54,30 +56,25 @@ def _alone_miss_times(
     system.controller.completion_listeners.append(
         lambda req: latencies.append(req.latency)
     )
-    union_busy = 0
-    outstanding = 0
-    last_change = 0
+    outstanding = OutstandingTracker()
     misses = 0
 
     def service_listener(c, is_hit, is_start, now):
-        nonlocal union_busy, outstanding, last_change, misses
+        nonlocal misses
         if is_hit:
             return
-        if outstanding > 0:
-            union_busy += now - last_change
-        last_change = now
         if is_start:
-            outstanding += 1
+            outstanding.start(now)
             misses += 1
         else:
-            outstanding -= 1
+            outstanding.end(now)
 
     system.hierarchy.service_listeners.append(service_listener)
     system.run_until(cycles)
     per_request = (
         metrics.mean(latencies) + config.llc.latency if latencies else float("nan")
     )
-    union_avg = union_busy / misses if misses else float("nan")
+    union_avg = outstanding.busy_cycles / misses if misses else float("nan")
     return per_request, union_avg
 
 
@@ -161,29 +158,23 @@ def run(
     cycles = quanta * config.quantum_cycles
 
     for mix in mixes:
-        models: Dict[str, object] = {}
-
-        def keep(name, factory):
-            def make():
-                model = factory()
-                models[name] = model
-                return model
-
-            return make
-
-        wrapped = {name: keep(name, f) for name, f in factories.items()}
-        run_workload(mix, config, model_factories=wrapped, quanta=quanta)
+        system = System(config, mix.traces(), seed=mix.seed)
+        models = {name: factory() for name, factory in factories.items()}
+        for model in models.values():
+            model.attach(system)
+        for _ in range(quanta):
+            system.run_quantum()
         for core in range(mix.num_cores):
             per_request, union_avg = _alone_miss_times(mix, core, config, cycles)
             result.estimates["actual"].append(per_request)
             result.estimates["actual_union"].append(union_avg)
-            asm: AsmModel = models["asm"]  # type: ignore[assignment]
+            asm: AsmModel = models["asm"]
             asm_estimate = asm.last_quantum[core].alone_avg_miss_time
             result.estimates["asm"].append(
                 asm_estimate if asm_estimate > 0 else float("nan")
             )
-            fst: FstModel = models["fst"]  # type: ignore[assignment]
-            ptca: PtcaModel = models["ptca"]  # type: ignore[assignment]
+            fst: FstModel = models["fst"]
+            ptca: PtcaModel = models["ptca"]
             # FST/PTCA per-request estimates start at the DRAM queue; add
             # the LLC lookup to align with the hierarchy-level measurement.
             result.estimates["fst"].append(

@@ -5,6 +5,10 @@
 * system performance: harmonic speedup [19, 38] — the harmonic mean of
   per-application speedups, N / sum(slowdown_i);
 * weighted speedup: sum of per-application speedups.
+
+Every float sum here adds left to right: ``sum()`` compensates float sums
+from Python 3.12 on, so a mean persisted or pinned through it would
+depend on the interpreter's version.
 """
 
 from __future__ import annotations
@@ -20,11 +24,19 @@ def estimation_error_pct(estimated: float, actual: float) -> float:
     return abs(estimated - actual) / actual * 100.0
 
 
+def _total(values: Iterable[float]) -> float:
+    """Plain float adds, left to right (see the module docstring)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 def mean(values: Iterable[float]) -> float:
     values = list(values)
     if not values:
         raise ValueError("mean of empty sequence")
-    return sum(values) / len(values)
+    return _total(values) / len(values)
 
 
 def stdev(values: Iterable[float]) -> float:
@@ -32,7 +44,7 @@ def stdev(values: Iterable[float]) -> float:
     if len(values) < 2:
         return 0.0
     mu = mean(values)
-    return math.sqrt(sum((v - mu) ** 2 for v in values) / (len(values) - 1))
+    return math.sqrt(_total((v - mu) ** 2 for v in values) / (len(values) - 1))
 
 
 def max_slowdown(slowdowns: Sequence[float]) -> float:
@@ -46,7 +58,7 @@ def harmonic_speedup(slowdowns: Sequence[float]) -> float:
     """System performance: N / sum(slowdown_i)."""
     if not slowdowns:
         raise ValueError("empty slowdown list")
-    total = sum(slowdowns)
+    total = _total(slowdowns)
     if total <= 0:
         raise ValueError("slowdowns must be positive")
     return len(slowdowns) / total
@@ -56,7 +68,7 @@ def weighted_speedup(slowdowns: Sequence[float]) -> float:
     """Sum of per-application speedups (1 / slowdown_i)."""
     if any(s <= 0 for s in slowdowns):
         raise ValueError("slowdowns must be positive")
-    return sum(1.0 / s for s in slowdowns)
+    return _total(1.0 / s for s in slowdowns)
 
 
 def error_histogram(

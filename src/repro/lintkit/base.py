@@ -12,8 +12,8 @@ Suppressions
 A finding is suppressed when the physical line it is reported on carries
 a comment of the form::
 
-    x = risky()  # lint: ignore[DET001]
-    y = other()  # lint: ignore[DET001, CYC001] -- optional rationale
+    x = risky()  # lint: ignore[CYC001]
+    y = other()  # lint: ignore[CYC001, IO001] -- optional rationale
     z = all_of_them()  # lint: ignore
 
 For findings reported on a decorated ``def``/``class`` line, suppression
@@ -23,15 +23,6 @@ decorators can each acknowledge a different rule.
 
 ``# lint: skip-file`` anywhere in the first five lines exempts the whole
 module (used for test fixtures that are deliberately broken).
-
-Whole-program rules
--------------------
-Rules subclassing :class:`ProjectRule` see a :class:`repro.lintkit.flow.
-project.Project` built from every linted file at once (symbol table,
-import graph, call graph) instead of one module. ``lint_text`` /
-``lint_file`` run them over a one-module project so fixtures and single
-files still exercise them; ``lint_paths`` / the CLI build the project
-once from all parsed files and run each project rule a single time.
 """
 
 from __future__ import annotations
@@ -43,7 +34,6 @@ import re
 import tokenize
 from dataclasses import dataclass, field
 from typing import (
-    TYPE_CHECKING,
     Callable,
     Dict,
     Iterator,
@@ -54,9 +44,6 @@ from typing import (
     Tuple,
     Type,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import cycle guard
-    from repro.lintkit.flow.project import Project
 
 #: Severity levels in increasing order of importance.
 SEVERITIES = ("note", "warning", "error")
@@ -150,26 +137,6 @@ class Rule:
             message=message,
             severity=severity or self.severity,
         )
-
-
-class ProjectRule(Rule):
-    """A rule that inspects the whole project instead of one module.
-
-    Subclasses implement :meth:`check_project`; the per-module
-    :meth:`check` is never called. ``packages`` gates which modules the
-    rule *scans* (helpers on :class:`~repro.lintkit.flow.project.Project`
-    filter by it), while resolution — call graphs, oracle lookups — may
-    follow references anywhere in the project.
-    """
-
-    #: Marker the drivers dispatch on.
-    project_scope = True
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:  # pragma: no cover
-        raise NotImplementedError("project rules implement check_project")
-
-    def check_project(self, project: "Project") -> Iterator[Finding]:
-        raise NotImplementedError
 
 
 _REGISTRY: Dict[str, Type[Rule]] = {}
@@ -359,39 +326,23 @@ def parse_file(path: str) -> ParsedFile:
     return parse_source(source, path=path)
 
 
-def _selected_rules(
-    select: Optional[Sequence[str]],
-) -> Tuple[List[Rule], List["ProjectRule"]]:
-    """Instantiate the selected rules, split into (per-file, project)."""
-    per_file: List[Rule] = []
-    project: List[ProjectRule] = []
-    for code, rule_cls in sorted(all_rules().items()):
-        if select is not None and code not in select:
-            continue
-        rule = rule_cls()
-        if isinstance(rule, ProjectRule):
-            project.append(rule)
-        else:
-            per_file.append(rule)
-    return per_file, project
-
-
 def lint_parsed(
     files: Sequence[ParsedFile],
     *,
     select: Optional[Sequence[str]] = None,
     apply_suppressions: bool = True,
 ) -> List[Finding]:
-    """Lint already-parsed files: per-file rules, then one project pass.
+    """Lint already-parsed files, each module on its own.
 
-    Per-file rules see each module independently; project rules see a
-    :class:`~repro.lintkit.flow.project.Project` built from every
-    parseable, non-skipped file at once. Findings are then filtered
-    through each file's suppression comments and sorted.
+    Every selected rule whose package gate matches a module checks it;
+    findings are then filtered through each file's suppression comments
+    and sorted.
     """
-    from repro.lintkit.flow.project import Project
-
-    per_file_rules, project_rules = _selected_rules(select)
+    rules = [
+        rule_cls()
+        for code, rule_cls in sorted(all_rules().items())
+        if select is None or code in select
+    ]
     findings: List[Finding] = []
     active: List[ParsedFile] = []
     for parsed in files:
@@ -402,13 +353,9 @@ def lint_parsed(
             continue
         assert parsed.ctx is not None
         active.append(parsed)
-        for rule in per_file_rules:
+        for rule in rules:
             if rule.applies_to(parsed.ctx.module):
                 findings.extend(rule.check(parsed.ctx))
-    if project_rules and active:
-        project = Project.from_contexts([p.ctx for p in active if p.ctx])
-        for rule in project_rules:
-            findings.extend(rule.check_project(project))
     if apply_suppressions:
         by_path = {p.path: p for p in active}
         findings = [
@@ -438,8 +385,7 @@ def lint_text(
     broken file cannot abort a tree-wide run. ``apply_suppressions=False``
     ignores ``# lint: ignore`` / ``# lint: skip-file`` comments — used by
     the fixture tests, which lint deliberately-broken files that carry a
-    skip-file guard against accidental tree-wide runs. Project rules run
-    over a one-module project.
+    skip-file guard against accidental tree-wide runs.
     """
     parsed = parse_source(source, path=path, module=module)
     return lint_parsed(
@@ -496,7 +442,6 @@ __all__ = [
     "Finding",
     "LintContext",
     "ParsedFile",
-    "ProjectRule",
     "Rule",
     "SEVERITIES",
     "all_rules",

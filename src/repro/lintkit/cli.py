@@ -2,15 +2,11 @@
 
 Exit codes: 0 clean (or every finding suppressed by an inline
 ``# lint: ignore[RULE]`` comment, the one way to waive a finding),
-1 findings (or wall-time budget exceeded), 2 usage or internal error.
+1 findings, 2 usage or internal error.
 
-The tree is parsed exactly once: per-file rules run per module, then the
-whole-program rule (NDT001) runs over one
-:class:`~repro.lintkit.flow.project.Project` built from every parsed
-file. ``--changed-only`` still parses the full tree — project rules need
-the whole symbol table to resolve calls — and only *reports* findings in
-files changed relative to a git ref, so PR lint stays fast to read while
-staying whole-program sound.
+Every rule sees one module at a time. ``--changed-only`` lints the tree
+as usual and *reports* only the findings in files changed relative to a
+git ref, so a pull request's lint output names only what it touched.
 """
 
 from __future__ import annotations
@@ -20,7 +16,6 @@ import json
 import os
 import subprocess
 import sys
-import time
 from typing import Dict, List, Optional, Sequence, Set
 
 from repro.lintkit.base import (
@@ -39,9 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST-based simulator-invariant linter for the ASM reproduction "
-            "(determinism, integer cycle accounting, hits+misses==accesses "
-            "conservation, picklable parallel payloads and whole-program "
-            "nondeterminism taint)."
+            "(integer cycle accounting, guarded counter reads, "
+            "crash-consistent persistence and documented public APIs)."
         ),
     )
     parser.add_argument(
@@ -61,15 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "report findings only in files changed vs the given git ref "
-            "(default HEAD); the whole tree is still parsed so "
-            "whole-program rules resolve across unchanged files"
-        ),
-    )
-    parser.add_argument(
-        "--budget-seconds", type=float, metavar="S", default=None,
-        help=(
-            "fail (exit 1) if parsing + linting takes longer than S "
-            "seconds of wall time — CI's guard on analysis cost"
+            "(default HEAD)"
         ),
     )
     parser.add_argument(
@@ -245,10 +231,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return 2
 
-    started = time.monotonic()
     parsed = parse_paths(args.paths)
     findings = lint_parsed(parsed, select=select)
-    elapsed = time.monotonic() - started
     scanned = len(parsed)
 
     if changed is not None:
@@ -257,13 +241,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ]
 
     _emit(findings, args.format, scanned, args.quiet)
-    if args.budget_seconds is not None and elapsed > args.budget_seconds:
-        print(
-            f"repro-lint: wall-time budget exceeded: {elapsed:.2f}s > "
-            f"{args.budget_seconds:.2f}s over {scanned} files",
-            file=sys.stderr,
-        )
-        return 1
     return 1 if findings else 0
 
 

@@ -4,10 +4,6 @@ Each rule protects one invariant of the ASM reproduction (see DESIGN.md,
 "Static analysis", for the paper mapping):
 
 ========  ============================================================
-DET001    no wall-clock / module-global-RNG / identity-derived values
-          in simulation modules (bit-identical parallel == serial runs)
-DET002    no iteration over set/frozenset (or ``.keys()`` views) in
-          simulation hot paths (hash order must never reach results)
 CYC001    no true division feeding cycle/epoch/quantum counters
           (cycle arithmetic stays in integers; use ``//``)
 TEL001    slowdown models read simulator counters only through their
@@ -20,276 +16,25 @@ IO001     persistence layers never open files for writing bare: every
           durable write routes through ``repro.durability.atomic``
           (append_line / atomic_write_text / durable_stream) so a
           crash can tear at most an uncommitted trailing line
-NDT001    whole-program nondeterminism taint: wall-clock / global-RNG /
-          ``id()`` / set-order values must not flow — through any chain
-          of calls and returns — into campaign-store writes, run keys,
-          fingerprints or serialized output (flow-powered DET001)
 ========  ============================================================
 
-NDT001 is a :class:`~repro.lintkit.base.ProjectRule` living in
-:mod:`repro.lintkit.flow.rules`; it is imported at the bottom of this
-module so one import registers the full rule set.
+Determinism — the same seed gives the same bytes in any process — is
+held by tests that run in fresh interpreters, not by a rule here (see
+DESIGN.md §6).
 """
 
 from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.lintkit.base import Finding, LintContext, Rule, register
 from repro.lintkit.facts import (
-    BANNED_BUILTINS as _BANNED_BUILTINS,
-    DATETIME_ATTRS as _DATETIME_ATTRS,
     ImportMap as _ImportTracker,
-    RANDOM_ALLOWED as _RANDOM_ALLOWED,
-    WALL_CLOCK_ATTRS as _WALL_CLOCK_ATTRS,
-    call_target as _call_target,
-    describe_setish as _describe_setish,
     has_unwrapped_true_division,
     int_wrapper_names,
 )
-
-#: Modules whose behaviour feeds simulation results. DET001 is gated to
-#: exactly the packages ISSUE/DESIGN name; the wider HOT set adds the
-#: core model and harness, whose iteration order also reaches results.
-DETERMINISM_PACKAGES: Tuple[str, ...] = (
-    "repro.engine",
-    "repro.cache",
-    "repro.mem",
-    "repro.models",
-    "repro.policies",
-    "repro.cloud",
-    "repro.analytic",
-)
-HOT_PACKAGES: Tuple[str, ...] = DETERMINISM_PACKAGES + (
-    "repro.cpu",
-    "repro.harness",
-    "repro.workloads",
-)
-
-@register
-class Det001WallClockAndGlobalRng(Rule):
-    """Wall clocks, module-global RNG and identity-derived values.
-
-    The parallel campaign contract (:mod:`repro.parallel`) is that
-    ``workers=N`` is bit-identical to serial. Any value derived from
-    ``time.time()``-style clocks, the module-global ``random`` functions
-    (shared, implicitly seeded state), ``datetime.now()``, ``id()``
-    (address-dependent) or ``hash()`` (``PYTHONHASHSEED``-dependent for
-    str/bytes) differs across processes and silently breaks it.
-    """
-
-    code = "DET001"
-    summary = "nondeterministic value source in a simulation module"
-    packages = DETERMINISM_PACKAGES
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        imports = _ImportTracker()
-        imports.visit(ctx.tree)
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            target = _call_target(node, imports)
-            if target is not None:
-                module, member = target
-                root = module.split(".")[0]
-                if root == "time" and member in _WALL_CLOCK_ATTRS:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"wall-clock read time.{member}() in a simulation "
-                        "module; simulated time is engine.now — if this is "
-                        "a watchdog, acknowledge it with "
-                        "`# lint: ignore[DET001]`",
-                    )
-                elif root == "datetime" and member in _DATETIME_ATTRS:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"datetime.{member}() is a wall-clock read; "
-                        "simulation state must not depend on real time",
-                    )
-                elif module == "random" and member not in _RANDOM_ALLOWED:
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"module-global random.{member}() uses shared, "
-                        "implicitly seeded state; use an explicitly seeded "
-                        "random.Random(seed) instance",
-                    )
-                elif root in {"uuid", "secrets"} or (
-                    root == "os" and member == "urandom"
-                ):
-                    yield self.finding(
-                        ctx,
-                        node,
-                        f"{module}.{member}() is entropy-derived and "
-                        "differs across runs",
-                    )
-            func = node.func
-            if (
-                isinstance(func, ast.Name)
-                and func.id in _BANNED_BUILTINS
-                and func.id not in imports.members
-                and func.id not in imports.modules
-            ):
-                why = (
-                    "object addresses differ across processes"
-                    if func.id == "id"
-                    else "str/bytes hashes depend on PYTHONHASHSEED"
-                )
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"{func.id}() is nondeterministic across processes "
-                    f"({why}); derive keys from stable fields instead",
-                )
-
-
-# ----------------------------------------------------------------------
-
-
-class _SetIterVisitor(ast.NodeVisitor):
-    """Find iteration over set-typed expressions, with one-level local
-    inference: ``s = set(...)`` followed by ``for x in s`` in the same
-    function body is caught too."""
-
-    def __init__(self, rule: "Det002SetIteration", ctx: LintContext) -> None:
-        self.rule = rule
-        self.ctx = ctx
-        self.findings: List[Finding] = []
-        #: name -> description, per enclosing function scope (stacked).
-        self._scopes: List[Dict[str, str]] = [{}]
-
-    def _lookup(self, node: ast.expr) -> Optional[str]:
-        desc = _describe_setish(node)
-        if desc is not None:
-            return desc
-        if isinstance(node, ast.Name):
-            for scope in reversed(self._scopes):
-                if node.id in scope:
-                    return scope[node.id]
-        return None
-
-    def _check_iter(self, node: ast.expr, where: str) -> None:
-        desc = self._lookup(node)
-        if desc is None:
-            return
-        self.findings.append(
-            self.rule.finding(
-                self.ctx,
-                node,
-                f"{where} iterates {desc}; set iteration order is hash-"
-                "dependent and can differ across processes — iterate a "
-                "list kept in insertion order, or wrap in sorted()",
-            )
-        )
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        desc = _describe_setish(node.value)
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                if desc is not None:
-                    self._scopes[-1][target.id] = f"{desc} (assigned here)"
-                else:
-                    self._scopes[-1].pop(target.id, None)
-        self.generic_visit(node)
-
-    def _visit_function(self, node: ast.AST) -> None:
-        self._scopes.append({})
-        self.generic_visit(node)
-        self._scopes.pop()
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_AsyncFunctionDef(self, node: ast.AsyncFunctionDef) -> None:
-        self._visit_function(node)
-
-    def visit_For(self, node: ast.For) -> None:
-        self._check_iter(node.iter, "for loop")
-        self.generic_visit(node)
-
-    def _visit_comp(
-        self, node: ast.expr, generators: List[ast.comprehension]
-    ) -> None:
-        where = {
-            "ListComp": "list comprehension",
-            "DictComp": "dict comprehension",
-            "GeneratorExp": "generator expression",
-        }.get(type(node).__name__, "comprehension")
-        for gen in generators:
-            # Building another set from a set is order-insensitive.
-            if not isinstance(node, ast.SetComp):
-                self._check_iter(gen.iter, where)
-        self.generic_visit(node)
-
-    def visit_ListComp(self, node: ast.ListComp) -> None:
-        self._visit_comp(node, node.generators)
-
-    def visit_SetComp(self, node: ast.SetComp) -> None:
-        self._visit_comp(node, node.generators)
-
-    def visit_DictComp(self, node: ast.DictComp) -> None:
-        self._visit_comp(node, node.generators)
-
-    def visit_GeneratorExp(self, node: ast.GeneratorExp) -> None:
-        # sorted(...)/min/max/sum/len/any/all consume order-insensitively
-        # only when the generator is their direct argument; that wrapping
-        # is handled by the caller check in visit_Call.
-        self._visit_comp(node, node.generators)
-
-
-#: Calls whose result does not depend on the iteration order of a direct
-#: set argument / generator-over-set argument.
-_ORDER_INSENSITIVE_CONSUMERS = frozenset(
-    {"sorted", "sum", "min", "max", "len", "any", "all", "set", "frozenset"}
-)
-
-
-@register
-class Det002SetIteration(Rule):
-    """Iteration over sets (or ``.keys()`` views) in hot paths.
-
-    Set iteration order depends on insertion history *and* element
-    hashes; for str keys the hash is process-seeded, so a cache eviction
-    scan or mix construction that walks a set can differ between the
-    serial and the parallel campaign. ``.keys()`` views are flagged too:
-    they iterate deterministically today, but read as (and are routinely
-    refactored into) set operations — iterate the mapping itself.
-    """
-
-    code = "DET002"
-    summary = "hash-ordered iteration in a simulation hot path"
-    packages = HOT_PACKAGES
-
-    def check(self, ctx: LintContext) -> Iterator[Finding]:
-        visitor = _SetIterVisitor(self, ctx)
-        visitor.visit(ctx.tree)
-        # Drop findings whose iterable feeds an order-insensitive
-        # consumer directly: sum(x for x in some_set) is fine.
-        insensitive_spans: Set[Tuple[int, int]] = set()
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id in _ORDER_INSENSITIVE_CONSUMERS
-            ):
-                for arg in node.args:
-                    for inner in ast.walk(arg):
-                        lineno = getattr(inner, "lineno", None)
-                        col = getattr(inner, "col_offset", None)
-                        if lineno is not None and col is not None:
-                            insensitive_spans.add((lineno, col))
-        yield from (
-            f
-            for f in visitor.findings
-            if (f.line, f.col) not in insensitive_spans
-        )
-
-
-# ----------------------------------------------------------------------
 
 _CYCLE_NAME_RE = re.compile(
     r"(?:^|_)(?:cycles?|quantum|quanta|epochs?)(?:$|_)"
@@ -604,18 +349,9 @@ class Io001BarePersistenceWrite(Rule):
                     "contents survive a crash mid-write",
                 )
 
-
-# Registers NDT001. Imported last: the flow rule imports the
-# package constants defined above.
-from repro.lintkit.flow import rules as _flow_rules  # noqa: E402,F401
-
 __all__ = [
     "Cyc001TrueDivisionIntoCycles",
-    "DETERMINISM_PACKAGES",
     "Doc001MissingDocstring",
-    "Det001WallClockAndGlobalRng",
-    "Det002SetIteration",
-    "HOT_PACKAGES",
     "Io001BarePersistenceWrite",
     "PERSISTENCE_PACKAGES",
     "RAW_COUNTER_ATTRS",

@@ -68,9 +68,10 @@ class RunFailure:
     included. ``reason`` is set only when the retry policy could retry
     (one of :data:`GIVE_UP_REASONS`): such a cell is *degraded*, given up
     by the supervisor. Neither is part of :meth:`fingerprint`, and wall
-    clocks stay out of the record (rule NDT001): ``failures.jsonl`` is
-    part of the campaign's reproducible byte stream, and a budget outcome
-    is captured by ``reason == "budget_exhausted"``.
+    clocks stay out of the record: ``failures.jsonl`` is part of the
+    campaign's reproducible byte stream (serial and pool campaigns must
+    write the same bytes), and a budget outcome is captured by
+    ``reason == "budget_exhausted"``.
     """
 
     experiment: str

@@ -82,7 +82,13 @@ def test_fig05_driver(tiny_config):
     assert "prefetch" in result.format_table()
 
 
-def test_fig06_driver(tiny_config):
+def test_fig06_driver(tiny_config, monkeypatch):
+    # Fig. 6 reads the models' internals, never a cell's ground-truth
+    # slowdowns, so it simulates no alone leg.
+    def no_alone_leg(*args):
+        raise AssertionError("fig06 simulated an alone leg")
+
+    monkeypatch.setattr(runner, "_checkpoints", no_alone_leg)
     result = fig06_latency_distribution.run(
         sampled=False, num_mixes=1, quanta=1, config=tiny_config
     )

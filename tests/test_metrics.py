@@ -23,6 +23,13 @@ def test_mean_and_stdev():
         metrics.mean([])
 
 
+def test_float_sums_add_left_to_right():
+    # sum() compensates float sums from Python 3.12 on, where these read
+    # 0.19999999999999998 and 5.0; plain adds give one answer everywhere.
+    assert metrics.mean([0.1, 0.2, 0.3]) == 0.20000000000000004
+    assert metrics.harmonic_speedup([0.1, 0.2, 0.3]) == 4.999999999999999
+
+
 def test_max_slowdown():
     assert metrics.max_slowdown([1.5, 3.0, 2.0]) == 3.0
     with pytest.raises(ValueError):

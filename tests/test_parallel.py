@@ -149,9 +149,9 @@ def test_run_cells_parallel_matches_serial_results():
 
 
 def test_parallel_results_bit_identical_to_serial():
-    """The determinism contract DET001/DET002 protect statically: the
-    *serialized* records of a parallel sweep are byte-for-byte equal to a
-    serial one — float formatting included, not just value equality."""
+    """The determinism contract: the *serialized* records of a parallel
+    sweep are byte-for-byte equal to a serial one — float formatting
+    included, not just value equality."""
     cells = [_cell(mix) for mix in _mixes(2)]
     serial = Campaign("t", None).run_cells(cells, workers=1)
     parallel = Campaign("t", None).run_cells(cells, workers=2)
@@ -551,7 +551,9 @@ def test_serial_and_pool_keep_the_same_records(tmp_path, make_cells):
         results = campaign.run_cells(make_cells(), workers=workers)
         stored = {
             name: (store / name).read_bytes() if (store / name).exists() else None
-            for name in ("runs.jsonl", "alone.jsonl", "failures.jsonl")
+            for name in (
+                "runs.jsonl", "alone.jsonl", "failures.jsonl", "metrics.jsonl"
+            )
         }
         return {
             "none": [result is None for result in results],
