@@ -73,7 +73,7 @@ class DramConfig:
     """DDR3 timing parameters, expressed in CPU cycles.
 
     The paper models DDR3-1333 (10-10-10) behind a 5.3GHz core clock, i.e.
-    one DRAM clock is sleved to 8 CPU cycles (5.3GHz / 666.5MHz ~= 8).
+    one DRAM clock lasts 8 CPU cycles (5.3GHz / 666.5MHz ~= 8).
     The (10-10-10) triad is CL-tRCD-tRP in DRAM cycles.
     """
 

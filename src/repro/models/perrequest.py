@@ -120,7 +120,7 @@ class PerRequestAccounting:
             # of stall cycles (attributed cycles scaled down by MLP), not
             # engine time — see the [0.0] initialisation above.
             self.interference_cycles[core] += (
-                request.interference_cycles / parallelism  # lint: ignore[CYC001]
+                request.interference_cycles / parallelism
             )
             self.latency_count[core] += 1
             self.alone_latency_sum[core] += max(

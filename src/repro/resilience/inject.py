@@ -135,7 +135,7 @@ class FlakyModel(SlowdownModel):
             # The sentinel is scratch test state, not campaign state —
             # losing it to a crash only makes the fault fire once more,
             # which is the point.
-            with open(self.sentinel, "w") as handle:  # lint: ignore[IO001]
+            with open(self.sentinel, "w") as handle:
                 handle.write("failed once\n")
             if self.mode == "kill":
                 os._exit(13)

@@ -10,8 +10,8 @@ routes *all* of its telemetry through it:
 * counters owned by the simulator (memory-controller queueing cycles,
   per-request interference cycles, busy-cycle trackers) are registered in
   ``attach()`` as :class:`ExternalSample` readers and sampled through the
-  bank — the TEL001 lint rule forbids models from touching those raw
-  counters anywhere else.
+  bank — ``tests/test_source_rules.py``'s TEL001 test forbids models
+  from touching those raw counters anywhere else.
 
 With no :class:`~repro.telemetry.spec.TelemetrySpec` the write path is a
 plain list increment and ``read`` returns the true value: a fault-free

@@ -45,15 +45,12 @@ from repro.experiments.common import (
     unsampled_models,
 )
 from repro.harness.system import System
-from repro.lintkit import lint_paths
 from repro.parallel import CellSpec, run_cells
 from repro.resilience.campaign import Campaign
 from repro.resilience.faults import config_fingerprint
 from repro.resilience.inject import exploding_model_factories
 from repro.workloads.hog import hog_spec
 from repro.workloads.mixes import WorkloadMix, make_mix, random_mixes
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 # Small platform so the event-oracle legs simulate quickly.
 CONFIG = scaled_config().with_quantum(50_000, 5_000)
@@ -448,14 +445,7 @@ def test_fidelity_sweep_reports_analytical_divergence(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Documentation and speed acceptance.
-
-def test_doc001_clean_on_analytic_package():
-    findings = lint_paths(
-        [str(REPO_ROOT / "src" / "repro" / "analytic")], select=["DOC001"]
-    )
-    assert findings == []
-
+# Speed acceptance.
 
 def test_paper_scale_cell_under_ten_seconds():
     # Acceptance bound: a 4-core, 100M-cycle analytic cell in < 10 s

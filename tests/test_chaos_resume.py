@@ -6,7 +6,9 @@ serial run.
 This is the acceptance test of the durability layer: the matrix covers
 (crash point x store file), the kills are real ``kill -9``s delivered by
 the process to itself mid-write (no Python cleanup runs), and the
-baseline digest comes from a separate pristine store.
+baseline digest comes from a separate pristine store. The store
+verbs ``repro campaign repair`` and ``compact`` are killed at both
+crash points of their atomic rewrite.
 """
 
 import json
@@ -17,6 +19,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from repro.durability.store import ChecksummedLog, read_log, verify_log
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DRIVER = Path(__file__).resolve().parent / "chaos_driver.py"
@@ -40,10 +44,12 @@ def run_driver(store, *, chaos="", resume=False, workers=1, faults=False):
     )
 
 
-def run_repro(*args):
+def run_repro(*args, chaos=""):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.pop("REPRO_CHAOS", None)
+    if chaos:
+        env["REPRO_CHAOS"] = chaos
     return subprocess.run(
         [sys.executable, "-m", "repro", *args],
         env=env,
@@ -208,3 +214,41 @@ def test_compact_drops_superseded_checkpoints(tmp_path, faulted_baseline):
     resumed = run_driver(store, resume=True, faults=True)
     assert resumed.returncode == 0, resumed.stderr
     assert resumed.stdout.strip().splitlines()[-1] == faulted_baseline
+
+
+@pytest.mark.parametrize("point", ["before_replace", "after_replace"])
+@pytest.mark.parametrize("verb", ["repair", "compact"])
+def test_store_rewrite_survives_sigkill_at_replace(tmp_path, verb, point):
+    # repair and compact rewrite a damaged store through
+    # atomic_write_text: a kill before the replace leaves the old bytes,
+    # a kill after it the repaired file, and a re-run finishes the job.
+    runs = tmp_path / "runs.jsonl"
+    log = ChecksummedLog(str(runs))
+    for value in range(3):
+        log.append({"key": f"k{value}", "value": value})
+    lines = runs.read_text().splitlines()
+    lines[2] = lines[2].replace('"value": 1', '"value": 99')  # sha mismatch
+    runs.write_text("\n".join(lines) + "\n")
+    damaged = runs.read_bytes()
+
+    killed = run_repro(
+        "campaign", verb, str(tmp_path), chaos=f"kill:{point}@runs.jsonl"
+    )
+    assert killed.returncode == -signal.SIGKILL, (
+        f"{verb} at {point}: expected SIGKILL, got rc={killed.returncode}\n"
+        f"{killed.stdout}{killed.stderr}"
+    )
+    if point == "before_replace":
+        assert runs.read_bytes() == damaged
+        assert verify_log(str(runs)).damaged
+    else:
+        assert not verify_log(str(runs)).damaged
+
+    rerun = run_repro("campaign", verb, str(tmp_path))
+    assert rerun.returncode == 0, rerun.stdout + rerun.stderr
+    verify = run_repro("campaign", "verify", str(tmp_path))
+    assert verify.returncode == 0, verify.stdout + verify.stderr
+    assert read_log(str(runs))[0] == [
+        {"key": "k0", "value": 0},
+        {"key": "k2", "value": 2},
+    ]

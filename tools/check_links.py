@@ -27,7 +27,6 @@ DEFAULT_FILES = (
     "docs/architecture.md",
     "docs/models.md",
     "docs/fidelity.md",
-    "docs/lintkit.md",
 )
 
 #: inline links/images: [text](target) / ![alt](target); stops at the
