@@ -1,9 +1,11 @@
-"""Assemble the archived benchmark outputs into one report.
+"""Assemble the archived experiment tables into one report.
 
-``build_report(results_dir)`` collects every ``results/*.txt`` the
-benchmark suite wrote, pairs each with the paper's reported numbers from
-:mod:`repro.analysis.paper_targets`, and returns a single markdown
-document (also written to ``results/REPORT.md`` by default).
+``build_report(results_dir)`` collects every ``results/*.txt`` that
+``python -m repro <verb> --out results/<stem>.txt`` wrote, pairs each
+with the paper's reported numbers from
+:mod:`repro.analysis.paper_targets`, prints the status of each paper
+claim under the table it reads, and returns a single markdown document
+(also written to ``results/REPORT.md`` by default).
 """
 
 from __future__ import annotations
@@ -11,17 +13,18 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Optional
 
-from repro.analysis.paper_targets import PAPER_TARGETS
+from repro.analysis.paper_targets import PAPER_TARGETS, parse_table, target_for
+from repro.durability.atomic import atomic_write_text
 
-# results file stem -> paper-target key
-_FILE_TO_TARGET = {
+# results file stem -> the `python -m repro` verb that writes it
+_FILE_TO_VERB = {
     "fig01_car_proxy": "fig01",
     "fig02_error_unsampled": "fig02",
     "fig03_error_sampled": "fig03",
     "fig04_error_distribution": "fig04",
     "fig05_prefetching": "fig05",
     "fig06_latency_unsampled": "fig06",
-    "fig06_latency_sampled": "fig06",
+    "fig06_latency_sampled": "fig06-sampled",
     "db_workloads": "db",
     "sec64_mise_vs_asm": "sec64",
     "fig07_core_count": "fig07",
@@ -31,7 +34,7 @@ _FILE_TO_TARGET = {
     "fig10_asm_mem": "fig10",
     "sec72_combined": "sec72",
     "fig11_qos": "fig11",
-    "ablations": None,
+    "ablations": "ablations",
 }
 
 
@@ -41,6 +44,13 @@ def build_report(
 ) -> str:
     """Build (and optionally write) the combined report."""
     results_dir = Path(results_dir)
+    claims = [claim for target in PAPER_TARGETS.values() for claim in target.claims]
+    tables = {}
+    for stem in _FILE_TO_VERB:
+        try:
+            tables[stem] = parse_table((results_dir / f"{stem}.txt").read_text())
+        except (OSError, ValueError):
+            pass
     sections = [
         "# Reproduction report",
         "",
@@ -49,13 +59,13 @@ def build_report(
         "MICRO 2015; see EXPERIMENTS.md for scale and deviation notes.",
     ]
     found_any = False
-    for stem, target_key in _FILE_TO_TARGET.items():
+    for stem, verb in _FILE_TO_VERB.items():
         path = results_dir / f"{stem}.txt"
         if not path.exists():
             continue
         found_any = True
         sections.append(f"\n## {stem}\n")
-        target = PAPER_TARGETS.get(target_key) if target_key else None
+        target = target_for(verb)
         if target is not None:
             sections.append(f"*Paper*: {target.description}.")
             if target.numbers:
@@ -66,12 +76,18 @@ def build_report(
             if target.shape:
                 sections.append(f"*Expected shape*: {target.shape}.")
         sections.append("\n```\n" + path.read_text().rstrip() + "\n```")
+        for claim in (c for c in claims if c.stems[0] == stem):
+            try:
+                status = claim.status(tables)
+            except (KeyError, ValueError):
+                status = "unchecked (a table it reads is missing or unreadable)"
+            sections.append(f"- **{status}**: {claim.text}")
     if not found_any:
         raise FileNotFoundError(
-            f"no benchmark outputs found under {results_dir}; run "
-            "`pytest benchmarks/ --benchmark-only` first"
+            f"no experiment tables found under {results_dir}; run "
+            "`python -m repro <verb> --out results/<stem>.txt` first"
         )
     report = "\n".join(sections) + "\n"
     if output is not None:
-        Path(output).write_text(report)
+        atomic_write_text(str(output), report)
     return report

@@ -7,7 +7,7 @@
     python -m repro fig09 --quanta 3 --out results/fig09.txt
 
 ``--mixes`` (workloads per configuration) and ``--quanta`` (quanta per
-run) scale an experiment; the defaults match the benchmark suite. A flag
+run) scale an experiment; the defaults are the driver's own. A flag
 the experiment's driver takes no parameter for is ignored with a
 warning (see :class:`Driver`).
 

@@ -5,7 +5,8 @@ policy floor, the controller admits as many queued tenants as the fleet
 has free cores. When confidence drops below the floor the fleet is
 flying on worst-case bounds — admitting more load would only convert
 soft degradation into SLA violations — so admission pauses, the queue
-absorbs arrivals up to ``max_queue``, and anything beyond that is shed
+absorbs arrivals up to ``max_queue`` (the fleet passes
+:data:`~repro.cloud.spec.MAX_QUEUE`), and anything beyond that is shed
 (rejected permanently, and counted: shedding is a robustness outcome,
 not an error).
 """

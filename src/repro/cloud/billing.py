@@ -3,7 +3,8 @@
 The paper's fair-pricing scheme bills a tenant for the machine time it
 *effectively* received: a tenant slowed 2x by co-runners got half a
 machine, and pays accordingly. ``charge = base_rate * quanta /
-effective_slowdown`` implements that; ``flat`` billing (the baseline
+effective_slowdown`` implements that (the fleet bills at
+:data:`~repro.cloud.spec.BASE_RATE`); ``flat`` billing (the baseline
 the experiments compare against) charges for wall occupancy regardless
 of interference, which overcharges exactly the tenants that hogs hurt.
 

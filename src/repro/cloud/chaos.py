@@ -6,7 +6,7 @@ independent of placement decisions and process boundaries:
 
 * **kill** — the node crashes at the start of the round: its tenants
   are evacuated back to the queue and the node stays down for
-  ``restart_rounds`` rounds before restarting.
+  :data:`~repro.cloud.spec.RESTART_ROUNDS` rounds before restarting.
 * **straggler** — the node runs but reports late: its telemetry is
   stale by the time the scheduler reads it, so the node's estimate
   confidence is capped below the policy floor for the round.

@@ -39,7 +39,7 @@ from repro.cloud.chaos import STRAGGLER_CONFIDENCE_CAP, FleetChaos, NodeEvents
 from repro.cloud.node import node_mix, node_model_factories, worst_case_slowdown_bound
 from repro.cloud.scheduler import FleetScheduler, node_breaker_key
 from repro.cloud.sla import SlaTracker
-from repro.cloud.spec import FleetSpec
+from repro.cloud.spec import BASE_RATE, MAX_QUEUE, RESTART_ROUNDS, FleetSpec
 from repro.analytic.runner import resolve_fidelity
 from repro.cloud.admission import AdmissionController
 from repro.cloud.tenants import Tenant, tenant_stream
@@ -229,7 +229,7 @@ class FleetSupervisor:
         for tenant in stream:
             arrivals.setdefault(tenant.arrival_round, []).append(tenant)
         scheduler = FleetScheduler(spec)
-        admission = AdmissionController(spec.max_queue, spec.confidence_floor)
+        admission = AdmissionController(MAX_QUEUE, spec.confidence_floor)
         sla = SlaTracker(spec.sla_slowdown, spec.confidence_floor)
         chaos = FleetChaos(spec.chaos)
         served: Dict[int, int] = {t.tenant_id: 0 for t in stream}
@@ -248,9 +248,7 @@ class FleetSupervisor:
             for node in scheduler.nodes:
                 if node.is_up(round_index) and events[node.node_id].kill:
                     kills.append(node.node_id)
-                    for tenant_id in node.kill(
-                        round_index, spec.chaos.restart_rounds
-                    ):
+                    for tenant_id in node.kill(round_index, RESTART_ROUNDS):
                         placement.pop(tenant_id, None)
                         evacuated.append(tenant_by_id[tenant_id])
                     scheduler.note_node_kill(node.node_id)
@@ -363,7 +361,7 @@ class FleetSupervisor:
                         basis=decision.basis,
                         charge=charge_for(
                             spec.billing,
-                            spec.base_rate,
+                            BASE_RATE,
                             spec.quanta_per_round,
                             decision.effective_slowdown,
                         ),

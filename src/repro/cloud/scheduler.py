@@ -31,7 +31,7 @@ import math
 from typing import Dict, List, Optional
 
 from repro.cloud.node import NodeState
-from repro.cloud.spec import FleetSpec
+from repro.cloud.spec import MIGRATION_BACKOFF_ROUNDS, FleetSpec
 from repro.cloud.tenants import Tenant
 from repro.durability.retry import CircuitBreaker, RetryPolicy
 
@@ -53,7 +53,7 @@ class FleetScheduler:
         self.breaker = CircuitBreaker()
         self.migration_policy = RetryPolicy(
             max_attempts=max(2, spec.migration_max_attempts + 1),
-            backoff_s=spec.migration_backoff_rounds,
+            backoff_s=MIGRATION_BACKOFF_ROUNDS,
             backoff_factor=2.0,
             jitter=0.5,
             seed=spec.seed,

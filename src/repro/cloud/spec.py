@@ -22,6 +22,18 @@ PLACEMENT_POLICIES: Tuple[str, ...] = ("asm", "naive")
 #: Billing modes: slowdown-fair (paper Section 7.3) or flat per-quantum.
 BILLING_MODES: Tuple[str, ...] = ("fair", "flat")
 
+#: Queued tenants admission holds while paused; arrivals beyond are shed.
+MAX_QUEUE = 16
+
+#: Price of one uncontended quantum (a float, so every charge is one).
+BASE_RATE = 1.0
+
+#: First migration backoff in rounds; it doubles with each attempt.
+MIGRATION_BACKOFF_ROUNDS = 1.0
+
+#: Rounds a killed node stays down before it restarts.
+RESTART_ROUNDS = 1
+
 
 @dataclass(frozen=True)
 class FleetChaosSpec:
@@ -38,7 +50,6 @@ class FleetChaosSpec:
     telemetry_rate: float = 0.0
     telemetry_class: str = "dropped_read"
     telemetry_fault_rate: float = 0.2
-    restart_rounds: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -52,8 +63,6 @@ class FleetChaosSpec:
                 f"unknown telemetry class {self.telemetry_class!r}; "
                 f"valid: {', '.join(FAULT_CLASSES)}"
             )
-        if self.restart_rounds < 1:
-            raise ValueError("restart_rounds must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -78,9 +87,7 @@ class FleetSpec:
     sla_slowdown: float = 3.0
     placement: str = "asm"
     confidence_floor: float = POLICY_CONFIDENCE_FLOOR
-    max_queue: int = 16
     hog_fraction: float = 0.0
-    base_rate: float = 1.0
     billing: str = "fair"
     # Fidelity tier for the node rounds (see docs/fidelity.md).
     # "analytical" runs every node round through the closed-form
@@ -88,7 +95,6 @@ class FleetSpec:
     # "asm" estimates, but telemetry chaos has nothing to corrupt.
     fidelity: str = "event"
     migration_max_attempts: int = 3
-    migration_backoff_rounds: float = 1.0
     chaos: FleetChaosSpec = field(default_factory=FleetChaosSpec)
     recipe: Optional[Callable[..., Dict[str, Any]]] = None
     recipe_args: Tuple[Any, ...] = ()
@@ -122,12 +128,8 @@ class FleetSpec:
             )
         if not 0.0 < self.confidence_floor <= 1.0:
             raise ValueError("confidence_floor must be in (0, 1]")
-        if self.max_queue < 0:
-            raise ValueError("max_queue must be >= 0")
         if not 0.0 <= self.hog_fraction <= 1.0:
             raise ValueError("hog_fraction must be in [0, 1]")
-        if self.base_rate <= 0:
-            raise ValueError("base_rate must be positive")
         if self.fidelity not in FIDELITY_TIERS:
             raise ValueError(
                 f"unknown fidelity {self.fidelity!r}; "
@@ -135,13 +137,15 @@ class FleetSpec:
             )
         if self.migration_max_attempts < 1:
             raise ValueError("migration_max_attempts must be >= 1")
-        if self.migration_backoff_rounds < 0:
-            raise ValueError("migration_backoff_rounds must be >= 0")
 
 
 __all__ = [
+    "BASE_RATE",
     "BILLING_MODES",
     "FleetChaosSpec",
     "FleetSpec",
+    "MAX_QUEUE",
+    "MIGRATION_BACKOFF_ROUNDS",
     "PLACEMENT_POLICIES",
+    "RESTART_ROUNDS",
 ]

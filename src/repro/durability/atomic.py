@@ -1,7 +1,7 @@
 """Crash-consistent file-write primitives.
 
-Every byte the repository persists (campaign stores, metrics, bench
-captures, report files) goes through one of three helpers:
+Every byte the repository persists (campaign stores, metrics, ``--out``
+tables, ``results/REPORT.md``) goes through one of three helpers:
 
 * :func:`append_line` — append one line to a log: single ``write`` of
   the full line, ``flush``, ``fsync``. A crash can tear at most the

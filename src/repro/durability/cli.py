@@ -9,7 +9,8 @@ experiment's store (``results/.campaign/fig09``) or the campaign root
   intact, 1 when anything needs repair. Read-only.
 * ``repair`` — truncate torn tails, quarantine damaged records to
   ``<file>.quarantine``, upgrade legacy (v1) records to checksummed
-  envelopes, rewrite atomically. Exit 0 (a subsequent ``verify`` must
+  envelopes, rewrite atomically, delete the temp files of rewrites
+  killed before their replace. Exit 0 (a subsequent ``verify`` must
   pass).
 * ``compact`` — repair plus last-record-wins deduplication by each
   record's resume ``key`` (superseded checkpoints from re-runs are

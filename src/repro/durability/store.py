@@ -40,11 +40,12 @@ records; :func:`compact_log` additionally deduplicates by a caller key
 
 from __future__ import annotations
 
+import glob
 import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.durability.atomic import (
     append_line,
@@ -251,6 +252,7 @@ class RepairResult:
     quarantined: int = 0
     dropped_duplicates: int = 0
     rewritten: bool = False
+    stale_temps: int = 0
 
     def summary(self) -> str:
         """One-line human-readable repair summary."""
@@ -261,6 +263,8 @@ class RepairResult:
             bits.append(f"{self.quarantined} quarantined")
         if self.dropped_duplicates:
             bits.append(f"{self.dropped_duplicates} stale dropped")
+        if self.stale_temps:
+            bits.append(f"{self.stale_temps} leftover temp file(s) removed")
         action = "rewritten" if self.rewritten else "clean"
         return f"{os.path.basename(self.path)}: {action} ({', '.join(bits)})"
 
@@ -271,11 +275,19 @@ def _rewrite(
     quarantine: List[_ParsedLine],
 ) -> None:
     """Atomically rewrite ``path`` with ``keep``; append damage to the
-    quarantine sibling (append — earlier quarantined lines are kept)."""
+    quarantine sibling (append — earlier quarantined lines are kept, and
+    a line it already holds, left by a rewrite killed before its
+    replace, is not appended again)."""
     if quarantine:
         qpath = path + QUARANTINE_SUFFIX
+        held: Set[str] = set()
+        if os.path.exists(qpath):
+            with open(qpath, "r", encoding="utf-8") as handle:
+                held = set(handle.read().splitlines())
         for p in quarantine:
-            append_line(qpath, p.text.rstrip("\n"), site=p.lineno)
+            line = p.text.rstrip("\n")
+            if line not in held:
+                append_line(qpath, line, site=p.lineno)
     lines = [header_line()]
     for seq, p in enumerate(keep, start=1):
         lines.append(envelope_line(seq, p.payload))
@@ -285,7 +297,9 @@ def _rewrite(
 def _salvage(
     path: str,
 ) -> Tuple[RepairResult, DamageReport, List[_ParsedLine], List[_ParsedLine]]:
-    """Scan ``path`` for what a rewrite keeps and what it quarantines.
+    """Scan ``path`` for what a rewrite keeps and what it quarantines,
+    and delete the temp files of earlier rewrites killed before their
+    replace.
 
     Returns the result so far, the damage report, the intact records
     (legacy v1 payloads included) and the damaged lines other than the
@@ -293,6 +307,10 @@ def _salvage(
     quarantined.
     """
     parsed, report = _scan(path)
+    # A rewrite killed before its replace leaves its temp file behind.
+    stale = glob.glob(glob.escape(path) + ".tmp.[0-9]*")
+    for temp in stale:
+        os.unlink(temp)
     keep = [p for p in parsed if p.kind in ("record", "legacy")]
     quarantine = [
         p
@@ -304,6 +322,7 @@ def _salvage(
         kept_records=len(keep),
         truncated_tail=report.torn_tail is not None,
         quarantined=len(quarantine),
+        stale_temps=len(stale),
     )
     return result, report, keep, quarantine
 

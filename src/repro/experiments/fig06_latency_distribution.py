@@ -97,18 +97,6 @@ class LatencyDistributionResult:
         ]
         return metrics.mean(abs(e - a) / a * 100.0 for a, e in pairs)
 
-    def spread_ratio(self, model: str) -> float:
-        """Estimated-to-measured distribution-spread ratio (1.0 = the
-        estimates have the same dispersion as the measured reference) —
-        the Figure 6 'distribution shape' criterion."""
-        reference = self.estimates[self.REFERENCE.get(model, "actual")]
-        est = [v for v in self.estimates[model] if v == v]
-        ref = [v for v in reference if v == v]
-        ref_spread = metrics.stdev(ref)
-        if ref_spread == 0:
-            return float("nan")
-        return metrics.stdev(est) / ref_spread
-
     def format_table(self) -> str:
         rows = []
         for model in self.estimates:

@@ -28,7 +28,6 @@ class QosResult:
     # scheme -> per-app mean slowdowns
     slowdowns: Dict[str, List[float]] = field(default_factory=dict)
     apps: Sequence[str] = ()
-    bounds: Sequence[float] = ()
 
     def format_table(self) -> str:
         rows = []
@@ -75,7 +74,7 @@ def run(
 
     config = config or scaled_config()
     mix = make_mix(list(apps), seed=seed)
-    result = QosResult(apps=apps, bounds=bounds)
+    result = QosResult(apps=apps)
     runs = run_schemes(
         # Without a campaign: one with no store, so a failing run raises.
         campaign if campaign is not None else Campaign("fig11"),

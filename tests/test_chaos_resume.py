@@ -252,3 +252,10 @@ def test_store_rewrite_survives_sigkill_at_replace(tmp_path, verb, point):
         {"key": "k0", "value": 0},
         {"key": "k2", "value": 2},
     ]
+    # The killed rewrite's temp file is gone, and the damaged record is
+    # quarantined once however many rewrites reached the quarantine.
+    assert not list(tmp_path.glob("runs.jsonl.tmp.*"))
+    if point == "before_replace":
+        assert "1 leftover temp file(s) removed" in rerun.stdout
+    quarantine = (tmp_path / "runs.jsonl.quarantine").read_text().splitlines()
+    assert len(quarantine) == 1

@@ -1,7 +1,8 @@
 """Smoke tests for every experiment driver at tiny scale.
 
-The full-scale versions live under benchmarks/; here each driver runs with
-minimal workloads to validate plumbing and result formatting.
+The full-scale runs are ``python -m repro <verb>`` at each driver's
+defaults; here each driver runs with minimal workloads to validate
+plumbing and result formatting.
 """
 
 import dataclasses
