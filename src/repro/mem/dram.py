@@ -97,7 +97,9 @@ def service_request(
     else:
         # Row conflict: precharge (not before tRAS after activate), then
         # activate, then access.
-        precharge_start = max(now, bank.act_time + config.tras)
+        precharge_start = bank.act_time + config.tras
+        if precharge_start < now:
+            precharge_start = now
         conflict_with_other = bank.last_opener != request.core
         act_start = precharge_start + config.trp
         bank.act_time = act_start
@@ -108,7 +110,8 @@ def service_request(
         bank.last_opener = request.core
 
     # The data burst serialises on the channel's data bus.
-    completion = max(data_ready, channel.bus_free_at) + config.burst_time
+    bus_free = channel.bus_free_at
+    completion = (bus_free if bus_free > data_ready else data_ready) + config.burst_time
     channel.bus_free_at = completion
     bank.busy_until = completion
     bank.current_core = request.core

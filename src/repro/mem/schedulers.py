@@ -49,10 +49,20 @@ class FrFcfsScheduler(Scheduler):
     name = "frfcfs"
 
     def pick(self, candidates, channel, now):
-        return max(
-            candidates,
-            key=lambda r: (self._is_row_hit(r, channel), -r.arrival_time),
-        )
+        """``max`` by (row hit, earlier arrival), first wins ties, in one
+        pass without a key function."""
+        banks = channel.banks
+        best = candidates[0]
+        best_hit = banks[best.bank].open_row == best.row
+        for request in candidates:
+            if banks[request.bank].open_row == request.row:
+                if not best_hit:
+                    best, best_hit = request, True
+                elif request.arrival_time < best.arrival_time:
+                    best = request
+            elif not best_hit and request.arrival_time < best.arrival_time:
+                best = request
+        return best
 
 
 class ParbsScheduler(Scheduler):

@@ -142,3 +142,59 @@ def test_reset_stats(setup):
     controller.reset_stats()
     assert controller.reads_issued == [0, 0]
     assert controller.queueing_cycles == [0, 0]
+
+
+def test_controller_callbacks_keep_the_tracer_contract(monkeypatch):
+    """The end-to-end benchmark's tracer reads the controller from outside:
+    an engine callback defined in this module is a wake-up when its
+    qualname names ``__init__`` (the per-channel issue thunks) and a
+    completion when it names ``._issue.`` (the closures ``_issue`` builds);
+    issues are ``Scheduler.pick`` calls, and row hits are counted through
+    the module's ``service_request``. A refactor that renamed any of these
+    would zero a traced metric rather than fail, so this test pins them."""
+    import repro.mem.controller as controller_module
+    from repro.mem.schedulers import FrFcfsScheduler
+
+    engine = Engine()
+    scheduled = []
+    for name in ("schedule", "schedule_at"):
+        def record(when, callback, _original=getattr(engine, name)):
+            scheduled.append(callback)
+            _original(when, callback)
+
+        monkeypatch.setattr(engine, name, record)
+    picks = []
+
+    class RecordingFrFcfs(FrFcfsScheduler):
+        def pick(self, candidates, channel, now):
+            choice = super().pick(candidates, channel, now)
+            assert choice in candidates
+            picks.append(choice)
+            return choice
+
+    services = []
+    service_request = controller_module.service_request
+
+    def recording_service(channel, request, now, config):
+        services.append(request)
+        return service_request(channel, request, now, config)
+
+    monkeypatch.setattr(controller_module, "service_request", recording_service)
+    controller = MemoryController(
+        engine, DramConfig(), num_cores=2, scheduler=RecordingFrFcfs()
+    )
+    stride = controller.mapping.lines_per_row * controller.config.banks_per_rank
+    requests = [_read(i % 2, i * stride // 3) for i in range(6)]
+    requests.append(MemRequest(core=1, line_addr=7 * stride, is_write=True))
+    for request in requests:
+        controller.enqueue(request)
+    engine.run()
+
+    module = controller_module.__name__
+    ours = [cb for cb in scheduled if getattr(cb, "__module__", "") == module]
+    wakes = [cb for cb in ours if "__init__" in cb.__qualname__]
+    completions = [cb for cb in ours if "._issue." in cb.__qualname__]
+    assert wakes, "wake thunks must be lambdas built in MemoryController.__init__"
+    assert len(completions) == len(requests)
+    assert len(wakes) + len(completions) == len(ours)
+    assert picks == services and sorted(map(id, picks)) == sorted(map(id, requests))

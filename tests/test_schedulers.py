@@ -1,6 +1,8 @@
 """Unit tests for memory scheduling policies."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.config import DramConfig
 from repro.mem.dram import Channel, DramMapping, service_request
@@ -95,3 +97,38 @@ def test_tcm_recluster_period():
     # Before the next period, updates don't recluster.
     scheduler.update(1_500_000, [100, 500])
     assert set(scheduler._latency_cluster) == first
+
+
+# -- FR-FCFS's one-pass pick against the max() it replaced ---------------
+
+_ROWS = st.integers(min_value=0, max_value=3)
+_CANDIDATES = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=7),  # bank
+        _ROWS,  # row
+        st.integers(min_value=0, max_value=6),  # arrival: ties and disorder
+    ),
+    min_size=1,
+    max_size=24,
+)
+
+
+@given(
+    open_rows=st.lists(st.one_of(st.none(), _ROWS), min_size=8, max_size=8),
+    specs=_CANDIDATES,
+)
+@settings(max_examples=300, deadline=None)
+def test_frfcfs_pick_equals_max_by_row_hit_then_oldest(open_rows, specs):
+    channel = Channel(8)
+    for bank, row in zip(channel.banks, open_rows):
+        bank.open_row = row
+    candidates = []
+    for bank, row, arrival in specs:
+        request = MemRequest(core=0, line_addr=0, arrival_time=arrival)
+        request.bank, request.row = bank, row
+        candidates.append(request)
+    expected = max(
+        candidates,
+        key=lambda r: (channel.banks[r.bank].open_row == r.row, -r.arrival_time),
+    )
+    assert FrFcfsScheduler().pick(candidates, channel, 0) is expected
