@@ -15,28 +15,36 @@ Three consumers share this one structure:
 * **Set sampling** (Section 4.4): the ATS is kept only for a subset of sets
   and hit/miss *fractions* from the sampled sets are scaled by total access
   counts.
+
+Shadow tags carry no owner or dirty state, so each sampled set is a plain
+list of integer tags in LRU order (LRU first, MRU last), the order
+:class:`~repro.cache.replacement.LruSet` keeps its lines in.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional
 
-from repro.cache.replacement import Line, LruSet
 from repro.config import CacheConfig
 
 
-@dataclass
+@dataclass(frozen=True)
 class AtsOutcome:
     """Result of presenting one access to the ATS.
 
     ``sampled`` is False when the access maps to a non-sampled set, in which
-    case ``hit`` and ``stack_position`` are meaningless.
+    case ``hit`` and ``stack_position`` are meaningless. Outcomes are
+    shared between accesses, so they are read-only.
     """
 
     sampled: bool
     hit: bool = False
     stack_position: Optional[int] = None
+
+
+_UNSAMPLED = AtsOutcome(sampled=False)
+_MISS = AtsOutcome(sampled=True, hit=False)
 
 
 class AuxiliaryTagStore:
@@ -57,10 +65,14 @@ class AuxiliaryTagStore:
             self.num_sampled_sets = len(
                 range(0, self.num_sets, self.sample_stride)
             )
-        self._sets = {
-            idx: LruSet(self.associativity)
-            for idx in range(0, self.num_sets, self.sample_stride)
+        self._sets: Dict[int, List[int]] = {
+            idx: [] for idx in range(0, self.num_sets, self.sample_stride)
         }
+        # The outcome of a hit at each MRU-stack position.
+        self._hits = [
+            AtsOutcome(sampled=True, hit=True, stack_position=position)
+            for position in range(self.associativity)
+        ]
         # Counters over sampled sets only.
         self.sampled_hits = 0
         self.sampled_misses = 0
@@ -76,20 +88,24 @@ class AuxiliaryTagStore:
     def access(self, line_addr: int) -> AtsOutcome:
         """Present one shared-cache access of this application to the ATS."""
         self.total_accesses += 1
-        set_index = line_addr % self.num_sets
-        ats_set = self._sets.get(set_index)
-        if ats_set is None:
-            return AtsOutcome(sampled=False)
-        tag = line_addr // self.num_sets
-        position = ats_set.stack_position(tag)
-        if position is not None:
+        num_sets = self.num_sets
+        tags = self._sets.get(line_addr % num_sets)
+        if tags is None:
+            return _UNSAMPLED
+        tag = line_addr // num_sets
+        if tag in tags:
+            index = tags.index(tag)
+            position = len(tags) - 1 - index
             self.sampled_hits += 1
             self.way_hits[position] += 1
-            ats_set.touch(ats_set.lines[-1 - position])
-            return AtsOutcome(sampled=True, hit=True, stack_position=position)
+            del tags[index]
+            tags.append(tag)
+            return self._hits[position]
         self.sampled_misses += 1
-        ats_set.insert(Line(tag))
-        return AtsOutcome(sampled=True, hit=False)
+        if len(tags) >= self.associativity:
+            del tags[0]
+        tags.append(tag)
+        return _MISS
 
     # -- sampled-to-total scaling (Section 4.4) ---------------------------
     @property

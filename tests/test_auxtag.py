@@ -1,9 +1,12 @@
 """Unit tests for the auxiliary tag store."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cache.auxtag import AuxiliaryTagStore
 from repro.cache.cache import SetAssocCache
+from repro.cache.replacement import Line, LruSet
 from repro.config import CacheConfig
 
 
@@ -118,3 +121,69 @@ def test_hits_with_zero_ways_is_zero(config):
     ats.access(1)
     ats.access(1)
     assert ats.hits_with_ways(0) == 0.0
+
+
+# -- the tag-only ATS against an LruSet reference -----------------------
+
+
+class _LruSetAts:
+    """The reference ATS: one LruSet of Line records per sampled set."""
+
+    def __init__(self, config, stride):
+        self.num_sets = config.num_sets
+        self.associativity = config.associativity
+        self.sets = {
+            idx: LruSet(config.associativity)
+            for idx in range(0, config.num_sets, stride)
+        }
+        self.way_hits = [0] * config.associativity
+        self.sampled = 0
+        self.total = 0
+
+    def access(self, line_addr):
+        """(sampled, hit, stack position) of one access."""
+        self.total += 1
+        lru = self.sets.get(line_addr % self.num_sets)
+        if lru is None:
+            return False, False, None
+        self.sampled += 1
+        tag = line_addr // self.num_sets
+        position = lru.stack_position(tag)
+        if position is None:
+            lru.insert(Line(tag))
+            return True, False, None
+        self.way_hits[position] += 1
+        lru.touch(lru.lines[-1 - position])
+        return True, True, position
+
+    def hits_with_ways(self, ways):
+        if ways <= 0 or not self.sampled:
+            return 0.0
+        hits = sum(self.way_hits[: min(ways, self.associativity)])
+        return hits / self.sampled * self.total
+
+
+@given(
+    # (set, tag) pairs: a few sets, sampled and not at every stride, each
+    # seeing more tags than it has ways, so hits land at every stack depth.
+    stream=st.lists(
+        st.tuples(st.sampled_from([0, 1, 4, 8, 17, 32, 63]), st.integers(0, 6)),
+        max_size=400,
+    ),
+    sampled_sets=st.sampled_from([None, 16, 8, 1]),
+)
+@settings(max_examples=150, deadline=None)
+def test_tag_only_ats_matches_lru_set_reference(stream, sampled_sets):
+    config = CacheConfig(size_bytes=16 * 1024, associativity=4, latency=20)
+    ats = AuxiliaryTagStore(config, sampled_sets)
+    reference = _LruSetAts(config, ats.sample_stride)
+    for set_index, tag in stream:
+        line = tag * config.num_sets + set_index
+        outcome = ats.access(line)
+        sampled, hit, position = reference.access(line)
+        assert outcome.sampled == sampled
+        if sampled:
+            assert (outcome.hit, outcome.stack_position) == (hit, position)
+        assert ats.way_hits == reference.way_hits
+    for ways in range(config.associativity + 2):
+        assert ats.hits_with_ways(ways) == reference.hits_with_ways(ways)
