@@ -157,23 +157,25 @@ class AsmModel(SlowdownModel):
     def _on_access(
         self, core: int, line_addr: int, is_write: bool, hit: bool, now: int
     ) -> None:
-        self._accesses.add(core)
+        # ``CounterVec.add`` inlined: the access path increments the raw
+        # values, which every reset zeroes in place.
+        self._accesses.values[core] += 1
         if hit:
-            self._hits.add(core)
+            self._hits.values[core] += 1
         else:
-            self._misses.add(core)
+            self._misses.values[core] += 1
         outcome = self.ats[core].access(line_addr)
         if self._measuring == core:
             if hit:
-                self._epoch_hits.add(core)
+                self._epoch_hits.values[core] += 1
             else:
-                self._epoch_misses.add(core)
+                self._epoch_misses.values[core] += 1
             if outcome.sampled:
-                self._epoch_sampled_ats_accesses.add(core)
+                self._epoch_sampled_ats_accesses.values[core] += 1
                 if outcome.hit:
-                    self._epoch_sampled_ats_hits.add(core)
+                    self._epoch_sampled_ats_hits.values[core] += 1
                 if hit:
-                    self._epoch_sampled_shared_hits.add(core)
+                    self._epoch_sampled_shared_hits.values[core] += 1
 
     def _on_service(self, core: int, is_hit: bool, is_start: bool, now: int) -> None:
         epoch = self._epoch_hit_time[core] if is_hit else self._epoch_miss_time[core]

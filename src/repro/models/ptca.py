@@ -64,13 +64,14 @@ class PtcaModel(PerRequestModel):
     def _on_access(
         self, core: int, line_addr: int, is_write: bool, hit: bool, now: int
     ) -> None:
-        self._total_accesses.add(core)
+        # ``CounterVec.add`` inlined, as in ASM's access path.
+        self._total_accesses.values[core] += 1
         outcome = self.ats[core].access(line_addr)
         if not outcome.sampled:
             return
-        self._sampled_accesses.add(core)
+        self._sampled_accesses.values[core] += 1
         if not hit and outcome.hit:
-            self._sampled_contention.add(core)
+            self._sampled_contention.values[core] += 1
 
     def contention(self, core: int) -> Tuple[float, float, List[str]]:
         """The ATS's sampled contention misses scaled to every access; a

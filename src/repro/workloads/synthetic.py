@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass, replace
+from functools import partial
 from math import log
 from typing import Iterator, List, Tuple
 
@@ -77,6 +78,10 @@ _SCRAMBLE_PRIME = 2654435761
 # Records each refill of __next__'s buffer draws.
 _REFILL = 256
 
+# Builds a TraceRecord from a (gap, line, is_write) tuple in C, without
+# the named tuple's Python-level __new__.
+_record = partial(tuple.__new__, TraceRecord)
+
 
 class SyntheticTrace(Iterator[TraceRecord]):
     """Infinite deterministic access stream for one application.
@@ -108,9 +113,7 @@ class SyntheticTrace(Iterator[TraceRecord]):
         pending = self._pending
         if not pending:
             gaps, lines, writes = self.take(_REFILL)
-            pending.extend(
-                map(TraceRecord, gaps[::-1], lines[::-1], writes[::-1])
-            )
+            pending.extend(map(_record, zip(gaps[::-1], lines[::-1], writes[::-1])))
         return pending.pop()
 
     def take(self, n: int) -> Tuple[List[int], List[int], List[bool]]:
