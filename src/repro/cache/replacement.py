@@ -3,12 +3,14 @@
 A set is an ordered list of entries with the LRU entry at index 0 and the
 MRU entry at the end. The list never exceeds the associativity. Entries are
 small mutable records so the shared cache can track per-line owner and dirty
-state without a parallel structure.
+state without a parallel structure. A tag is resident at most once (caches
+insert a tag only after ``find`` missed), so a dict from tag to entry
+answers lookups without walking the list.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 
 class Line:
@@ -28,18 +30,16 @@ class Line:
 class LruSet:
     """An LRU-ordered cache set of bounded associativity."""
 
-    __slots__ = ("associativity", "lines")
+    __slots__ = ("associativity", "lines", "by_tag")
 
     def __init__(self, associativity: int) -> None:
         self.associativity = associativity
         self.lines: List[Line] = []
+        self.by_tag: Dict[int, Line] = {}
 
     def find(self, tag: int) -> Optional[Line]:
         """Return the line with ``tag`` without touching LRU order."""
-        for line in self.lines:
-            if line.tag == tag:
-                return line
-        return None
+        return self.by_tag.get(tag)
 
     def stack_position(self, tag: int) -> Optional[int]:
         """Return the MRU-stack distance of ``tag`` (0 = MRU).
@@ -64,7 +64,9 @@ class LruSet:
         victim = None
         if len(self.lines) >= self.associativity:
             victim = self.lines.pop(0)
+            del self.by_tag[victim.tag]
         self.lines.append(line)
+        self.by_tag[line.tag] = line
         return victim
 
     def insert_with_quota(self, line: Line, quotas: List[int]) -> Optional[Line]:
@@ -78,6 +80,7 @@ class LruSet:
         """
         if len(self.lines) < self.associativity:
             self.lines.append(line)
+            self.by_tag[line.tag] = line
             return None
 
         counts = [0] * len(quotas)
@@ -97,12 +100,14 @@ class LruSet:
         if victim is None:
             victim = self.lines[0]
         self.lines.remove(victim)
+        del self.by_tag[victim.tag]
         self.lines.append(line)
+        self.by_tag[line.tag] = line
         return victim
 
     def evict(self, tag: int) -> Optional[Line]:
         """Remove and return the line with ``tag`` if present (back-invalidation)."""
-        line = self.find(tag)
+        line = self.by_tag.pop(tag, None)
         if line is not None:
             self.lines.remove(line)
         return line
