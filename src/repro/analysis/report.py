@@ -54,9 +54,10 @@ def build_report(
     sections = [
         "# Reproduction report",
         "",
-        "Generated from the archived benchmark outputs in "
-        f"`{results_dir}/`. Paper numbers from Subramanian et al., "
-        "MICRO 2015; see EXPERIMENTS.md for scale and deviation notes.",
+        "Generated from the tables that `python -m repro <verb> --out "
+        f"{results_dir}/<stem>.txt` wrote. Paper numbers from Subramanian "
+        "et al., MICRO 2015; see EXPERIMENTS.md for scale and deviation "
+        "notes.",
     ]
     found_any = False
     for stem, verb in _FILE_TO_VERB.items():

@@ -188,3 +188,27 @@ def test_committed_instructions_snapshot(small_system_config):
     committed = system.committed_instructions()
     assert len(committed) == 2
     assert all(c > 0 for c in committed)
+
+
+def test_prefetch_fill_writes_back_its_dirty_victim(small_system_config):
+    """A prefetch fill that evicts a dirty line enqueues that line's
+    writeback, as a demand miss does."""
+    from repro.engine import Engine
+    from repro.harness.system import MemoryHierarchy
+    from repro.mem.controller import MemoryController
+
+    config = dataclasses.replace(small_system_config, num_cores=1).with_prefetcher()
+    engine = Engine()
+    controller = MemoryController(engine, config.dram, 1)
+    hierarchy = MemoryHierarchy(engine, config, controller)
+    llc = hierarchy.llc
+    # Demand accesses to lines 0, 1, 2 make the stride prefetcher
+    # confident; it then prefetches `distance` lines ahead, line 26 first.
+    target = 2 + config.core.prefetch_distance
+    dirty = [target + k * llc.num_sets for k in range(1, config.llc.associativity + 1)]
+    for line in dirty:  # fill the target's set with dirty lines
+        llc.access(0, line, is_write=True)
+    for line in (0, 1, 2):
+        hierarchy.access(0, line, False, None)
+    writebacks = [r.line_addr for r in controller.write_queues[0]]
+    assert writebacks == [dirty[0]], "the LRU dirty victim is written back"
