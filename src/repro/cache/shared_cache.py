@@ -141,9 +141,5 @@ class SharedCache:
             if line.owner == core
         )
 
-    def reset_stats(self) -> None:
-        self.hits = [0] * self.num_cores
-        self.misses = [0] * self.num_cores
-
     def accesses_of(self, core: int) -> int:
         return self.hits[core] + self.misses[core]

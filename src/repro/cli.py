@@ -237,8 +237,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default; see docs/fidelity.md)")
     parser.add_argument("--profile", action="store_true",
                         help="time every computed cell and print the "
-                             "per-cell timing table; snapshots per-quantum "
-                             "metrics into the campaign store")
+                             "per-cell timing table; persists each cell's "
+                             "per-quantum trace events (quantum, model, "
+                             "guard, policy) in the campaign store's "
+                             "metrics.jsonl")
     return parser
 
 

@@ -54,8 +54,6 @@ class FleetScheduler:
         self.migration_policy = RetryPolicy(
             max_attempts=max(2, spec.migration_max_attempts + 1),
             backoff_s=MIGRATION_BACKOFF_ROUNDS,
-            backoff_factor=2.0,
-            jitter=0.5,
             seed=spec.seed,
         )
         #: Mean effective slowdown each node's tenants saw last round.

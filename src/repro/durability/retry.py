@@ -33,10 +33,16 @@ from repro.telemetry.spec import fault_u01
 #: Error types treated as transient: worth retrying without suspicion.
 #: Everything else is presumed deterministic until proven otherwise.
 #: A failure records ``type(exc).__name__``, so a wall-clock timeout
-#: arrives as ``DeadlineExceeded`` (``WatchdogTimeout`` is its alias).
-TRANSIENT_ERRORS: FrozenSet[str] = frozenset(
-    {"WorkerCrash", "WatchdogTimeout", "DeadlineExceeded"}
-)
+#: arrives as ``DeadlineExceeded``.
+TRANSIENT_ERRORS: FrozenSet[str] = frozenset({"WorkerCrash", "DeadlineExceeded"})
+
+#: Growth of the backoff from one attempt to the next.
+BACKOFF_FACTOR = 2.0
+#: Relative width of the deterministic jitter around each backoff.
+JITTER = 0.5
+#: Consecutive repeats of one deterministic failure signature that open
+#: a cell's circuit.
+TRIP_THRESHOLD = 2
 
 
 def failure_signature(error_type: str, message: str) -> str:
@@ -57,7 +63,7 @@ class RetryPolicy:
     behaviour: one attempt, no backoff, failure recorded immediately.
     Backoff for attempt *k* (the delay before attempt ``k+1``) is::
 
-        backoff_s * backoff_factor**(k-1) * (1 + jitter * (u - 0.5))
+        backoff_s * BACKOFF_FACTOR**(k-1) * (1 + JITTER * (u - 0.5))
 
     with ``u`` a sha256 draw keyed by (seed, cell fingerprint, k) — the
     schedule is fully deterministic per campaign, never shared between
@@ -66,8 +72,6 @@ class RetryPolicy:
 
     max_attempts: int = 1
     backoff_s: float = 0.05
-    backoff_factor: float = 2.0
-    jitter: float = 0.5
     seed: int = 0
     cell_budget_s: Optional[float] = None
 
@@ -76,10 +80,6 @@ class RetryPolicy:
             raise ValueError("max_attempts must be >= 1")
         if self.backoff_s < 0:
             raise ValueError("backoff_s must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
         if self.cell_budget_s is not None and self.cell_budget_s <= 0:
             raise ValueError("cell_budget_s must be positive")
 
@@ -92,9 +92,9 @@ class RetryPolicy:
         """Backoff before the attempt *after* 1-based ``attempt``."""
         if attempt < 1:
             raise ValueError("attempt is 1-based")
-        base = self.backoff_s * self.backoff_factor ** (attempt - 1)
+        base = self.backoff_s * BACKOFF_FACTOR ** (attempt - 1)
         u = fault_u01(self.seed, "retry-jitter", cell_fingerprint, attempt)
-        return max(0.0, base * (1.0 + self.jitter * (u - 0.5)))
+        return max(0.0, base * (1.0 + JITTER * (u - 0.5)))
 
     def within_budget(self, elapsed_s: float) -> bool:
         """Whether a cell at ``elapsed_s`` wall seconds may try again."""
@@ -109,10 +109,9 @@ class CircuitBreaker:
     and how many consecutive attempts produced it. Transient error
     types never trip the breaker (a crash-looping host still looks like
     distinct opportunities); a deterministic signature repeating
-    ``trip_threshold`` times opens the circuit for that cell.
+    :data:`TRIP_THRESHOLD` times opens the circuit for that cell.
     """
 
-    trip_threshold: int = 2
     _state: Dict[str, Tuple[str, int]] = field(default_factory=dict)
     _open: Dict[str, str] = field(default_factory=dict)
 
@@ -129,7 +128,7 @@ class CircuitBreaker:
         last, count = self._state.get(cell_fingerprint, ("", 0))
         count = count + 1 if signature == last else 1
         self._state[cell_fingerprint] = (signature, count)
-        if count >= self.trip_threshold:
+        if count >= TRIP_THRESHOLD:
             self._open[cell_fingerprint] = signature
 
     def record_success(self, cell_fingerprint: str) -> None:

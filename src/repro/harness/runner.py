@@ -32,7 +32,6 @@ from repro.mem.schedulers import Scheduler
 from repro.models.base import SlowdownModel
 from repro.obs.bus import TraceBus
 from repro.obs.events import FAULT, QUANTUM
-from repro.obs.metrics import MetricsRegistry
 from repro.resilience.watchdog import QuantumWatchdog
 from repro.telemetry.spec import TelemetrySpec
 from repro.workloads.mixes import WorkloadMix
@@ -407,54 +406,6 @@ def _emit_fault(
         )
 
 
-def _snap_metrics(
-    run_metrics: MetricsRegistry,
-    system: System,
-    models: Dict[str, SlowdownModel],
-    prev: Dict[str, List[int]],
-    shared_ipc: List[float],
-) -> None:
-    """Update the registry with this quantum's deltas and snapshot it.
-
-    The per-core counters preserve the Table 1 conservation law by
-    construction (``demand_accesses`` is incremented by ``hits + misses``),
-    which ``tests/test_obs.py`` asserts on every snapshot.
-    """
-    hierarchy = system.hierarchy
-    controller = system.controller
-    run_metrics.counter("engine.events").inc(system.engine.events_executed)
-    delay_hist = run_metrics.histogram("queueing_delay")
-    for core in range(system.config.num_cores):
-        hits_delta = hierarchy.demand_hits[core] - prev["hits"][core]
-        misses_delta = hierarchy.demand_misses[core] - prev["misses"][core]
-        queueing_delta = controller.queueing_cycles[core] - prev["queueing"][core]
-        run_metrics.counter(f"core{core}.demand_hits").inc(hits_delta)
-        run_metrics.counter(f"core{core}.demand_misses").inc(misses_delta)
-        run_metrics.counter(f"core{core}.demand_accesses").inc(
-            hits_delta + misses_delta
-        )
-        run_metrics.gauge(f"core{core}.shared_ipc").set(shared_ipc[core])
-        if misses_delta > 0:
-            delay_hist.observe(queueing_delta / misses_delta)
-        prev["hits"][core] = hierarchy.demand_hits[core]
-        prev["misses"][core] = hierarchy.demand_misses[core]
-        prev["queueing"][core] = controller.queueing_cycles[core]
-    for name, model in models.items():
-        stats = model.trace_stats()
-        if not stats:
-            continue
-        for core, stat in enumerate(stats):
-            if "car_alone" in stat:
-                run_metrics.gauge(f"{name}.core{core}.car_alone").set(
-                    stat["car_alone"]
-                )
-            if "car_shared" in stat:
-                run_metrics.gauge(f"{name}.core{core}.car_shared").set(
-                    stat["car_shared"]
-                )
-    run_metrics.snap(system.engine.now)
-
-
 def run_workload(
     mix: WorkloadMix,
     config: SystemConfig,
@@ -470,7 +421,6 @@ def run_workload(
     system_hooks: Sequence[Callable[[System], None]] = (),
     telemetry: Optional[TelemetrySpec] = None,
     obs: Optional[TraceBus] = None,
-    run_metrics: Optional[MetricsRegistry] = None,
 ) -> RunResult:
     """Run ``mix`` for ``quanta`` quanta with the given models/policies and
     compute per-quantum ground-truth slowdowns.
@@ -490,12 +440,10 @@ def run_workload(
     :class:`~repro.obs.profile.StageProfiler`).
     ``obs`` is an optional :class:`~repro.obs.bus.TraceBus` threaded into
     the system, models and policies: the runner itself emits one QUANTUM
-    event per boundary (ground truth + IPC) and FAULT events when a
-    watchdog/deadline abort crosses it. ``run_metrics`` is an optional
-    :class:`~repro.obs.metrics.MetricsRegistry` snapshotted at every
-    quantum boundary (per-core demand hits/misses/accesses, shared IPC,
-    queueing-delay histogram, per-model CAR gauges). Both are passive:
-    a run with them attached is bit-identical to one without.
+    event per boundary (ground truth, IPC, the quantum's engine events
+    and each core's demand hits, demand misses and queueing cycles) and
+    FAULT events when a watchdog/deadline abort crosses it. The bus is
+    passive: a run with it attached is bit-identical to one without.
     """
     config = dataclasses.replace(config, num_cores=mix.num_cores)
     config.validate()
@@ -532,13 +480,7 @@ def run_workload(
 
     records: List[QuantumRecord] = []
     prev_instructions = [0] * mix.num_cores
-    prev_hier: Optional[Dict[str, List[int]]] = None
-    if run_metrics is not None:
-        prev_hier = {
-            "hits": [0] * mix.num_cores,
-            "misses": [0] * mix.num_cores,
-            "queueing": [0] * mix.num_cores,
-        }
+    prev_counts = [[0] * mix.num_cores] * 3
     for q in range(quanta):
         try:
             system.run_quantum(wall_deadline=watchdog.next_deadline())
@@ -581,6 +523,18 @@ def run_workload(
                 record.confidence[name] = list(model.confidence_history[q])
                 record.degraded[name] = list(model.degraded_history[q])
         if obs is not None and obs.mask & QUANTUM:
+            # Cumulative per-core counts; the event reports each
+            # quantum's share.
+            counts = [
+                list(system.hierarchy.demand_hits),
+                list(system.hierarchy.demand_misses),
+                list(system.controller.queueing_cycles),
+            ]
+            hits, misses, queueing = (
+                [after - before for after, before in zip(current, previous)]
+                for current, previous in zip(counts, prev_counts)
+            )
+            prev_counts = counts
             obs.emit(
                 system.engine.now,
                 QUANTUM,
@@ -589,9 +543,11 @@ def run_workload(
                 instructions=list(instructions),
                 shared_ipc=list(shared_ipc),
                 actual_slowdowns=list(actual),
+                engine_events=system.engine.events_executed,
+                demand_hits=hits,
+                demand_misses=misses,
+                queueing_cycles=queueing,
             )
-        if run_metrics is not None and prev_hier is not None:
-            _snap_metrics(run_metrics, system, models, prev_hier, shared_ipc)
         records.append(record)
         prev_instructions = instructions
 

@@ -141,12 +141,6 @@ class MemoryController:
             1 for q in self.read_queues for r in q if r.core == core
         )
 
-    def reset_stats(self) -> None:
-        self.reads_issued = [0] * self.num_cores
-        self.row_hits = [0] * self.num_cores
-        self.row_misses = [0] * self.num_cores
-        self.queueing_cycles = [0] * self.num_cores
-
     # ------------------------------------------------------------------
     def _refresh(self) -> None:
         """All-bank refresh on every channel: busy for tRFC, rows closed.

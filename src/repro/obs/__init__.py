@@ -1,24 +1,22 @@
-"""Observability layer: structured tracing, metrics and run profiling.
+"""Observability layer: structured tracing and run profiling.
 
 ``repro.obs`` makes the simulator inspectable without changing what it
-computes. Three independent facilities share the package:
+computes. Two independent facilities share the package:
 
 * the **trace bus** (:mod:`repro.obs.bus`) — typed, sim-cycle-timestamped
   events (quantum boundaries, epoch ownership, model estimates, policy
   reallocations/skips, estimate-guard degradations, watchdog faults)
   published to pluggable sinks (:mod:`repro.obs.sinks`) behind per-category
-  enable masks;
-* the **metrics registry** (:mod:`repro.obs.metrics`) — counters, gauges
-  and histograms snapshotted at every quantum boundary and dumped next to
-  campaign checkpoints;
+  enable masks. It is the one per-quantum recorder: a campaign's
+  ``--profile`` persists each cell's QUANTUM, MODEL, GUARD and POLICY
+  events next to its checkpoint (:mod:`repro.parallel`);
 * the **run profiler** (:mod:`repro.obs.profile`) — opt-in nested
   ``time.perf_counter`` spans around the engine drain, the shared cache
   access path and the model/policy quantum updates, surfaced by the
   ``repro profile`` CLI verb, which also spans its alone runs and the
   whole ``run_workload`` call. (A campaign's ``--profile`` per-cell
   timing table is separate: :mod:`repro.parallel` times each cell and
-  reads its events from the metrics registry's ``engine.events``
-  counter.)
+  sums its engine events from the cell's QUANTUM events.)
 
 The contract that keeps all of this out of the hot path: every
 instrumented component holds an ``Optional[TraceBus]`` that defaults to
@@ -43,37 +41,25 @@ from repro.obs.events import (
     QUANTUM,
     TraceEvent,
     mask_for,
-    names_for,
 )
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-from repro.obs.sinks import JsonlSink, NullSink, RingBufferSink, read_jsonl
+from repro.obs.sinks import JsonlSink, ListSink, RingBufferSink, read_jsonl
 
 __all__ = [
     "ALL_CATEGORIES",
     "CACHE",
     "CATEGORY_NAMES",
-    "Counter",
     "DEFAULT_CATEGORIES",
     "EPOCH",
     "FAULT",
     "GUARD",
-    "Gauge",
-    "Histogram",
     "JsonlSink",
+    "ListSink",
     "MODEL",
-    "MetricsRegistry",
-    "NullSink",
     "POLICY",
     "QUANTUM",
     "RingBufferSink",
     "TraceBus",
     "TraceEvent",
     "mask_for",
-    "names_for",
     "read_jsonl",
 ]

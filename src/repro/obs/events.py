@@ -7,7 +7,9 @@ event) subdivide a category; the stable kinds emitted by the simulator:
 ==========  ==========  =====================================================
 category    kind        emitted when
 ==========  ==========  =====================================================
-QUANTUM     quantum     a quantum boundary: ground truth + per-core IPC
+QUANTUM     quantum     a quantum boundary: ground truth, per-core IPC,
+                        the quantum's engine events and per-core demand
+                        hits, demand misses and queueing cycles
 EPOCH       epoch       the epoch driver assigns an owner (prioritisation)
 EPOCH       measure     the owner's post-warm-up measurement window opens
 CACHE       access      one shared-LLC demand access (hit or primary miss)
@@ -27,9 +29,9 @@ wall-clock: traces from two runs of the same seed are directly diffable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable
 
-#: Quantum boundaries: ground truth, shared IPC, instructions.
+#: Quantum boundaries: ground truth, shared IPC, instructions, counts.
 QUANTUM = 1
 #: Epoch driver: ownership assignments and measurement-window openings.
 EPOCH = 2
@@ -98,15 +100,6 @@ def mask_for(names: Iterable[str]) -> int:
     return mask
 
 
-def names_for(mask: int) -> List[str]:
-    """The canonical names of the categories enabled in ``mask``."""
-    return [
-        name
-        for bit, name in sorted(CATEGORY_NAMES.items())
-        if mask & bit
-    ]
-
-
 @dataclass
 class TraceEvent:
     """One structured trace record.
@@ -157,5 +150,4 @@ __all__ = [
     "QUANTUM",
     "TraceEvent",
     "mask_for",
-    "names_for",
 ]

@@ -6,8 +6,8 @@ Three built-ins cover the intended uses:
   always cheap, keeps the last N events for post-mortem inspection;
 * :class:`JsonlSink` — one JSON object per line to a file, loadable with
   :func:`read_jsonl` and by ``repro trace show``;
-* :class:`NullSink` — drops everything; useful for measuring pure
-  emission overhead.
+* :class:`ListSink` — every event in memory, unbounded: a profiled
+  campaign cell keeps its per-quantum events in one for its store record.
 """
 
 from __future__ import annotations
@@ -33,15 +33,16 @@ class TraceSink:
         """Flush/close any resources; the base implementation is a no-op."""
 
 
-class NullSink(TraceSink):
-    """Counts events and drops them."""
+class ListSink(TraceSink):
+    """Keeps every event in memory, in emission order. Unbounded, so it
+    suits the per-quantum categories of a run, not the CACHE stream."""
 
     def __init__(self) -> None:
-        self.count = 0
+        self.events: List[TraceEvent] = []
 
     def write(self, event: TraceEvent) -> None:
-        """Discard ``event`` (the counter is the only side effect)."""
-        self.count += 1
+        """Append ``event``."""
+        self.events.append(event)
 
 
 class RingBufferSink(TraceSink):
@@ -118,7 +119,7 @@ def read_jsonl(path: str) -> List[TraceEvent]:
 
 __all__ = [
     "JsonlSink",
-    "NullSink",
+    "ListSink",
     "RingBufferSink",
     "TraceSink",
     "read_jsonl",

@@ -92,7 +92,9 @@ from repro.harness.runner import (
     RunResult,
     run_workload,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.bus import TraceBus
+from repro.obs.events import GUARD, MODEL, POLICY, QUANTUM
+from repro.obs.sinks import ListSink
 from repro.resilience.campaign import result_from_json, result_to_json
 from repro.resilience.faults import RunFailure, config_fingerprint
 from repro.telemetry.spec import TelemetrySpec
@@ -163,6 +165,11 @@ class _CellTask:
     profile: bool = False
 
 
+#: The trace categories a profiled cell persists: its per-quantum events,
+#: not the per-epoch EPOCH or per-access CACHE streams.
+PROFILE_CATEGORIES = QUANTUM | MODEL | GUARD | POLICY
+
+
 def _attempt(
     task: _CellTask, legs: Optional[LiveLegs] = None
 ) -> Dict[str, Any]:
@@ -174,11 +181,11 @@ def _attempt(
     failure's holds the exception itself under ``"exc"``, for a serial
     give-up to re-raise. Every payload holds the attempt's wall seconds,
     alone legs included. A profiled cell's payload adds its shared-run
-    engine events, read from the registry its quanta were snapshotted
-    into (an analytic cell simulates none).
+    engine events (an analytic cell simulates none) and, for an event
+    cell, its :data:`PROFILE_CATEGORIES` trace events under ``"trace"``.
     """
     spec = task.spec
-    run_metrics: Optional[MetricsRegistry] = None
+    sink: Optional[ListSink] = None
     cache: Optional[AloneRunCache] = None
     start = perf_counter()
     try:
@@ -188,9 +195,9 @@ def _attempt(
         else:
             cache = AloneRunCache(task.prefixes, legs)
             machine = spec.recipe(*spec.recipe_args) if spec.recipe else {}
-            # Fresh per attempt: a failed attempt's counters must not leak
-            # into a retried cell's persisted metrics.
-            run_metrics = MetricsRegistry() if task.profile else None
+            # Fresh per attempt: a failed attempt's events must not leak
+            # into a retried cell's persisted record.
+            sink = ListSink() if task.profile else None
             result = run_workload(
                 spec.mix,
                 spec.config,
@@ -199,7 +206,7 @@ def _attempt(
                 check_invariants=task.check_invariants,
                 wall_clock_budget_s=task.wall_clock_budget_s,
                 telemetry=spec.telemetry,
-                run_metrics=run_metrics,
+                obs=None if sink is None else TraceBus([sink], PROFILE_CATEGORIES),
                 **machine,
             )
     except Exception as exc:  # noqa: BLE001 - isolated and reported
@@ -217,13 +224,13 @@ def _attempt(
     if cache is not None:
         payload["alone"] = cache.prefixes()
     if task.profile:
-        payload["events"] = (
-            int(run_metrics.counter("engine.events").value)
-            if run_metrics is not None else 0
+        events = sink.events if sink is not None else []
+        payload["events"] = sum(
+            event.data["engine_events"]
+            for event in events if event.category == QUANTUM
         )
-    if run_metrics is not None:
-        # Snapshots are plain dicts: picklable as-is.
-        payload["metrics"] = run_metrics.snapshots
+    if sink is not None:
+        payload["trace"] = [event.to_json() for event in sink.events]
     return payload
 
 
@@ -343,8 +350,8 @@ def _settle(
                 spec.mix.name, spec.variant, spec.quanta,
                 payload["wall_s"], payload["events"],
             )
-        if campaign.store is not None and payload.get("metrics"):
-            campaign.store.put_metrics(cell.key, payload["metrics"])
+        if campaign.store is not None and payload.get("trace"):
+            campaign.store.put_metrics(cell.key, payload["trace"])
         return None
     failure = _failure_from_payload(campaign, spec, payload, cell.attempts)
     cell.fingerprint = failure.fingerprint()

@@ -36,7 +36,6 @@ _EXPORTS = {
     "MIN_ACTUAL_SLOWDOWN": "repro.resilience.invariants",
     "QuantumWatchdog": "repro.resilience.watchdog",
     "WatchdogStall": "repro.resilience.watchdog",
-    "WatchdogTimeout": "repro.resilience.watchdog",
 }
 
 __all__ = sorted(_EXPORTS)

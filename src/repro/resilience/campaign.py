@@ -16,7 +16,8 @@ Store layout::
         runs.jsonl       completed per-mix results, one JSON object per line
         alone.jsonl      alone-run prefixes (the longest is the last)
         failures.jsonl   captured RunFailure records (replayable)
-        metrics.jsonl    per-quantum metrics snapshots (``--profile``)
+        metrics.jsonl    each profiled cell's per-quantum trace events
+                         (``--profile``) and the supervision counters
         divergence.jsonl fidelity cross-validation reports (analytic vs
                          event oracle — see repro.analytic.crossval)
 
@@ -60,7 +61,6 @@ from repro.harness.runner import (
     QuantumRecord,
     RunResult,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.resilience.faults import (
     RunFailure,
     config_fingerprint,
@@ -187,16 +187,18 @@ class CampaignStore:
             "instructions": list(profile.instructions),
         })
 
-    # -- metrics snapshots ----------------------------------------------
-    def put_metrics(self, key: str, snapshots: List[dict]) -> None:
-        """Persist a run's per-quantum metrics snapshots next to its
-        checkpoint (same ``key`` as :meth:`put_run`)."""
-        self._metrics.put(key, {"snapshots": snapshots})
+    # -- metrics: per-quantum trace events -------------------------------
+    def put_metrics(self, key: str, records: List[dict]) -> None:
+        """Persist a profiled run's per-quantum trace events
+        (:meth:`~repro.obs.events.TraceEvent.to_json` records) next to its
+        checkpoint (same ``key`` as :meth:`put_run`); under
+        ``__supervisor__``, the campaign's supervision counters."""
+        self._metrics.put(key, {"records": records})
 
     def get_metrics(self, key: str) -> Optional[List[dict]]:
-        """The last metrics snapshots persisted under ``key``, if any."""
+        """The last records persisted under ``key``, if any."""
         record = self._metrics.get(key)
-        return None if record is None else list(record["snapshots"])
+        return None if record is None else list(record["records"])
 
     # -- failures -------------------------------------------------------
     def append_failure(self, failure: RunFailure) -> None:
@@ -274,8 +276,8 @@ class Campaign:
       :mod:`repro.durability.retry`; a cell the supervisor gives up on
       leaves its final failure, with its attempts and give-up reason;
     * with ``profile`` set, times every computed cell (wall seconds,
-      engine events — see :meth:`timing_table`) and snapshots a
-      per-quantum :class:`~repro.obs.metrics.MetricsRegistry` into the
+      engine events — see :meth:`timing_table`) and persists its
+      per-quantum QUANTUM, MODEL, GUARD and POLICY trace events into the
       store's ``metrics.jsonl`` next to the run checkpoint. Profiling is
       passive: the simulated results are bit-identical.
 
@@ -311,9 +313,6 @@ class Campaign:
         self.retry_attempts = 0
         #: cells that failed at least once and then succeeded on retry.
         self.retried_cells = 0
-        #: supervision counters (retry_attempts, retried_cells,
-        #: degraded_cells), snapshotted into metrics.jsonl on change.
-        self.supervisor_metrics = MetricsRegistry()
         self.cell_timings: List[CellTiming] = []
         #: busy-fraction of the worker pool during the last parallel
         #: fan-out (set by :func:`repro.parallel.run_cells` when profiling).
@@ -406,16 +405,14 @@ class Campaign:
         )
 
     def note_retry(self, cell_fingerprint: str) -> None:
-        """Account one retry attempt (metrics + counters)."""
+        """Account one retry attempt."""
         self.retry_attempts += 1
-        self.supervisor_metrics.counter("supervisor.retry_attempts").inc()
         self._snap_supervisor()
 
     def note_retry_success(self, cell_fingerprint: str) -> None:
         """A cell that had failed succeeded on retry."""
         self.retried_cells += 1
         self.breaker.record_success(cell_fingerprint)
-        self.supervisor_metrics.counter("supervisor.retried_cells").inc()
         self._snap_supervisor()
 
     def record_give_up(self, failure: RunFailure, elapsed_s: float) -> None:
@@ -432,16 +429,21 @@ class Campaign:
         if self.store is not None:
             self.store.append_failure(failure)
         if failure.reason is not None:
-            self.supervisor_metrics.counter("supervisor.degraded_cells").inc()
             self._snap_supervisor()
 
+    def _degraded_cells(self) -> int:
+        """Cells given up on with a reason: the policy could have retried."""
+        return sum(1 for f in self.failures if f.reason is not None)
+
     def _snap_supervisor(self) -> None:
-        """Snapshot supervision counters into the store's metrics.jsonl
+        """Write the supervision counters to the store's metrics.jsonl
         (last record wins under the ``__supervisor__`` key)."""
-        registry = self.supervisor_metrics
-        registry.snap(len(registry.snapshots))
         if self.store is not None:
-            self.store.put_metrics("__supervisor__", registry.snapshots[-1:])
+            self.store.put_metrics("__supervisor__", [{
+                "supervisor.degraded_cells": self._degraded_cells(),
+                "supervisor.retried_cells": self.retried_cells,
+                "supervisor.retry_attempts": self.retry_attempts,
+            }])
 
     # ------------------------------------------------------------------
     def record_timing(
@@ -493,7 +495,7 @@ class Campaign:
             )
         elif self.retry_attempts:
             parts.append(f"{self.retry_attempts} retry attempts")
-        degraded = sum(1 for f in self.failures if f.reason is not None)
+        degraded = self._degraded_cells()
         if degraded:
             parts.append(f"{degraded} DEGRADED")
         if self.failures:

@@ -8,8 +8,7 @@ called :meth:`Engine.stop`) into a quantum full of fictitious idle cycles.
 exceptions:
 
 * a **wall-clock budget** per quantum, enforced inside the event loop
-  (:class:`repro.engine.DeadlineExceeded`, re-exported here as
-  :data:`WatchdogTimeout`);
+  (:class:`repro.engine.DeadlineExceeded`);
 * a **stall check** at every quantum boundary: the engine queue must not
   have drained while cores still had work, the engine must not have been
   stopped mid-quantum, and at least one unfinished core must have
@@ -20,11 +19,6 @@ from __future__ import annotations
 
 import time
 from typing import List, Optional, Sequence
-
-from repro.engine import DeadlineExceeded
-
-# A hung event loop is aborted via the same exception the engine raises.
-WatchdogTimeout = DeadlineExceeded
 
 
 class WatchdogStall(RuntimeError):
@@ -121,4 +115,4 @@ class QuantumWatchdog:
         }
 
 
-__all__ = ["QuantumWatchdog", "WatchdogStall", "WatchdogTimeout"]
+__all__ = ["QuantumWatchdog", "WatchdogStall"]

@@ -60,9 +60,7 @@ def main(argv=None):
             resume=args.resume,
             keep_going=True,
             profile=True,
-            retry_policy=RetryPolicy(
-                max_attempts=2, backoff_s=0.0, jitter=0.0
-            ),
+            retry_policy=RetryPolicy(max_attempts=2, backoff_s=0.0),
         )
     else:
         campaign = Campaign("chaos_drill", args.store, resume=args.resume)

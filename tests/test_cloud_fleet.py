@@ -113,7 +113,7 @@ def test_parallel_fleet_with_worker_crash_matches_serial(tmp_path):
         recipe=flaky_node_model_factories,
         recipe_args=(str(crash_sentinel), "kill"),
     )
-    policy = RetryPolicy(max_attempts=3, backoff_s=0.0, jitter=0.0)
+    policy = RetryPolicy(max_attempts=3, backoff_s=0.0)
     parallel = run_fleet(spec, workers=2, policy=policy)
 
     assert crash_sentinel.exists()  # the crash actually fired

@@ -135,15 +135,6 @@ def test_outstanding_reads(setup):
     assert controller.outstanding_reads(0) == 0
 
 
-def test_reset_stats(setup):
-    engine, controller = setup
-    controller.enqueue(_read(0, 0))
-    engine.run()
-    controller.reset_stats()
-    assert controller.reads_issued == [0, 0]
-    assert controller.queueing_cycles == [0, 0]
-
-
 def test_controller_callbacks_keep_the_tracer_contract(monkeypatch):
     """The end-to-end benchmark's tracer reads the controller from outside:
     an engine callback defined in this module is a wake-up when its

@@ -1,10 +1,10 @@
 """Tests for the observability layer (repro.obs).
 
-The load-bearing guarantee is bit-identity: attaching a trace bus and a
-metrics registry must not change a single bit of the simulated results.
-The rest covers the sinks, the metrics instruments and their conservation
-law, the trace inspector against the model's own statistics, the CLI
-verbs, and the campaign profile mode.
+The load-bearing guarantee is bit-identity: attaching a trace bus must
+not change a single bit of the simulated results. The rest covers the
+sinks, the QUANTUM event's per-quantum counts, the trace inspector
+against the model's own statistics, the CLI verbs, and the campaign
+profile mode with the trace events it persists.
 """
 
 import json
@@ -18,23 +18,20 @@ from repro.obs import (
     ALL_CATEGORIES,
     CACHE,
     DEFAULT_CATEGORIES,
-    EPOCH,
     MODEL,
     POLICY,
     QUANTUM,
     JsonlSink,
-    MetricsRegistry,
-    NullSink,
+    ListSink,
     RingBufferSink,
     TraceBus,
     TraceEvent,
     mask_for,
-    names_for,
     read_jsonl,
 )
 from repro.obs.inspect import render_summary, summarize_events
 from repro.policies.asm_cache import AsmCachePolicy
-from repro.resilience.campaign import Campaign, result_to_json
+from repro.resilience.campaign import Campaign, CampaignStore, result_to_json
 from repro.workloads.mixes import make_mix
 
 CONFIG = scaled_config(2).with_quantum(50_000, 5_000)
@@ -44,7 +41,7 @@ def _mix(seed=3):
     return make_mix(["mcf", "bzip2"], seed=seed)
 
 
-def _run(obs=None, run_metrics=None, quanta=2, policies=True):
+def _run(obs=None, quanta=2, policies=True, system_hooks=()):
     factories = {
         "asm": lambda: AsmModel(sampled_sets=CONFIG.ats_sampled_sets)
     }
@@ -58,7 +55,7 @@ def _run(obs=None, run_metrics=None, quanta=2, policies=True):
         policy_factories=policy_factories,
         quanta=quanta,
         obs=obs,
-        run_metrics=run_metrics,
+        system_hooks=system_hooks,
     )
 
 
@@ -74,11 +71,9 @@ def test_disabled_and_enabled_bus_are_bit_identical():
     masked = TraceBus([RingBufferSink()], categories=0)
     assert _fingerprint(_run(obs=masked)) == baseline
     full = TraceBus([RingBufferSink()], categories=ALL_CATEGORIES)
-    metrics = MetricsRegistry()
-    assert _fingerprint(_run(obs=full, run_metrics=metrics)) == baseline
+    assert _fingerprint(_run(obs=full)) == baseline
     # The instrumented run actually observed something.
     assert full.sinks[0].total > 0
-    assert len(metrics.snapshots) == 2
 
 
 def test_masked_bus_receives_no_events():
@@ -112,7 +107,6 @@ def test_mask_for_round_trip():
     assert mask_for(["all"]) == ALL_CATEGORIES
     assert mask_for(["default"]) == DEFAULT_CATEGORIES
     assert DEFAULT_CATEGORIES == ALL_CATEGORIES & ~CACHE
-    assert names_for(QUANTUM | EPOCH) == ["quantum", "epoch"]
     with pytest.raises(ValueError, match="unknown trace category"):
         mask_for(["nope"])
 
@@ -154,12 +148,15 @@ def test_jsonl_sink_round_trip(tmp_path):
     assert read_jsonl(path) == events
 
 
-def test_null_sink_counts():
-    null = NullSink()
-    bus = TraceBus([null])
+def test_list_sink_keeps_every_event():
+    sink = ListSink()
+    bus = TraceBus([sink])
     bus.emit(5, QUANTUM, "quantum", index=0)
-    bus.emit(5, CACHE, "access", core=0, hit=True)
-    assert null.count == 2
+    bus.emit(6, CACHE, "access", core=0, hit=True)
+    assert sink.events == [
+        TraceEvent(5, QUANTUM, "quantum", {"index": 0}),
+        TraceEvent(6, CACHE, "access", {"core": 0, "hit": True}),
+    ]
 
 
 def test_bus_emit_rechecks_mask():
@@ -171,56 +168,27 @@ def test_bus_emit_rechecks_mask():
 
 
 # ----------------------------------------------------------------------
-# Metrics.
+# The QUANTUM event's per-quantum counts.
 
-def test_metrics_snapshot_conservation():
-    metrics = MetricsRegistry()
-    result = _run(run_metrics=metrics, quanta=3)
-    assert len(metrics.snapshots) == len(result.records) == 3
-    prev_events = 0
-    for snap in metrics.snapshots:
-        for core in range(2):
-            hits = snap[f"core{core}.demand_hits"]
-            misses = snap[f"core{core}.demand_misses"]
-            assert hits + misses == snap[f"core{core}.demand_accesses"]
-        assert snap["engine.events"] >= prev_events
-        prev_events = snap["engine.events"]
-        hist = snap["queueing_delay"]
-        assert sum(hist["counts"]) == hist["count"]
-    # CAR gauges from the model ride along.
-    assert "asm.core0.car_alone" in metrics.snapshots[-1]
-    assert metrics.snapshots[-1]["asm.core0.car_shared"] > 0
-
-
-def test_counter_gauge_histogram_basics():
-    registry = MetricsRegistry()
-    counter = registry.counter("c")
-    counter.inc()
-    counter.inc(2)
-    assert counter.value == 3
-    with pytest.raises(ValueError, match="cannot decrease"):
-        counter.inc(-1)
-    registry.gauge("g").set(1.5)
-    hist = registry.histogram("h", edges=(10, 20))
-    for value in (5, 15, 100):
-        hist.observe(value)
-    assert hist.counts == [1, 1, 1]
-    assert hist.count == 3 and hist.mean == 40.0
-    snap = registry.snapshot()
-    assert snap["c"] == 3 and snap["g"] == 1.5
-    assert snap["h"]["counts"] == [1, 1, 1]
-
-
-def test_metrics_registry_name_collisions():
-    registry = MetricsRegistry()
-    registry.counter("x")
-    with pytest.raises(ValueError, match="already used"):
-        registry.gauge("x")
-    registry.histogram("h", edges=(1, 2))
-    with pytest.raises(ValueError, match="already exists"):
-        registry.histogram("h", edges=(3, 4))
-    with pytest.raises(ValueError, match="ascending"):
-        registry.histogram("bad", edges=(5, 1))
+def test_quantum_event_counts_sum_to_the_run_totals():
+    sink = ListSink()
+    systems = []
+    _run(obs=TraceBus([sink], categories=QUANTUM), quanta=3,
+         system_hooks=[systems.append])
+    [system] = systems
+    quanta = [e.data for e in sink.events]
+    assert [q["index"] for q in quanta] == [0, 1, 2]
+    totals = {
+        "demand_hits": system.hierarchy.demand_hits,
+        "demand_misses": system.hierarchy.demand_misses,
+        "queueing_cycles": system.controller.queueing_cycles,
+    }
+    for name, total in totals.items():
+        assert [sum(q[name][core] for q in quanta) for core in range(2)] == total
+        assert all(count >= 0 for q in quanta for count in q[name])
+    assert all(q["engine_events"] > 0 for q in quanta)
+    # Each quantum's count is its own: the last one is the engine's last run.
+    assert quanta[-1]["engine_events"] == system.engine.events_executed
 
 
 # ----------------------------------------------------------------------
@@ -444,12 +412,63 @@ def test_campaign_profile_mode(tmp_path):
     table = campaign.timing_table()
     assert mix.name in table and "events/s" in table
     key = campaign.run_key(mix, CONFIG, 2, "")
-    snapshots = campaign.store.get_metrics(key)
-    assert snapshots is not None and len(snapshots) == 2
-    for snap in snapshots:
-        hits = snap["core0.demand_hits"]
-        misses = snap["core0.demand_misses"]
-        assert hits + misses == snap["core0.demand_accesses"]
+    records = campaign.store.get_metrics(key)
+    assert records is not None
+    quanta = [r["data"] for r in records if r["category"] == "quantum"]
+    assert len(quanta) == 2
+    for quantum in quanta:
+        assert quantum["demand_hits"][0] + quantum["demand_misses"][0] > 0
+    # The per-quantum categories only: no per-epoch or per-access stream.
+    assert {r["category"] for r in records} <= {
+        "quantum", "model", "guard", "policy"
+    }
+
+
+def test_profiled_cell_record_matches_its_result(tmp_path):
+    """A profiled cell's metrics.jsonl record holds, per quantum, one
+    QUANTUM event and one MODEL event per model, each equal to its
+    QuantumRecord, and its QUANTUM events count the timing table's
+    engine events."""
+    from repro.experiments.common import headline_models
+    from repro.parallel import CellSpec
+
+    store_dir = str(tmp_path / "camp")
+    campaign = Campaign("obs-test", store_dir, profile=True)
+    mix = _mix()
+    [result] = campaign.run_cells([
+        CellSpec(mix=mix, config=CONFIG, quanta=2, recipe=headline_models,
+                 recipe_args=(CONFIG,))
+    ])
+    records = CampaignStore(store_dir).get_metrics(
+        campaign.run_key(mix, CONFIG, 2, "")
+    )
+    quanta = [r for r in records if r["category"] == "quantum"]
+    assert len(quanta) == len(result.records) == 2
+
+    def same(a, b):
+        # JSON text: NaN slowdowns compare equal to themselves.
+        return json.dumps(a) == json.dumps(b)
+
+    models = sorted(result.records[0].estimates)
+    assert models == ["asm", "fst", "mise", "ptca"]
+    for event, record in zip(quanta, result.records):
+        data = event["data"]
+        assert data["index"] == record.index
+        assert same(data["instructions"], record.instructions)
+        assert same(data["shared_ipc"], record.shared_ipc)
+        assert same(data["actual_slowdowns"], record.actual_slowdowns)
+        estimates = [
+            r for r in records
+            if r["category"] == "model" and r["cycle"] == event["cycle"]
+        ]
+        assert sorted(r["data"]["model"] for r in estimates) == models
+        for model_event in estimates:
+            name = model_event["data"]["model"]
+            assert same(model_event["data"]["estimates"], record.estimates[name])
+            assert same(model_event["data"]["confidence"], record.confidence[name])
+            assert same(model_event["data"]["degraded"], record.degraded[name])
+    [timing] = campaign.cell_timings
+    assert timing.events == sum(q["data"]["engine_events"] for q in quanta) > 0
 
 
 def test_campaign_profile_results_match_unprofiled(tmp_path):

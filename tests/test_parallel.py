@@ -379,7 +379,7 @@ def test_campaign_summary_includes_alone_cache_line():
 def _retrying_campaign(**kwargs):
     return Campaign(
         "t", None,
-        retry_policy=RetryPolicy(max_attempts=3, backoff_s=0.0, jitter=0.0),
+        retry_policy=RetryPolicy(max_attempts=3, backoff_s=0.0),
         **kwargs,
     )
 
@@ -463,7 +463,7 @@ def test_cell_budget_charges_a_pool_cell_only_its_own_time(tmp_path):
         campaign = Campaign(
             "t", None, keep_going=True,
             retry_policy=RetryPolicy(
-                max_attempts=2, backoff_s=0.0, jitter=0.0,
+                max_attempts=2, backoff_s=0.0,
                 cell_budget_s=budget,
             ),
         )
@@ -546,7 +546,7 @@ def test_serial_and_pool_keep_the_same_records(tmp_path, make_cells):
         store = tmp_path / f"workers{workers}"
         campaign = Campaign(
             "t", str(store), keep_going=True,
-            retry_policy=RetryPolicy(max_attempts=3, backoff_s=0.0, jitter=0.0),
+            retry_policy=RetryPolicy(max_attempts=3, backoff_s=0.0),
         )
         results = campaign.run_cells(make_cells(), workers=workers)
         stored = {

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.config import scaled_config
+from repro.engine import DeadlineExceeded
 from repro.harness.runner import run_workload
 from repro.models.asm import AsmModel
 from repro.parallel import CellSpec
@@ -29,7 +30,7 @@ from repro.resilience.inject import (
     TraceFaultMix,
     exploding_model_factories,
 )
-from repro.resilience.watchdog import WatchdogStall, WatchdogTimeout
+from repro.resilience.watchdog import WatchdogStall
 from repro.workloads.mixes import make_mix
 
 
@@ -331,7 +332,7 @@ def test_watchdog_failure_carries_diagnosis(config):
 
 def test_wall_clock_budget_aborts_live_locked_loop(config):
     spin = SpinInjector(at_cycle=10_000, forever=True)
-    with pytest.raises(WatchdogTimeout):
+    with pytest.raises(DeadlineExceeded):
         run_workload(
             _mixes(1)[0],
             config,
