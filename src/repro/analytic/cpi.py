@@ -52,7 +52,7 @@ rates in every process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.analytic.llc import alone_hit_rate, shared_hit_rates
 from repro.analytic.reuse import ReuseProfile
@@ -75,16 +75,12 @@ _MAX_UTILISATION = 0.95
 class CoreRates:
     """Converged steady-state rates for one core.
 
-    ``access_rate`` is LLC accesses per cycle (the quantity the cache
-    composition consumes); ``dram_latency`` is the expected cycles an
-    LLC miss spends from tag lookup to data return, blocking included.
+    ``cpi`` is cycles per committed instruction and ``hit_rate`` the
+    core's LLC hit rate (shared, or alone from :func:`solve_alone`).
     """
 
     cpi: float
     hit_rate: float
-    access_rate: float
-    miss_rate: float  # misses per cycle
-    dram_latency: float
 
 
 def _cpi_exec(gap: float, issue_width: int) -> float:
@@ -122,12 +118,9 @@ def _stalls(
     profiles: Sequence[ReuseProfile],
     miss_rates: Sequence[float],
     config: SystemConfig,
-) -> Tuple[List[float], List[float]]:
-    """Per-core ``(stall cycles per miss, expected miss latency)``.
-
-    ``miss_rates`` are misses per cycle; latency is reported for
-    :class:`CoreRates` (Little's-law bookkeeping, not a solver input).
-    """
+) -> List[float]:
+    """Per-core stall cycles per miss; ``miss_rates`` are misses per
+    cycle."""
     dram = config.dram
     n = len(profiles)
     services = [_service_time(p, config) for p in profiles]
@@ -151,7 +144,6 @@ def _stalls(
     )
     bus_wait = bus_util / (1.0 - bus_util) * dram.burst_time
     stalls: List[float] = []
-    latencies: List[float] = []
     for i, profile in enumerate(profiles):
         co_runner_load = 0.0
         for j in range(n):
@@ -163,10 +155,7 @@ def _stalls(
             profile.seq_frac * services[i] * (1.0 + profile.write_frac)
         )
         stalls.append(max(overlapped, serial) + blocking)
-        latencies.append(
-            config.llc.latency + services[i] + bus_wait + blocking
-        )
-    return stalls, latencies
+    return stalls
 
 
 def _cpi_of(
@@ -196,7 +185,6 @@ def solve_shared(
     cpis = [
         _cpi_of(profiles[i], hit_rates[i], 0.0, config) for i in range(n)
     ]
-    latencies = [float(config.llc.latency)] * n
     for _ in range(SOLVER_ROUNDS):
         rates = [
             (1.0 / profiles[i].instructions_per_access()) / cpis[i]
@@ -208,25 +196,13 @@ def solve_shared(
             else [alone_hit_rate(profiles[0], capacity)]
         )
         miss_rates = [rates[i] * (1.0 - hit_rates[i]) for i in range(n)]
-        stalls, latencies = _stalls(profiles, miss_rates, config)
+        stalls = _stalls(profiles, miss_rates, config)
         cpis = [
             0.5 * cpis[i]
             + 0.5 * _cpi_of(profiles[i], hit_rates[i], stalls[i], config)
             for i in range(n)
         ]
-    return [
-        CoreRates(
-            cpi=cpis[i],
-            hit_rate=hit_rates[i],
-            access_rate=(1.0 / profiles[i].instructions_per_access())
-            / cpis[i],
-            miss_rate=(1.0 / profiles[i].instructions_per_access())
-            / cpis[i]
-            * (1.0 - hit_rates[i]),
-            dram_latency=latencies[i],
-        )
-        for i in range(n)
-    ]
+    return [CoreRates(cpi=cpis[i], hit_rate=hit_rates[i]) for i in range(n)]
 
 
 def solve_alone(profile: ReuseProfile, config: SystemConfig) -> CoreRates:

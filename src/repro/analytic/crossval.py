@@ -107,11 +107,6 @@ class DivergenceReport:
             }
         return out
 
-    def mean_abs_pct(self, model: str = "asm") -> float:
-        """Mean absolute slowdown error of ``model``, percent."""
-        stats = self.summary().get(model)
-        return stats["mean_abs_pct"] if stats else float("nan")
-
     def to_json(self) -> Dict[str, Any]:
         """Deterministic JSON payload for the campaign store."""
         return {
@@ -175,9 +170,9 @@ def cross_validate(
     cells: Sequence["CellSpec"],
     results: Sequence[Optional[RunResult]],
     sample_size: int = 1,
-    seed: int = 0,
 ) -> Optional[DivergenceReport]:
-    """Cross-validate a seeded sample of analytic cells and persist the report.
+    """Cross-validate a sample of analytic cells, drawn with a fixed seed,
+    and persist the report.
 
     ``cells`` are one analytic survey's cells (one variant) and
     ``results`` their results, ``None`` where a cell failed. Each sampled
@@ -187,7 +182,7 @@ def cross_validate(
     """
     if not cells or sample_size <= 0:
         return None
-    rng = random.Random(seed)
+    rng = random.Random(0)
     count = min(sample_size, len(cells))
     surrogates: List[RunResult] = []
     twins: List["CellSpec"] = []

@@ -79,11 +79,6 @@ class ReuseProfile:
     cold_frac: float
     buckets: Tuple[Tuple[int, float, float], ...]
 
-    @property
-    def reuse_frac(self) -> float:
-        """Fraction of sampled accesses that re-touch a line."""
-        return 1.0 - self.cold_frac
-
     def distinct_lines(self, n: float) -> float:
         """Expected distinct lines touched in ``n`` consecutive accesses.
 

@@ -27,7 +27,7 @@ import dataclasses
 from typing import Dict, List, Tuple
 
 from repro.analytic.cpi import CoreRates, solve_alone, solve_shared
-from repro.analytic.reuse import DEFAULT_SAMPLE_ACCESSES, profile_mix
+from repro.analytic.reuse import profile_mix
 from repro.config import SystemConfig
 from repro.harness.runner import QuantumRecord, RunResult
 from repro.workloads.mixes import WorkloadMix
@@ -64,7 +64,6 @@ def run_analytic(
     mix: WorkloadMix,
     config: SystemConfig,
     quanta: int = 1,
-    sample_accesses: int = DEFAULT_SAMPLE_ACCESSES,
 ) -> RunResult:
     """Estimate ``quanta`` quanta of ``mix`` in closed form.
 
@@ -76,7 +75,7 @@ def run_analytic(
         config, num_cores=mix.num_cores, engine="analytic"
     )
     config.validate()
-    profiles = profile_mix(mix, sample_accesses)
+    profiles = profile_mix(mix)
     shared = solve_shared(profiles, config)
     alone = [solve_alone(p, config) for p in profiles]
     slowdowns = [s.cpi / a.cpi for s, a in zip(shared, alone)]

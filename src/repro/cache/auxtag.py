@@ -81,10 +81,6 @@ class AuxiliaryTagStore:
         # Total accesses presented (sampled or not) — the scaling base.
         self.total_accesses = 0
 
-    @property
-    def is_sampled(self) -> bool:
-        return self.sample_stride > 1
-
     def access(self, line_addr: int) -> AtsOutcome:
         """Present one shared-cache access of this application to the ATS."""
         self.total_accesses += 1
@@ -111,19 +107,6 @@ class AuxiliaryTagStore:
     @property
     def sampled_accesses(self) -> int:
         return self.sampled_hits + self.sampled_misses
-
-    def hit_fraction(self) -> float:
-        sampled = self.sampled_accesses
-        return self.sampled_hits / sampled if sampled else 0.0
-
-    def scaled_hits(self, accesses: Optional[int] = None) -> float:
-        """``epoch-ATS-hits``: hit fraction times total access count."""
-        base = self.total_accesses if accesses is None else accesses
-        return self.hit_fraction() * base
-
-    def scaled_misses(self, accesses: Optional[int] = None) -> float:
-        base = self.total_accesses if accesses is None else accesses
-        return (1.0 - self.hit_fraction()) * base
 
     # -- UMON-style utility curves (UCP Section 7.1) ----------------------
     def hits_with_ways(self, ways: int) -> float:

@@ -81,11 +81,6 @@ class SetAssocCache:
             writeback_line_addr=victim_addr if victim.dirty else None,
         )
 
-    def invalidate(self, line_addr: int) -> bool:
-        """Remove a line (inclusive-hierarchy back-invalidation)."""
-        cache_set, tag = self._set_and_tag(line_addr)
-        return cache_set.evict(tag) is not None
-
     def reset_stats(self) -> None:
         self.hits = 0
         self.misses = 0

@@ -19,16 +19,12 @@ from repro.cache.bloom import CountingBloomFilter
 class PollutionFilter:
     """Evicted-by-others filter for one application."""
 
-    def __init__(self, num_counters: Optional[int] = None, num_hashes: int = 4) -> None:
+    def __init__(self, num_counters: Optional[int] = None) -> None:
         """``num_counters=None`` selects the exact (idealised) variant."""
         self._exact: Optional[Set[int]] = set() if num_counters is None else None
         self._bloom: Optional[CountingBloomFilter] = (
-            None if num_counters is None else CountingBloomFilter(num_counters, num_hashes)
+            None if num_counters is None else CountingBloomFilter(num_counters)
         )
-
-    @property
-    def is_exact(self) -> bool:
-        return self._exact is not None
 
     def on_evicted_by_other(self, line_addr: int) -> None:
         """The application's block ``line_addr`` was evicted by another app."""

@@ -105,12 +105,5 @@ class LruSet:
         self.by_tag[line.tag] = line
         return victim
 
-    def evict(self, tag: int) -> Optional[Line]:
-        """Remove and return the line with ``tag`` if present (back-invalidation)."""
-        line = self.by_tag.pop(tag, None)
-        if line is not None:
-            self.lines.remove(line)
-        return line
-
     def occupancy(self) -> int:
         return len(self.lines)

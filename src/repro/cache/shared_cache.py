@@ -131,15 +131,3 @@ class SharedCache:
             writeback_line_addr=victim_addr if victim.dirty else None,
             victim_owner=victim.owner,
         )
-
-    def occupancy_of(self, core: int) -> int:
-        """Total number of lines currently owned by ``core``."""
-        return sum(
-            1
-            for cache_set in self.sets
-            for line in cache_set.lines
-            if line.owner == core
-        )
-
-    def accesses_of(self, core: int) -> int:
-        return self.hits[core] + self.misses[core]

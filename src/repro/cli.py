@@ -228,8 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="inject deterministic telemetry counter faults "
                              "into every model (e.g. dropped-read:0.05); see "
                              "'repro telemetry-faults' for the full sweep")
-    parser.add_argument("--telemetry-seed", type=int, default=0,
-                        help="seed for the telemetry fault injector")
     parser.add_argument("--fidelity", type=str, default=None,
                         choices=FIDELITY_TIERS,
                         help="fidelity tier: 'analytical' is the closed-form "
@@ -324,9 +322,7 @@ def main(argv=None) -> int:
         from repro.telemetry import TelemetrySpec
 
         try:
-            telemetry = TelemetrySpec.parse(
-                args.telemetry_faults, seed=args.telemetry_seed
-            )
+            telemetry = TelemetrySpec.parse(args.telemetry_faults)
         except ValueError as exc:
             sys.stderr.write(f"repro: {exc}\n")
             return 2

@@ -8,9 +8,10 @@ effective_slowdown`` implements that (the fleet bills at
 the experiments compare against) charges for wall occupancy regardless
 of interference, which overcharges exactly the tenants that hogs hurt.
 
-Billing records are persisted per (round, tenant) through the keyed
-checksummed store, so a crash-resumed fleet replays them idempotently
-and ``repro campaign verify`` checks every record's checksum.
+Billing records are persisted per (fleet, round, tenant) through the
+keyed checksummed store, so a crash-resumed fleet replays them
+idempotently and ``repro campaign verify`` checks every record's
+checksum.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ class BillingRecord:
 
     @property
     def key(self) -> str:
-        """The keyed-store key (stable per tenant-round)."""
+        """The tenant-round part of the store key, which the fleet
+        prefixes with its name."""
         return billing_key(self.round_index, self.tenant_id)
 
     def to_json(self) -> Dict[str, Any]:

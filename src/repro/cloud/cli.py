@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analytic.runner import FIDELITY_TIERS
 from repro.cloud.spec import (
@@ -99,6 +99,13 @@ def _round_lines(rounds: Sequence[Dict[str, Any]]) -> List[str]:
     ]
 
 
+def _fleet_name(key: str, parts: int) -> str:
+    """The fleet name in front of the last ``parts`` components of a
+    ``fleet.jsonl`` or ``billing.jsonl`` key; '' for an unprefixed key."""
+    split = key.rsplit("/", parts)
+    return split[0] if len(split) > parts else ""
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     from repro.cloud.fleet import FleetSupervisor
     from repro.config import scaled_config
@@ -174,13 +181,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         return 1
     rounds = KeyedLog(fleet_path).records()
     billing = KeyedLog(billing_path).records()
-    charges: Dict[int, float] = {}
+    charges: Dict[Tuple[str, int], float] = {}
     bound_basis = 0
     for record in billing:
-        tenant_id = int(record["tenant_id"])
-        charges[tenant_id] = (
-            charges.get(tenant_id, 0.0) + float(record["charge"])
-        )
+        tenant = (_fleet_name(record["key"], 2), int(record["tenant_id"]))
+        charges[tenant] = charges.get(tenant, 0.0) + float(record["charge"])
         if record.get("basis") == "bound":
             bound_basis += 1
     print(f"fleet store {args.store}: {len(rounds)} round(s), "
@@ -193,8 +198,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
           f"{kills} kill(s), {migrated} migration(s), "
           f"{violations} violation round-entries, "
           f"{bound_basis} bound-basis invoice line(s)")
-    for line in _round_lines(rounds):
-        print(line)
+    fleets: Dict[str, List[Dict[str, Any]]] = {}
+    for record in rounds:
+        fleets.setdefault(_fleet_name(record["key"], 1), []).append(record)
+    for name, fleet_rounds in fleets.items():
+        indent = ""
+        if len(fleets) > 1:
+            print(f"  fleet {name}:")
+            indent = "  "
+        for line in _round_lines(fleet_rounds):
+            print(indent + line)
     if charges:
         total = sum(charges.values())
         print(f"  billed total: {total:.3f} across "

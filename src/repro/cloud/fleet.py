@@ -320,7 +320,6 @@ class FleetSupervisor:
                             placement.pop(tenant_id, None)
                             admission.requeue([tenant_by_id[tenant_id]])
                     continue
-                node.served_rounds += 1
                 straggler = events[node_id].straggler
                 if straggler:
                     stragglers.append(node_id)
@@ -368,7 +367,9 @@ class FleetSupervisor:
                     )
                     result.billing.append(record)
                     if self._billing_log is not None:
-                        self._billing_log.put(record.key, record.to_json())
+                        self._billing_log.put(
+                            f"{spec.name}/{record.key}", record.to_json()
+                        )
                     if decision.violated:
                         violations.append(tenant_id)
                         still_needed = served[tenant_id] < tenant_by_id[
@@ -438,7 +439,9 @@ class FleetSupervisor:
             }
             result.rounds.append(round_record)
             if self._fleet_log is not None:
-                self._fleet_log.put(f"r{round_index:04d}", round_record)
+                self._fleet_log.put(
+                    f"{spec.name}/r{round_index:04d}", round_record
+                )
             if all(
                 done.get(t.tenant_id) for t in stream
             ) and admission.queue_length == 0:

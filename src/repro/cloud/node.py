@@ -96,7 +96,6 @@ class NodeState:
     #: First round in which the node is up again (0 = always was).
     down_until: int = 0
     kills: int = 0
-    served_rounds: int = 0
 
     def is_up(self, round_index: int) -> bool:
         """Whether the node can serve ``round_index``."""

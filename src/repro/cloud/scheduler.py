@@ -175,9 +175,5 @@ class FleetScheduler:
         self.migrations += 1
         return True
 
-    def migration_attempts(self, tenant_id: int) -> int:
-        """Attempts spent migrating ``tenant_id`` so far."""
-        return self._migration_attempts.get(tenant_id, 0)
-
 
 __all__ = ["FleetScheduler", "node_breaker_key"]

@@ -11,18 +11,18 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Set
 
+# Recent prefetch targets remembered to suppress duplicates.
+FILTER_SIZE = 256
+
 
 class StridePrefetcher:
     """Per-core stream-based stride prefetcher."""
 
-    def __init__(
-        self, degree: int = 4, distance: int = 24, filter_size: int = 256
-    ) -> None:
+    def __init__(self, degree: int = 4, distance: int = 24) -> None:
         if degree <= 0 or distance <= 0:
             raise ValueError("degree and distance must be positive")
         self.degree = degree
         self.distance = distance
-        self.filter_size = filter_size
         self._last_addr: int | None = None
         self._last_stride: int | None = None
         self._confident = False
@@ -56,7 +56,7 @@ class StridePrefetcher:
     def _remember(self, line_addr: int) -> None:
         self._recent.add(line_addr)
         self._recent_order.append(line_addr)
-        if len(self._recent_order) > self.filter_size:
+        if len(self._recent_order) > FILTER_SIZE:
             self._recent.discard(self._recent_order.popleft())
 
     def reset(self) -> None:

@@ -4,7 +4,7 @@ Modules:
 
 * :mod:`repro.durability.atomic` — the three write primitives every
   persisted byte goes through (:func:`append_line`,
-  :func:`atomic_write_text`, :func:`durable_stream`);
+  :func:`atomic_write_text`, :class:`DurableStream`);
 * :mod:`repro.durability.store` — checksummed JSONL logs (store format
   v2): per-record sha256 + sequence numbers, torn-tail recovery,
   quarantine, :func:`verify_log`/:func:`repair_log`/:func:`compact_log`;
@@ -29,7 +29,6 @@ _EXPORTS: Dict[str, str] = {
     "DurableStream": "repro.durability.atomic",
     "append_line": "repro.durability.atomic",
     "atomic_write_text": "repro.durability.atomic",
-    "durable_stream": "repro.durability.atomic",
     "fsync_dir": "repro.durability.atomic",
     "truncate_torn_tail": "repro.durability.atomic",
     "ChecksummedLog": "repro.durability.store",

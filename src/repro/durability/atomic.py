@@ -10,7 +10,7 @@ tables, ``results/REPORT.md``) goes through one of three helpers:
   ``.tmp.<pid>`` sibling, ``fsync``, ``os.replace`` over the target,
   ``fsync`` the directory. Readers see either the old or the new file,
   never a mix.
-* :func:`durable_stream` — an append-many stream for high-rate writers
+* :class:`DurableStream` — a write-many stream for high-rate writers
   (trace sinks): buffered writes, one ``flush``+``fsync`` at close, so
   durability costs one fsync per *file*, not per event.
 
@@ -157,16 +157,9 @@ class DurableStream:
     by the same checksummed reader as every other JSONL file.
     """
 
-    def __init__(self, path: str, mode: str = "w") -> None:
-        if mode not in ("w", "a"):
-            raise ValueError(f"DurableStream mode must be 'w' or 'a', got {mode!r}")
+    def __init__(self, path: str) -> None:
         self.path = path
-        self._handle: Optional[IO[str]] = open(path, mode, encoding="utf-8")
-
-    @property
-    def closed(self) -> bool:
-        """Whether :meth:`close` has already run."""
-        return self._handle is None
+        self._handle: Optional[IO[str]] = open(path, "w", encoding="utf-8")
 
     def write(self, data: str) -> None:
         """Buffered write of ``data`` (no per-call durability)."""
@@ -182,16 +175,10 @@ class DurableStream:
             self._handle = None
 
 
-def durable_stream(path: str, mode: str = "w") -> DurableStream:
-    """Open a :class:`DurableStream` on ``path``."""
-    return DurableStream(path, mode)
-
-
 __all__ = [
     "DurableStream",
     "append_line",
     "atomic_write_text",
-    "durable_stream",
     "fsync_dir",
     "truncate_torn_tail",
 ]

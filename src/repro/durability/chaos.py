@@ -163,23 +163,6 @@ class FaultPlan:
             seed=seed,
         )
 
-    def to_spec(self) -> str:
-        """Render back to the ``REPRO_CHAOS`` grammar (parse round-trips)."""
-        parts = []
-        if self.kill_point is not None:
-            part = f"kill:{self.kill_point}"
-            if self.kill_file:
-                part += f"@{self.kill_file}"
-            if self.kill_nth != 1:
-                part += f"#{self.kill_nth}"
-            parts.append(part)
-        if self.io_fault is not None:
-            part = f"io:{self.io_fault}@{self.io_file}:{self.io_rate}"
-            parts.append(part)
-        if self.seed:
-            parts.append(f"seed:{self.seed}")
-        return ";".join(parts)
-
     # ------------------------------------------------------------------
     def _file_matches(self, pattern: str, path: str) -> bool:
         return not pattern or os.path.basename(path) == pattern

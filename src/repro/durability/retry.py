@@ -25,7 +25,7 @@ A cell the supervisor gives up on leaves one
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Optional, Tuple
 
 from repro.resilience.faults import stable_hash
 from repro.telemetry.spec import fault_u01
@@ -139,17 +139,6 @@ class CircuitBreaker:
     def allows(self, cell_fingerprint: str) -> bool:
         """Whether another attempt of this cell is worth making."""
         return cell_fingerprint not in self._open
-
-    @property
-    def open_cells(self) -> List[str]:
-        """Fingerprints whose circuits are open (sorted, for summaries)."""
-        return sorted(self._open)
-
-    def summary(self) -> str:
-        """One-line breaker status for campaign summaries."""
-        if not self._open:
-            return "circuit breaker: closed"
-        return f"circuit breaker: OPEN for {len(self._open)} cell(s)"
 
 
 __all__ = [

@@ -176,7 +176,6 @@ def run(
     seed: int = 42,
     fault_classes: Optional[Sequence[str]] = None,
     rates: Sequence[float] = DEFAULT_RATES,
-    telemetry_seed: int = 0,
     campaign=None,
     workers: int = 1,
 ) -> TelemetryFaultsResult:
@@ -212,9 +211,7 @@ def run(
 
     for fault_class in classes:
         for rate in rates:
-            spec = TelemetrySpec(
-                fault_class=fault_class, rate=rate, seed=telemetry_seed
-            )
+            spec = TelemetrySpec(fault_class=fault_class, rate=rate)
             variant = f"{fault_class}@{rate:g}"
             runs = camp.run_cells(cells_for(spec, variant), workers=workers)
             faulted, failures = _collect(runs)

@@ -3,8 +3,7 @@
 * slowdown estimation error: |estimated - actual| / actual (percent);
 * unfairness: maximum slowdown in a workload [13, 30, 31, ...];
 * system performance: harmonic speedup [19, 38] — the harmonic mean of
-  per-application speedups, N / sum(slowdown_i);
-* weighted speedup: sum of per-application speedups.
+  per-application speedups, N / sum(slowdown_i).
 
 Every float sum here adds left to right: ``sum()`` compensates float sums
 from Python 3.12 on, so a mean persisted or pinned through it would
@@ -14,7 +13,7 @@ depend on the interpreter's version.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 
 def estimation_error_pct(estimated: float, actual: float) -> float:
@@ -64,13 +63,6 @@ def harmonic_speedup(slowdowns: Sequence[float]) -> float:
     return len(slowdowns) / total
 
 
-def weighted_speedup(slowdowns: Sequence[float]) -> float:
-    """Sum of per-application speedups (1 / slowdown_i)."""
-    if any(s <= 0 for s in slowdowns):
-        raise ValueError("slowdowns must be positive")
-    return _total(1.0 / s for s in slowdowns)
-
-
 def error_histogram(
     errors: Iterable[float], bin_edges: Sequence[float]
 ) -> List[float]:
@@ -90,17 +82,3 @@ def error_histogram(
         if not placed:
             counts[-1] += 1
     return [c / len(errors) for c in counts]
-
-
-def summarize_errors(per_model_errors: Dict[str, List[float]]) -> Dict[str, Dict[str, float]]:
-    """Mean/stdev/max summary per model for reporting."""
-    return {
-        model: {
-            "mean": mean(errors),
-            "stdev": stdev(errors),
-            "max": max(errors),
-            "n": float(len(errors)),
-        }
-        for model, errors in per_model_errors.items()
-        if errors
-    }

@@ -122,18 +122,13 @@ def _covers(profile: AloneProfile, cycles: int, instruction: float) -> bool:
     return whole or bool(insts) and insts[-1] >= instruction
 
 
-def run_alone(
-    trace,
-    config: SystemConfig,
-    cycles: int,
-    checkpoint_interval: int = CHECKPOINT_INTERVAL,
-) -> AloneProfile:
+def run_alone(trace, config: SystemConfig, cycles: int) -> AloneProfile:
     """Simulate one application alone on the platform for ``cycles``,
     rounded up to whole checkpoint intervals, and record its
     cycle/instruction profile."""
-    run = _checkpoints(trace, config, checkpoint_interval)
-    count = -(-cycles // checkpoint_interval)
-    return AloneProfile(checkpoint_interval, list(itertools.islice(run, count)))
+    run = _checkpoints(trace, config, CHECKPOINT_INTERVAL)
+    count = -(-cycles // CHECKPOINT_INTERVAL)
+    return AloneProfile(CHECKPOINT_INTERVAL, list(itertools.islice(run, count)))
 
 
 def alone_cap(config: SystemConfig, quanta: int) -> int:
@@ -296,15 +291,6 @@ class AloneRunCache:
         """(key, profile) of every leg asked for, in the order first asked."""
         return list(self._profiles.items())
 
-    def stats(self) -> Dict[str, int]:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "lookups": self.hits + self.misses,
-            "store_hits": self.store_hits,
-            "entries": len(self._profiles),
-        }
-
     def summary(self) -> str:
         line = (
             f"alone-run cache: {self.hits} hits, {self.misses} computed"
@@ -312,9 +298,6 @@ class AloneRunCache:
         if self.store_hits:
             line += f", {self.store_hits} from store"
         return line
-
-    def __len__(self) -> int:
-        return len(self._profiles)
 
 
 @dataclass
@@ -475,7 +458,6 @@ def run_workload(
     watchdog = QuantumWatchdog(wall_clock_budget_s)
 
     cap = alone_cap(config, quanta)
-    # Explicit None check: an empty AloneRunCache is falsy (len == 0).
     cache = alone_cache if alone_cache is not None else AloneRunCache()
 
     records: List[QuantumRecord] = []

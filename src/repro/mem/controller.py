@@ -93,8 +93,6 @@ class MemoryController:
         self.accounting_core: int = -1
         # Per-core counters.
         self.reads_issued = [0] * num_cores
-        self.row_hits = [0] * num_cores
-        self.row_misses = [0] * num_cores
         self.queueing_cycles = [0] * num_cores
         self._last_account_time = [0] * config.channels
         self.completion_listeners: List[CompletionListener] = []
@@ -158,11 +156,6 @@ class MemoryController:
                 self.engine.schedule_at(done, lambda ch=channel_idx: self._wake(ch))
         self.refreshes_performed += 1
         self.engine.schedule(self.config.trefi, self._refresh)
-
-    def row_hit_rate(self, core: int) -> float:
-        """Row-buffer hit rate of ``core``'s serviced reads."""
-        total = self.row_hits[core] + self.row_misses[core]
-        return self.row_hits[core] / total if total else 0.0
 
     def _wake(self, channel: int) -> None:
         if not self._wake_scheduled[channel]:
@@ -268,7 +261,7 @@ class MemoryController:
             else:
                 return
             request = self.scheduler.pick(candidates, channel, now)
-            completion, row_hit, conflict_other = service_request(
+            completion, _row_hit, conflict_other = service_request(
                 channel, request, now, self.config
             )
             core = request.core
@@ -282,10 +275,6 @@ class MemoryController:
                 read_queue.remove(request)
                 bank_reads[bank] = on_bank_reads - 1
                 self.reads_issued[core] += 1
-                if row_hit:
-                    self.row_hits[core] += 1
-                else:
-                    self.row_misses[core] += 1
 
             if conflict_other:
                 request.interference_cycles += self._conflict_penalty
@@ -300,7 +289,6 @@ class MemoryController:
                 other += 1
 
             channel.last_issued_core = core
-            channel.last_issue_time = now
             self.engine.schedule_at(
                 completion, lambda r=request, ch=channel_idx: self._complete(r, ch)
             )

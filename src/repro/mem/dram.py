@@ -43,7 +43,6 @@ class Channel:
         self.banks: List[Bank] = [Bank() for _ in range(num_banks)]
         self.bus_free_at: int = 0
         self.last_issued_core: int = -1
-        self.last_issue_time: int = 0
 
 
 class DramMapping:
@@ -118,5 +117,4 @@ def service_request(
 
     request.issue_time = now
     request.completion_time = completion
-    request.row_hit = row_hit
     return completion, row_hit, conflict_with_other

@@ -28,7 +28,6 @@ class MemRequest:
         "bank",
         "row",
         "interference_cycles",
-        "row_hit",
         "marked",
     )
 
@@ -53,7 +52,6 @@ class MemRequest:
         self.bank: int = 0
         self.row: int = 0
         self.interference_cycles: float = 0.0
-        self.row_hit: bool = False
         self.marked: bool = False  # PARBS batch membership
 
     @property

@@ -23,6 +23,10 @@ from typing import Dict, List, Sequence
 from repro.mem.dram import Channel
 from repro.mem.request import MemRequest
 
+# TCM's latency-sensitive cluster may issue at most this share of a
+# clustering window's requests.
+TCM_CLUSTER_THRESHOLD = 0.2
+
 
 class Scheduler:
     """Interface: pick one request to issue among issuable candidates."""
@@ -185,7 +189,8 @@ class TcmScheduler(Scheduler):
     Cores are re-clustered every ``cluster_period`` cycles: cores are sorted
     by memory intensity (requests issued in the elapsed window) and the
     least intensive cores whose combined traffic stays below
-    ``cluster_threshold`` of the total form the latency-sensitive cluster.
+    :data:`TCM_CLUSTER_THRESHOLD` of the total form the latency-sensitive
+    cluster.
     Ranks within the bandwidth cluster are shuffled every
     ``shuffle_period`` cycles.
     """
@@ -197,13 +202,11 @@ class TcmScheduler(Scheduler):
         num_cores: int,
         cluster_period: int = 1_000_000,
         shuffle_period: int = 10_000,
-        cluster_threshold: float = 0.2,
         seed: int = 1,
     ) -> None:
         self.num_cores = num_cores
         self.cluster_period = cluster_period
         self.shuffle_period = shuffle_period
-        self.cluster_threshold = cluster_threshold
         self._rng = random.Random(seed)
         self._latency_cluster = set(range(num_cores))
         self._bw_rank: Dict[int, int] = {c: c for c in range(num_cores)}
@@ -222,7 +225,7 @@ class TcmScheduler(Scheduler):
             total = sum(window)
             self._latency_cluster = set()
             if total:
-                budget = self.cluster_threshold * total
+                budget = TCM_CLUSTER_THRESHOLD * total
                 used = 0.0
                 for core in sorted(range(self.num_cores), key=lambda c: window[c]):
                     if used + window[core] <= budget:

@@ -47,9 +47,9 @@ class AsmQuantumStats:
 
     Exposed so the resource-management policies built on ASM (ASM-Cache,
     ASM-Mem, ASM-QoS) can re-derive slowdowns for hypothetical cache
-    allocations (Section 7.1's ``CAR_n``). ``confidence``/
-    ``degraded_reason`` report the telemetry health of the quantum:
-    policies skip reallocation decisions when confidence drops below
+    allocations (Section 7.1's ``CAR_n``). ``confidence`` reports the
+    telemetry health of the quantum: policies skip reallocation
+    decisions when it drops below
     :data:`~repro.models.base.POLICY_CONFIDENCE_FLOOR`.
     """
 
@@ -64,7 +64,6 @@ class AsmQuantumStats:
     utility_curve: List[float] = field(default_factory=list)
     quantum_cycles: int = 0
     confidence: float = 1.0
-    degraded_reason: Optional[str] = None
 
     @property
     def quantum_accesses(self) -> int:
@@ -317,7 +316,6 @@ class AsmModel(SlowdownModel):
 
             stats.slowdown = guard.resolve(core, estimate, soft, hard)
             stats.confidence = guard.confidence[core]
-            stats.degraded_reason = guard.reasons[core]
             estimates.append(stats.slowdown)
             self.last_quantum[core] = stats
         return estimates

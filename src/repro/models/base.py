@@ -237,6 +237,6 @@ class SlowdownModel:
         return self.system.engine.now
 
     @staticmethod
-    def clamp_slowdown(value: float, low: float = 1.0, high: float = 50.0) -> float:
-        """Slowdowns below 1 or absurdly high are estimation artefacts."""
-        return min(max(value, low), high)
+    def clamp_slowdown(value: float) -> float:
+        """Clamp to [1, 50]: slowdowns outside it are estimation artefacts."""
+        return min(max(value, 1.0), 50.0)

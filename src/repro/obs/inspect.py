@@ -62,14 +62,6 @@ class QuantumSummary:
         total = self.total_epochs
         return self.epoch_counts.get(core, 0) / total if total else 0.0
 
-    def reallocations(self) -> List[Dict[str, Any]]:
-        """The policy events that changed an allocation or weighting."""
-        return [e for e in self.policy_events if e.get("kind") != "skip"]
-
-    def skips(self) -> List[Dict[str, Any]]:
-        """The policy events that declined to act (low confidence)."""
-        return [e for e in self.policy_events if e.get("kind") == "skip"]
-
 
 def summarize_events(events: Sequence[TraceEvent]) -> List[QuantumSummary]:
     """Group an ordered event stream into one summary per quantum.

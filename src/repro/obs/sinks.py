@@ -51,7 +51,6 @@ class RingBufferSink(TraceSink):
     def __init__(self, capacity: int = 4096) -> None:
         if capacity <= 0:
             raise ValueError("ring buffer capacity must be positive")
-        self.capacity = capacity
         self._ring: Deque[TraceEvent] = deque(maxlen=capacity)
         self.total = 0
 
@@ -85,7 +84,7 @@ class JsonlSink(TraceSink):
 
     def __init__(self, path: str) -> None:
         self.path = path
-        self._stream: Optional[DurableStream] = DurableStream(path, "w")
+        self._stream: Optional[DurableStream] = DurableStream(path)
 
     def write(self, event: TraceEvent) -> None:
         """Serialise ``event`` and append it to the file."""

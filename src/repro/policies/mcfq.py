@@ -15,7 +15,7 @@ the Figure 9 reproduction.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.harness.system import System
 from repro.models.perrequest import MlpEstimator
@@ -25,8 +25,8 @@ from repro.policies.ucp import UcpPolicy
 class McfqPolicy(UcpPolicy):
     name = "mcfq"
 
-    def __init__(self, sampled_sets: Optional[int] = 32) -> None:
-        super().__init__(sampled_sets)
+    def __init__(self) -> None:
+        super().__init__()
         self._mlp: List[MlpEstimator] = []
 
     def attach(self, system: System) -> None:

@@ -16,20 +16,22 @@ from repro.harness.system import System
 from repro.policies.base import Policy
 from repro.policies.partition import lookahead_partition
 
+# Sets each application's UMON shadow tag directory samples (UMON-DSS).
+UMON_SAMPLED_SETS = 32
+
 
 class UcpPolicy(Policy):
     name = "ucp"
 
-    def __init__(self, sampled_sets: Optional[int] = 32) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.sampled_sets = sampled_sets
         self.monitors: List[AuxiliaryTagStore] = []
         self.last_allocation: Optional[List[int]] = None
 
     def attach(self, system: System) -> None:
         super().attach(system)
         self.monitors = [
-            AuxiliaryTagStore(system.config.llc, self.sampled_sets)
+            AuxiliaryTagStore(system.config.llc, UMON_SAMPLED_SETS)
             for _ in range(system.config.num_cores)
         ]
         system.hierarchy.access_listeners.append(self._on_access)

@@ -70,7 +70,6 @@ class InvariantChecker:
         self.asm_models: List[AsmModel] = [
             m for m in models if isinstance(m, AsmModel)
         ]
-        self.checks_run = 0
         self._last_time = -1
         self._attached = False
 
@@ -96,7 +95,6 @@ class InvariantChecker:
         for model in self.asm_models:
             self._check_asm_accounting(model, now)
         self._last_time = now
-        self.checks_run += 1
 
     def check_actual_slowdowns(
         self, slowdowns: Sequence[float], quantum_index: int

@@ -133,9 +133,8 @@ class ExternalSample(_GuardedCounter):
         bank: "CounterBank",
         name: str,
         reader: Callable[[int], Number],
-        kind: str,
     ) -> None:
-        super().__init__(bank, name, kind)
+        super().__init__(bank, name, "counter")
         self._reader = reader
         self._base: List[Number] = [0] * bank.num_cores
 
@@ -183,14 +182,11 @@ class CounterBank:
         return vec
 
     def external(
-        self,
-        name: str,
-        reader: Callable[[int], Number],
-        kind: str = "counter",
+        self, name: str, reader: Callable[[int], Number]
     ) -> ExternalSample:
         if name in self.externals:
             raise ValueError(f"external counter {name!r} already registered")
-        sample = ExternalSample(self, name, reader, kind)
+        sample = ExternalSample(self, name, reader)
         self.externals[name] = sample
         return sample
 

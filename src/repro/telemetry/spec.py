@@ -78,7 +78,7 @@ class TelemetrySpec:
             raise ValueError("counter_bits must be at least 2")
 
     @classmethod
-    def parse(cls, text: str, seed: int = 0) -> "TelemetrySpec":
+    def parse(cls, text: str) -> "TelemetrySpec":
         """Parse the CLI form ``CLASS`` or ``CLASS:RATE``."""
         name, _, rate_text = text.partition(":")
         name = name.strip().replace("-", "_")
@@ -89,7 +89,7 @@ class TelemetrySpec:
                 f"bad fault rate {rate_text!r} in {text!r} "
                 "(expected CLASS or CLASS:RATE)"
             ) from None
-        return cls(fault_class=name, rate=rate, seed=seed)
+        return cls(fault_class=name, rate=rate)
 
     def to_json(self) -> Dict[str, object]:
         return dataclasses.asdict(self)

@@ -2,7 +2,7 @@
 TPC-C / YCSB PinPoints traces (see DESIGN.md, substitutions)."""
 
 from repro.workloads.synthetic import AppSpec, SyntheticTrace
-from repro.workloads.catalog import CATALOG, spec_by_name, specs_sorted_by_intensity
+from repro.workloads.catalog import CATALOG, spec_by_name
 from repro.workloads.hog import hog_spec
 from repro.workloads.mixes import WorkloadMix, make_mix, random_mixes
 
@@ -11,7 +11,6 @@ __all__ = [
     "SyntheticTrace",
     "CATALOG",
     "spec_by_name",
-    "specs_sorted_by_intensity",
     "hog_spec",
     "WorkloadMix",
     "make_mix",

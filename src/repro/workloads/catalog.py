@@ -19,7 +19,7 @@ streaming ones have tiny hot sets and huge footprints.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
 from repro.workloads.synthetic import AppSpec
 
@@ -98,13 +98,6 @@ def spec_by_name(name: str) -> AppSpec:
         raise KeyError(
             f"unknown benchmark {name!r}; known: {sorted(CATALOG)}"
         ) from None
-
-
-def specs_sorted_by_intensity(suite: str = "") -> List[AppSpec]:
-    """Catalog entries, optionally filtered by suite, by increasing APKI
-    (the paper sorts its per-benchmark figures this way)."""
-    specs = [s for s in CATALOG.values() if not suite or s.suite == suite]
-    return sorted(specs, key=lambda s: s.apki)
 
 
 def intensity_class(spec: AppSpec) -> str:

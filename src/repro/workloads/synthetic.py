@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from math import log
 from typing import Iterator, List, Tuple
@@ -65,10 +65,6 @@ class AppSpec:
     def mean_gap(self) -> float:
         """Mean non-access instructions between shared-cache accesses."""
         return max(0.0, 1000.0 / self.apki - 1.0)
-
-    def scaled(self, intensity: float) -> "AppSpec":
-        """A copy with ``apki`` scaled by ``intensity`` (hog knob)."""
-        return replace(self, apki=self.apki * intensity, name=self.name)
 
 
 # Large prime, coprime with any realistic footprint: spreads the popularity

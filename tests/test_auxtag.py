@@ -60,31 +60,13 @@ def test_utility_curve_monotone(config):
 
 def test_sampling_selects_subset_of_sets(config):
     ats = AuxiliaryTagStore(config, sampled_sets=8)
-    assert ats.is_sampled
+    assert ats.sample_stride > 1
     assert ats.num_sampled_sets == 8
     sampled = [ats.access(s).sampled for s in range(config.num_sets)]
     assert sum(sampled) == 8
     # Sampled sets are stride-spaced.
     assert ats.access(0).sampled
     assert not ats.access(1).sampled
-
-
-def test_sampled_scaling(config):
-    import random
-
-    rng = random.Random(4)
-    ats = AuxiliaryTagStore(config, sampled_sets=8)
-    for _ in range(8000):
-        ats.access(rng.randrange(300))
-    assert ats.total_accesses == 8000
-    # scaled hits + scaled misses == total accesses
-    assert ats.scaled_hits() + ats.scaled_misses() == pytest.approx(8000)
-    # Hit fraction on a uniform stream extrapolates within a loose band.
-    full = AuxiliaryTagStore(config)
-    rng = random.Random(4)
-    for _ in range(8000):
-        full.access(rng.randrange(300))
-    assert ats.hit_fraction() == pytest.approx(full.hit_fraction(), abs=0.1)
 
 
 def test_sampled_hit_accuracy_against_full(config):
@@ -99,7 +81,9 @@ def test_sampled_hit_accuracy_against_full(config):
     for line in stream:
         full.access(line)
         sampled.access(line)
-    assert sampled.hit_fraction() == pytest.approx(full.hit_fraction(), abs=0.08)
+    sampled_fraction = sampled.sampled_hits / sampled.sampled_accesses
+    full_fraction = full.sampled_hits / full.sampled_accesses
+    assert sampled_fraction == pytest.approx(full_fraction, abs=0.08)
 
 
 def test_reset_stats_preserves_tag_state(config):

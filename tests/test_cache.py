@@ -60,13 +60,6 @@ def test_contains_does_not_disturb_lru(cache):
     assert result.evicted_line_addr == 1
 
 
-def test_invalidate(cache):
-    cache.access(9)
-    assert cache.invalidate(9)
-    assert not cache.contains(9)
-    assert not cache.invalidate(9)
-
-
 def test_addresses_in_different_sets_do_not_conflict(cache):
     for addr in range(cache.num_sets):
         cache.access(addr)

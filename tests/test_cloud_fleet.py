@@ -32,7 +32,8 @@ from repro.cloud.fleet import FleetSupervisor
 from repro.cloud.spec import FleetChaosSpec, FleetSpec
 from repro.config import scaled_config
 from repro.durability.retry import RetryPolicy
-from repro.durability.store import KeyedLog
+from repro.durability.store import KeyedLog, read_log
+from repro.experiments import fleet_qos
 from repro.resilience.campaign import Campaign
 from repro.resilience.inject import flaky_node_model_factories
 
@@ -90,6 +91,39 @@ def test_replay_writes_identical_placement_and_billing_logs(tmp_path):
     run_fleet(small_spec(), str(store_b))
     for name in ("fleet.jsonl", "billing.jsonl"):
         assert (store_a / name).read_bytes() == (store_b / name).read_bytes()
+
+
+def test_fleets_sharing_a_store_key_their_records_by_name(tmp_path):
+    # `repro fleet` runs five fleets on one campaign store. Each keys its
+    # round and billing records by its name, so no fleet overwrites
+    # another's, and a second identical run replays every record.
+    store = tmp_path / "fleet"
+    paths = [store / "fleet.jsonl", store / "billing.jsonl"]
+
+    def run():
+        campaign = Campaign("fleet", str(store))
+        result = fleet_qos.run(
+            rounds=2, config=CONFIG, num_nodes=2, num_tenants=2,
+            campaign=campaign,
+        )
+        return result, [path.read_bytes() for path in paths]
+
+    result, first = run()
+    assert run()[1] == first
+    rounds = sorted(
+        f"{name}/r{record['round']:04d}"
+        for name, fleet in result.results.items()
+        for record in fleet.rounds
+    )
+    invoices = sorted(
+        f"{name}/{record.key}"
+        for name, fleet in result.results.items()
+        for record in fleet.billing
+    )
+    assert len(result.results) == 5 and len(set(invoices)) == len(invoices)
+    for path, keys in zip(paths, (rounds, invoices)):
+        assert KeyedLog(str(path)).keys() == keys
+        assert len(read_log(str(path))[0]) == len(keys)
 
 
 # -- worker crashes -----------------------------------------------------

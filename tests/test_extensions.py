@@ -109,17 +109,6 @@ def test_refresh_disabled_by_default():
     assert controller.refreshes_performed == 0
 
 
-# -- row locality stats ---------------------------------------------------
-def test_row_hit_rate_reporting():
-    engine = Engine()
-    controller = MemoryController(engine, DramConfig(), num_cores=1)
-    for line in range(8):  # same row
-        controller.enqueue(MemRequest(core=0, line_addr=line))
-    engine.run()
-    assert controller.row_hit_rate(0) == pytest.approx(7 / 8)
-    assert controller.row_hit_rate(0) <= 1.0
-
-
 # -- epoch warm-up ---------------------------------------------------------
 def test_warmup_excluded_from_measurement():
     config = scaled_config().with_quantum(100_000, 5_000)

@@ -43,22 +43,8 @@ def test_harmonic_speedup():
     assert metrics.harmonic_speedup([2, 2]) == pytest.approx(0.5)
 
 
-def test_weighted_speedup():
-    assert metrics.weighted_speedup([1, 2]) == pytest.approx(1.5)
-    with pytest.raises(ValueError):
-        metrics.weighted_speedup([0.0])
-
-
 def test_error_histogram():
     hist = metrics.error_histogram([5, 15, 25, 75], [0, 10, 20, 50])
     assert hist == pytest.approx([0.25, 0.25, 0.25, 0.25])
     with pytest.raises(ValueError):
         metrics.error_histogram([], [0, 10])
-
-
-def test_summarize_errors():
-    summary = metrics.summarize_errors({"asm": [10.0, 20.0], "fst": []})
-    assert summary["asm"]["mean"] == 15.0
-    assert summary["asm"]["max"] == 20.0
-    assert summary["asm"]["n"] == 2
-    assert "fst" not in summary

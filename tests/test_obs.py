@@ -232,8 +232,9 @@ def test_summarize_matches_asm_quantum_stats():
             summary.epoch_fraction(c) for c in summary.epoch_counts
         ) == pytest.approx(1.0)
     # Policy decisions recorded in the trace match the policy object.
-    reallocations = [e for s in summaries for e in s.reallocations()]
-    skips = [e for s in summaries for e in s.skips()]
+    events = [e for s in summaries for e in s.policy_events]
+    reallocations = [e for e in events if e["kind"] != "skip"]
+    skips = [e for e in events if e["kind"] == "skip"]
     assert len(skips) == policy.skipped_reallocations
     if policy.last_allocation is not None:
         assert reallocations[-1]["allocation"] == policy.last_allocation

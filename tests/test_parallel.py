@@ -276,8 +276,8 @@ def test_older_whole_legs_resume_as_store_hits(tmp_path, monkeypatch):
     campaign = Campaign("t", str(tmp_path))
     [result] = campaign.run_cells([cell])
     assert result.records == fresh.records
-    stats = campaign.alone_cache().stats()
-    assert (stats["store_hits"], stats["misses"]) == (cell.mix.num_cores, 0)
+    cache = campaign.alone_cache()
+    assert (cache.store_hits, cache.misses) == (cell.mix.num_cores, 0)
     assert (tmp_path / "alone.jsonl").read_bytes() == written
 
 
@@ -360,9 +360,8 @@ def test_alone_cache_counts_hits_and_misses():
     cache.get(mix, 0, CONFIG, 10_000)
     cache.get(mix, 0, CONFIG, 10_000)
     cache.get(mix, 1, CONFIG, 10_000)
-    assert cache.stats() == {
-        "hits": 1, "misses": 2, "lookups": 3, "store_hits": 0, "entries": 2,
-    }
+    assert (cache.hits, cache.misses, cache.store_hits) == (1, 2, 0)
+    assert len(cache.prefixes()) == 2
     assert "1 hits" in cache.summary()
     assert "2 computed" in cache.summary()
 

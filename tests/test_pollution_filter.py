@@ -5,7 +5,6 @@ from repro.cache.pollution_filter import PollutionFilter
 
 def test_exact_filter_tracks_contention():
     pf = PollutionFilter()  # exact
-    assert pf.is_exact
     pf.on_evicted_by_other(10)
     assert pf.is_contention_miss(10)
     assert not pf.is_contention_miss(11)
@@ -26,7 +25,6 @@ def test_refetch_of_untracked_line_is_noop():
 
 def test_bloom_variant_basic_flow():
     pf = PollutionFilter(num_counters=512)
-    assert not pf.is_exact
     pf.on_evicted_by_other(123)
     assert pf.is_contention_miss(123)
     pf.on_refetch(123)

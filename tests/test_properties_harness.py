@@ -100,16 +100,6 @@ def test_harmonic_speedup_bounds(slowdowns):
     assert hs <= 1.0 / min(slowdowns) + 1e-9
 
 
-@given(slowdown_lists)
-@settings(max_examples=60, deadline=None)
-def test_weighted_vs_harmonic_consistency(slowdowns):
-    n = len(slowdowns)
-    ws = metrics.weighted_speedup(slowdowns)
-    hs = metrics.harmonic_speedup(slowdowns)
-    # Arithmetic mean of speedups >= harmonic mean of speedups.
-    assert ws / n >= hs - 1e-9
-
-
 @given(
     st.floats(min_value=0.1, max_value=50, allow_nan=False),
     st.floats(min_value=0.1, max_value=50, allow_nan=False),

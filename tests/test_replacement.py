@@ -30,16 +30,6 @@ def test_stack_position_is_mru_distance():
     assert lru.stack_position(99) is None
 
 
-def test_evict_removes_specific_tag():
-    lru = LruSet(4)
-    lru.insert(Line(1))
-    lru.insert(Line(2))
-    assert lru.evict(1).tag == 1
-    assert lru.find(1) is None
-    assert lru.evict(1) is None
-    assert lru.occupancy() == 1
-
-
 def test_insert_with_quota_evicts_over_quota_owner_first():
     lru = LruSet(4)
     # Owner 0 holds 3 lines, owner 1 holds 1.

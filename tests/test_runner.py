@@ -131,9 +131,9 @@ def test_alone_cache_reuses_profiles():
     mix = make_mix(["gcc", "mcf"], seed=2)
     cache = AloneRunCache()
     run_workload(mix, config, quanta=1, alone_cache=cache)
-    assert len(cache) == 2
+    assert len(cache.prefixes()) == 2
     run_workload(mix, config, quanta=1, alone_cache=cache)
-    assert len(cache) == 2  # second run hits the cache
+    assert len(cache.prefixes()) == 2  # second run hits the cache
 
 
 def test_run_workload_ground_truth_sane():

@@ -17,7 +17,6 @@ def test_per_core_stats(llc):
     llc.access(1, 2)
     assert llc.hits == [1, 0]
     assert llc.misses == [1, 1]
-    assert llc.accesses_of(0) == 2
 
 
 def test_eviction_listener_reports_owner_and_evictor(llc):
@@ -77,10 +76,3 @@ def test_allocate_without_stats(llc):
     assert llc.contains(42)
     # Re-allocating a resident line is a no-op "hit".
     assert llc.allocate(0, 42).hit
-
-
-def test_occupancy_of(llc):
-    for i in range(10):
-        llc.access(0, i)
-    assert llc.occupancy_of(0) == 10
-    assert llc.occupancy_of(1) == 0

@@ -1,4 +1,4 @@
-"""Source rules: AST checks over ``src/repro`` that hold four invariants.
+"""Source rules: AST checks over ``src/repro`` that hold five invariants.
 
 Each test walks the modules its rule covers and names every offending
 site as ``module:line name``. A site a rule flags on purpose is waived
@@ -14,6 +14,7 @@ import re
 import shutil
 import subprocess
 import textwrap
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -381,6 +382,164 @@ def test_doc001_documented_packages_keep_docstrings(modules):
     ]
     assert snippet_names(doc001, good) == []
     assert_no_sites(modules, doc001, DOCUMENTED_PACKAGES)
+
+
+# ----------------------------------------------------------------------
+# REACH001: code only its own tests call is deleted, not kept. Every
+# function, class, method or property defined in src/repro (dunders
+# excepted: the interpreter calls them) must be named by a src/repro
+# module, a Python file under e2ebench/, examples/ or tools/, or a CI
+# workflow. A package __init__'s re-exports, __all__ and lazy-export
+# maps do not count. Outside src, a string constant that is one
+# identifier counts too, because e2ebench's tracer patches methods by
+# name.
+
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+#: Top-level directories whose Python files count as callers.
+REACH_ROOTS = ("e2ebench", "examples", "tools")
+
+#: Pool workers import these test injectors by module path.
+REACH001_SKIP = ("repro.resilience.inject",)
+
+#: (module, name) -> why that one definition stays with no caller
+#: outside tests.
+REACH001_WAIVERS = {
+    ("repro.cache.cache", "SetAssocCache"): (
+        "the reference cache: the auxiliary tag store tests compare an "
+        "application's alone cache image through it, access by access"
+    ),
+    ("repro.harness.runner", "run_alone"): (
+        "the reference alone run the lazy alone legs are tested against"
+    ),
+    ("repro.resilience.faults", "replay_failure"): (
+        "public API that re-runs a captured RunFailure (README, "
+        "'Fault isolation'); a user calls it, no module does"
+    ),
+    ("repro.analysis.report", "build_report"): (
+        "the one step that rebuilds results/REPORT.md (README's command); "
+        "the analysis tests check the committed report is current"
+    ),
+    ("repro.durability.chaos", "set_plan"): (
+        "installs a fault plan in-process, the path the durability tests "
+        "drive IO faults through; campaigns read REPRO_CHAOS instead"
+    ),
+    ("repro.resilience.campaign", "get_metrics"): (
+        "the one reader of metrics.jsonl; the open ROADMAP items that "
+        "explain estimates and time cells from stored records build on it"
+    ),
+}
+
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def referenced_names(tree, package=False, strings=False):
+    """The names code in ``tree`` reads: names, attributes and imported
+    names (not when ``tree`` is a package ``__init__``, whose imports
+    re-export), and with ``strings`` each one-identifier string."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias) and not package:
+            yield node.name.rpartition(".")[2]
+        elif (
+            strings
+            and isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and IDENTIFIER.fullmatch(node.value)
+        ):
+            yield node.value
+
+
+def reach001(tree, elsewhere):
+    """Definitions in ``tree`` that neither ``tree`` nor ``elsewhere`` names.
+
+    The match is by name, so a dead method that shares its name with a
+    live one passes: ``CircuitBreaker.summary`` and ``AloneRunCache.stats``
+    hid that way until they were found by hand.
+    """
+    named = set(elsewhere) | set(referenced_names(tree))
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, DEFINITIONS)
+            and node.name not in named
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+        ):
+            yield node.lineno, node.name
+
+
+def reach_callers():
+    """Every name that a place REACH001 counts as a caller references."""
+    names = set()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        names.update(referenced_names(tree, package=path.name == "__init__.py"))
+    for root in REACH_ROOTS:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            names.update(referenced_names(tree, strings=True))
+    for path in sorted((REPO_ROOT / ".github" / "workflows").glob("*.yml")):
+        names.update(IDENTIFIER.findall(path.read_text(encoding="utf-8")))
+    return names
+
+
+def test_reach001_definitions_have_callers_outside_tests(modules):
+    package = """
+        from repro.store import Store, helper
+
+        __all__ = ["Store", "helper"]
+    """
+    bad = """
+        class Store:
+            def get(self, key):
+                return {"stats": key}
+
+            def stats(self):
+                return {}
+
+            @property
+            def closed(self):
+                return False
+
+            def __len__(self):
+                return 0
+
+        def helper():
+            return 1
+    """
+    good = """
+        class Store:
+            def get(self, key):
+                return self._load(key)
+
+            def _load(self, key):
+                return key
+
+        def cached(fn):
+            return fn
+
+        @cached
+        def run(store):
+            return store.get(1)
+    """
+    exported = referenced_names(ast.parse(textwrap.dedent(package)), package=True)
+    caller = {"Store", "get"} | set(exported)
+    assert snippet_names(partial(reach001, elsewhere=caller), bad) == [
+        "stats",
+        "closed",
+        "helper",
+    ]
+    tracer = referenced_names(ast.parse("patch(Store, 'run')"), strings=True)
+    assert snippet_names(partial(reach001, elsewhere=set(tracer)), good) == []
+    assert_no_sites(
+        modules,
+        partial(reach001, elsewhere=reach_callers()),
+        ("repro",),
+        skip=REACH001_SKIP,
+        waivers=REACH001_WAIVERS,
+    )
 
 
 # ----------------------------------------------------------------------

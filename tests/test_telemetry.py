@@ -22,10 +22,9 @@ def spec(fault_class, rate, **kw):
 
 
 def test_parse_class_and_rate():
-    parsed = TelemetrySpec.parse("dropped-read:0.05", seed=7)
+    parsed = TelemetrySpec.parse("dropped-read:0.05")
     assert parsed.fault_class == "dropped_read"
     assert parsed.rate == 0.05
-    assert parsed.seed == 7
 
 
 def test_parse_defaults_the_rate():

@@ -7,12 +7,7 @@ import zlib
 import pytest
 
 from repro.cpu.trace import TraceRecord
-from repro.workloads.catalog import (
-    CATALOG,
-    intensity_class,
-    spec_by_name,
-    specs_sorted_by_intensity,
-)
+from repro.workloads.catalog import CATALOG, intensity_class, spec_by_name
 from repro.workloads.hog import hog_spec
 from repro.workloads.mixes import make_mix, random_mixes
 from repro.workloads.synthetic import AppSpec, SyntheticTrace
@@ -166,13 +161,6 @@ def test_catalog_contents():
     assert suites == {"spec", "nas", "db"}
     for name in ("mcf", "libquantum", "bzip2", "ft", "tpcc", "ycsb"):
         assert name in CATALOG
-
-
-def test_catalog_sorted_by_intensity():
-    specs = specs_sorted_by_intensity("spec")
-    apkis = [s.apki for s in specs]
-    assert apkis == sorted(apkis)
-    assert all(s.suite == "spec" for s in specs)
 
 
 def test_spec_by_name_unknown():
