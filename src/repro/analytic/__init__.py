@@ -6,12 +6,14 @@ simulation with per-phase math:
 
 1. :mod:`repro.analytic.reuse` samples each core's deterministic trace
    generator and extracts a joint reuse-distance / time-distance
-   histogram (Fenwick-tree stack distances, geometric buckets);
+   histogram (stack distances bisected from a sorted list of each
+   line's latest touch, geometric buckets);
 2. :mod:`repro.analytic.llc` composes the per-core histograms into
    shared-LLC hit rates under interleaving (Barai-style distance
    inflation: a reuse at stack distance ``d`` separated by ``Δt``
    cycles survives iff ``d`` plus every co-runner's distinct-line
-   insertions over ``Δt`` still fits in the cache);
+   insertions over ``Δt`` still fits in the cache; a reuse that fits
+   even if every co-runner access inserts a line skips the sum);
 3. :mod:`repro.analytic.cpi` turns hit rates plus a DRAM service-time
    and queueing-delay model into per-core CPI via a PPT-style interval
    core model, iterated to a damped fixed point;

@@ -12,22 +12,21 @@ summarises it as a joint *stack-distance* / *time-distance* histogram:
   cycles admits ``D_j(λ_j · Δt)`` insertions from each co-runner ``j``
   (see :mod:`repro.analytic.llc`).
 
-Stack distances are computed online with a Fenwick tree over access
-timestamps (O(log n) per reuse). A timestamp is *superseded* once its
-line is touched again. The stack distance of a reuse at ``t`` of a line
-last touched at ``t0`` is the number of lines whose latest touch falls
-strictly between the two, i.e. the ``t - t0 - 1`` timestamps in between
-less the superseded ones among them. The tree counts superseded
-timestamps, so a cold access never touches it and a reuse costs one
-prefix walk (superseded timestamps up to ``t0``) plus one update (``t0``
-becomes superseded).
+Stack distances are computed online from an ascending list holding
+each touched line's latest touch. The stack distance of a reuse at
+``t`` of a line last touched at ``t0`` is the number of lines whose
+latest touch falls strictly between the two: the list entries after
+``t0``'s, which one bisection finds. The reuse then deletes ``t0``'s
+entry, a memmove of just those stack-distance entries, and every access
+appends ``t``, which keeps the list sorted. A cold access costs one dict
+operation and one append.
 
 Histograms use geometric buckets (ratio ~1.15, ~75 buckets out to the
 sample length) recording per-bucket count and mean stack/time distance;
 the hit-rate error this bucketing introduces is bounded by the bucket
 width (~15 % in *distance*, far less in hit rate because the CDF is
-smooth). The sample length (default 32768 accesses/core) is the wall
-clock knob: extraction cost is independent of simulated cycles, which
+smooth). The sample length (:data:`SAMPLE_ACCESSES` per core) is the
+wall clock knob: extraction cost is independent of simulated cycles, which
 is what makes 100M-cycle cells take seconds instead of minutes.
 """
 
@@ -35,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -42,10 +42,11 @@ from repro.workloads.mixes import WorkloadMix
 from repro.workloads.synthetic import AppSpec, SyntheticTrace
 
 #: Accesses sampled per core when profiling a generator. Extraction is
-#: O(n log n) in this; at 32768 a cold paper-scale 4-core cell, four
-#: profiles plus the solve, takes ~0.3 s (docs/fidelity.md) while the
-#: distance CDFs are already stable to a few percent.
-DEFAULT_SAMPLE_ACCESSES = 32768
+#: linear in this, plus one bisection per reuse; at 32768 a cold
+#: paper-scale 4-core cell, four profiles plus the solve, takes ~0.13 s
+#: (docs/fidelity.md) while the distance CDFs are already stable to a few
+#: percent.
+SAMPLE_ACCESSES = 32768
 
 #: Geometric bucket growth ratio for the distance histogram.
 _BUCKET_RATIO = 1.15
@@ -102,43 +103,29 @@ class ReuseProfile:
         return self.mean_gap + 1.0
 
 
-def extract_profile(
-    mix: WorkloadMix,
-    core: int,
-    sample_accesses: int = DEFAULT_SAMPLE_ACCESSES,
-) -> ReuseProfile:
+def extract_profile(mix: WorkloadMix, core: int) -> ReuseProfile:
     """Sample ``mix``'s generator for ``core`` and summarise its reuse.
 
     Uses :meth:`~repro.workloads.mixes.WorkloadMix.trace_for_core`, so
     the sampled stream is byte-for-byte the prefix the event tier would
     simulate. Profiles are memoised per process on
-    ``(spec, mix seed, core, sample length)``.
+    ``(spec, mix seed, core)``.
     """
-    if sample_accesses < 1:
-        raise ValueError(
-            f"sample_accesses must be positive, got {sample_accesses}"
-        )
-    key = (mix.specs[core], mix.seed, core, sample_accesses)
+    key = (mix.specs[core], mix.seed, core)
     cached = _PROFILE_CACHE.get(key)
     if cached is not None:
         return cached
-    profile = _extract(mix.specs[core], mix.trace_for_core(core), sample_accesses)
+    profile = _extract(mix.specs[core], mix.trace_for_core(core), SAMPLE_ACCESSES)
     _PROFILE_CACHE[key] = profile
     return profile
 
 
-def profile_mix(
-    mix: WorkloadMix,
-    sample_accesses: int = DEFAULT_SAMPLE_ACCESSES,
-) -> List[ReuseProfile]:
+def profile_mix(mix: WorkloadMix) -> List[ReuseProfile]:
     """Per-core reuse profiles for every application in ``mix``."""
-    return [
-        extract_profile(mix, core, sample_accesses)
-        for core in range(mix.num_cores)
-    ]
+    return [extract_profile(mix, core) for core in range(mix.num_cores)]
 
 
-_PROFILE_CACHE: Dict[Tuple[AppSpec, int, int, int], ReuseProfile] = {}
+_PROFILE_CACHE: Dict[Tuple[AppSpec, int, int], ReuseProfile] = {}
 
 
 def _extract(
@@ -164,35 +151,25 @@ def _extract(
     counts = [0] * len(bounds)
     sd_sums = [0] * len(bounds)
     td_sums = [0] * len(bounds)
-    # Fenwick tree of superseded timestamps: timestamp s sits at index
-    # s + 1, and tree[i] counts the superseded ones whose index lies in
-    # (i - (i & -i), i]. Each reuse supersedes one timestamp, so the
-    # superseded count is also the reuse count.
-    size = sample_accesses + 1
-    tree = [0] * size
-    superseded = 0
+    # Each touched line's latest touch, ascending: one entry per distinct
+    # line, so one per cold access. At a reuse, the entries past t0's are
+    # the lines touched since, as many as the stack distance.
+    latest: List[int] = []
+    touch = latest.append
     last_access: Dict[int, int] = {}
     first_touch = last_access.setdefault
     for t, line in enumerate(lines):
         t0 = first_touch(line, t)
-        if t0 == t:
-            continue  # cold: the line's first touch, one dict operation
-        last_access[line] = t
-        i = t0 + 1  # prefix walk: superseded timestamps up to t0
-        superseded_le_t0 = 0
-        while i:
-            superseded_le_t0 += tree[i]
-            i &= i - 1
-        stack_distance = t - t0 - 1 - (superseded - superseded_le_t0)
-        bucket = bucket_of[stack_distance]
-        counts[bucket] += 1
-        sd_sums[bucket] += stack_distance
-        td_sums[bucket] += t - t0
-        i = t0 + 1  # update: t0 is superseded from now on
-        while i < size:
-            tree[i] += 1
-            i += i & -i
-        superseded += 1
+        if t0 != t:
+            last_access[line] = t
+            i = bisect_left(latest, t0)
+            stack_distance = len(latest) - i - 1
+            del latest[i]  # t0 is no longer its line's latest touch
+            bucket = bucket_of[stack_distance]
+            counts[bucket] += 1
+            sd_sums[bucket] += stack_distance
+            td_sums[bucket] += t - t0
+        touch(t)
     buckets = tuple(
         (counts[b], sd_sums[b] / counts[b], td_sums[b] / counts[b])
         for b in range(len(bounds))
@@ -204,14 +181,14 @@ def _extract(
         mean_gap=gap_total / sample_accesses,
         write_frac=write_total / sample_accesses,
         seq_frac=seq / sample_accesses,
-        cold_frac=(sample_accesses - superseded) / sample_accesses,
+        cold_frac=len(latest) / sample_accesses,
         buckets=buckets,
     )
 
 
 __all__ = [
-    "DEFAULT_SAMPLE_ACCESSES",
     "ReuseProfile",
+    "SAMPLE_ACCESSES",
     "extract_profile",
     "profile_mix",
 ]

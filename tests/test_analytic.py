@@ -11,6 +11,8 @@ import time as _time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analytic import cpi
 from repro.analytic.cpi import solve_alone, solve_shared
@@ -21,11 +23,13 @@ from repro.analytic.crossval import (
     compare_results,
     cross_validate,
 )
-from repro.analytic.llc import shared_hit_rates
+from repro.analytic.llc import alone_hit_rate, shared_hit_rates
 from repro.analytic.reuse import (
     _PROFILE_CACHE,
+    SAMPLE_ACCESSES,
     ReuseProfile,
     _bucket_bounds,
+    _extract,
     extract_profile,
     profile_mix,
 )
@@ -51,6 +55,7 @@ from repro.resilience.faults import config_fingerprint
 from repro.resilience.inject import exploding_model_factories
 from repro.workloads.hog import hog_spec
 from repro.workloads.mixes import WorkloadMix, make_mix, random_mixes
+from repro.workloads.synthetic import AppSpec, SyntheticTrace
 
 # Small platform so the event-oracle legs simulate quickly.
 CONFIG = scaled_config().with_quantum(50_000, 5_000)
@@ -69,8 +74,8 @@ def _analytic_cells(mixes):
 # Profiles and the closed-form solve.
 
 def test_profile_measures_the_generator():
-    profile = extract_profile(_mix(), 0, sample_accesses=4096)
-    assert profile.accesses == 4096
+    profile = extract_profile(_mix(), 0)
+    assert profile.accesses == SAMPLE_ACCESSES
     assert 0.0 <= profile.cold_frac <= 1.0
     assert 0.0 <= profile.write_frac <= 1.0
     assert profile.instructions_per_access() >= 1.0
@@ -83,15 +88,8 @@ def test_profile_measures_the_generator():
 
 def test_profile_memoised_per_process():
     mix = _mix(3)
-    first = extract_profile(mix, 1, sample_accesses=2048)
-    assert extract_profile(mix, 1, sample_accesses=2048) is first
-
-
-@pytest.mark.parametrize("sample_accesses", [0, -5])
-def test_profile_rejects_non_positive_sample(sample_accesses):
-    with pytest.raises(ValueError, match=f"got {sample_accesses}$"):
-        extract_profile(_mix(), 0, sample_accesses=sample_accesses)
-    assert all(key[3] > 0 for key in _PROFILE_CACHE)
+    first = extract_profile(mix, 1)
+    assert extract_profile(mix, 1) is first
 
 
 def _reference_profile(spec, trace, sample_accesses):
@@ -150,11 +148,36 @@ def test_profile_matches_an_explicit_lru_stack(seed):
     mix = WorkloadMix(name="reference", specs=specs, seed=seed)
     for core, spec in enumerate(specs):
         for sample_accesses in (1, 2, 3, 2048):
-            profile = extract_profile(mix, core, sample_accesses)
+            profile = _extract(spec, mix.trace_for_core(core), sample_accesses)
             reference = _reference_profile(
                 spec, mix.trace_for_core(core), sample_accesses
             )
             assert dataclasses.astuple(profile) == reference
+
+
+@given(
+    footprint=st.integers(1, 64),
+    reuse_prob=st.floats(0.0, 1.0),
+    reuse_depth=st.integers(1, 64),
+    seq_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 1 << 20),
+    sample_accesses=st.integers(1, 512),
+)
+@settings(max_examples=200, deadline=None)
+def test_profile_matches_an_explicit_lru_stack_on_tiny_footprints(
+    footprint, reuse_prob, reuse_depth, seq_frac, seed, sample_accesses
+):
+    # A footprint of a few lines reuses almost every access, at every
+    # stack distance from 0 to the footprint, many times over.
+    spec = AppSpec(
+        name="tiny", apki=50.0, reuse_prob=reuse_prob,
+        reuse_depth=reuse_depth, footprint_lines=footprint, seq_frac=seq_frac,
+    )
+    profile = _extract(spec, SyntheticTrace(spec, seed), sample_accesses)
+    reference = _reference_profile(
+        spec, SyntheticTrace(spec, seed), sample_accesses
+    )
+    assert dataclasses.astuple(profile) == reference
 
 
 def test_cpi_of_matches_the_closed_form():
@@ -178,7 +201,7 @@ def test_cpi_of_matches_the_closed_form():
 
 def test_shared_solve_never_beats_alone():
     mix = _mix(2)
-    profiles = profile_mix(mix, sample_accesses=4096)
+    profiles = profile_mix(mix)
     shared = solve_shared(profiles, CONFIG)
     for profile, rates in zip(profiles, shared):
         alone = solve_alone(profile, CONFIG)
@@ -225,6 +248,89 @@ def test_shared_hit_rates_add_co_runner_insertions_left_to_right():
     rates = [1.0, 0.1, 0.2, 0.3]
     hit_rates = shared_hit_rates([reuse, cold, cold, cold], rates, 1)
     assert hit_rates == [0.0, 0.0, 0.0, 0.0]
+
+
+def _reference_hit_rates(profiles, rates, capacity_lines):
+    """``shared_hit_rates`` without its capacity bound: every reuse that
+    hits alone adds up each co-runner's insertions, left to right."""
+    hit_rates = []
+    for i, profile in enumerate(profiles):
+        own_rate = rates[i]
+        if own_rate <= 0.0:
+            hit_rates.append(alone_hit_rate(profile, capacity_lines))
+            continue
+        hits = 0.0
+        for count, mean_sd, mean_td in profile.buckets:
+            if mean_sd >= capacity_lines:
+                continue
+            elapsed = mean_td / own_rate
+            insertions = 0.0
+            for j, other in enumerate(profiles):
+                if j != i:
+                    insertions += other.distinct_lines(rates[j] * elapsed)
+            if mean_sd + insertions < capacity_lines:
+                hits += count
+        hit_rates.append(hits / profile.accesses)
+    return hit_rates
+
+
+@st.composite
+def _drawn_profiles(draw):
+    """A profile as extraction builds one: its reuses and cold accesses
+    add up to the sample, and each reuse spans more accesses than its
+    stack distance."""
+    accesses = draw(st.integers(1, 400))
+    cold = accesses
+    buckets = []
+    for count in draw(st.lists(st.integers(1, 60), max_size=8)):
+        if count > cold:
+            break
+        cold -= count
+        mean_sd = draw(st.floats(0.0, 120.0))
+        mean_td = mean_sd + 1.0 + draw(st.floats(0.0, 2000.0))
+        buckets.append((count, mean_sd, mean_td))
+    return ReuseProfile(
+        spec_name="drawn", accesses=accesses, mean_gap=0.0, write_frac=0.0,
+        seq_frac=0.0, cold_frac=cold / accesses, buckets=tuple(buckets),
+    )
+
+
+@given(
+    profiles=st.lists(_drawn_profiles(), min_size=2, max_size=5),
+    rates=st.lists(st.floats(0.0, 2.0), min_size=5, max_size=5),
+    capacity_lines=st.integers(1, 128),
+)
+@settings(max_examples=300, deadline=None)
+def test_capacity_bound_decides_what_the_sum_decides(
+    profiles, rates, capacity_lines
+):
+    rates = rates[: len(profiles)]
+    assert shared_hit_rates(
+        profiles, rates, capacity_lines
+    ) == _reference_hit_rates(profiles, rates, capacity_lines)
+
+
+def test_capacity_bound_keeps_a_margin_for_rounding():
+    # Every one of the co-runner's n = 10.034... accesses inserts a line,
+    # but its distinct_lines(n), 7/43 of n plus 36/43 of n, rounds one ulp
+    # above n. That lifts the own reuse from 10.999999999999998 lines to
+    # 11.0, a miss in 11 lines, which a bound without its margin would
+    # have called a hit.
+    co_runner = ReuseProfile(
+        spec_name="co", accesses=43, mean_gap=0.0, write_frac=0.0,
+        seq_frac=0.0, cold_frac=36 / 43,
+        buckets=((7, 0.0, 10.109407028841167),),
+    )
+    own = dataclasses.replace(
+        co_runner, spec_name="own", accesses=1, cold_frac=0.0,
+        buckets=((1, 0.9659000866390507, 1.0),),
+    )
+    rates = [1.0, 10.034099913360947]
+    assert co_runner.distinct_lines(rates[1]) > rates[1]
+    assert 0.9659000866390507 + rates[1] < 11
+    expected = [0.0, 0.16279069767441862]
+    assert _reference_hit_rates([own, co_runner], rates, 11) == expected
+    assert shared_hit_rates([own, co_runner], rates, 11) == expected
 
 
 # ----------------------------------------------------------------------
@@ -448,7 +554,7 @@ def test_fidelity_sweep_reports_analytical_divergence(tmp_path):
 
 def test_paper_scale_cell_under_ten_seconds():
     # Acceptance bound: a 4-core, 100M-cycle analytic cell in < 10 s
-    # (CHANGES.md records ~0.3 s cold, best of 3 on a 2-vCPU box).
+    # (CHANGES.md records ~0.13 s cold, best of 3 on a 2-vCPU box).
     config = SystemConfig()  # paper-scale platform, 5M-cycle quanta
     mix = default_mixes(1, config.num_cores, seed=42)[0]
     _PROFILE_CACHE.clear()

@@ -1,11 +1,13 @@
 """Pinned result digests of the traffic the end-to-end benchmark does not run.
 
-e2ebench pins FR-FCFS cells without prefetching or DRAM refresh. These
-pins cover the other schedulers, the prefetcher, refresh and a UCP cell on
-one 2-quantum mix, plus a controller-level request stream deep enough to
-trip the write drain, which no scheduler cell reaches (none ever queues
-more than one write). A change meant to be bit for bit keeps every digest
-here; a change that moves one declares it.
+e2ebench pins FR-FCFS cells without prefetching or DRAM refresh, and
+analytic cells only on ``scaled_config()``'s 4,096-line LLC. These pins
+cover the other schedulers, the prefetcher, refresh and a UCP cell on one
+2-quantum mix, plus a controller-level request stream deep enough to trip
+the write drain, which no scheduler cell reaches (none ever queues more
+than one write), and analytic cells on the paper's 32,768-line LLC. A
+change meant to be bit for bit keeps every digest here; a change that
+moves one declares it.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ import random
 
 import pytest
 
-from repro.config import DramConfig, scaled_config
+from repro.analytic.runner import run_analytic
+from repro.config import DramConfig, SystemConfig, scaled_config
 from repro.engine import Engine
+from repro.experiments.common import default_mixes
 from repro.harness.runner import AloneRunCache, run_workload
 from repro.mem.controller import WRITE_DRAIN_WATERMARK, MemoryController
 from repro.mem.request import MemRequest
@@ -196,3 +200,22 @@ STREAM_PINS = {
 @pytest.mark.parametrize("scheduler", sorted(STREAM_PINS))
 def test_controller_stream_is_pinned(scheduler):
     assert _digest(_stream(scheduler)) == STREAM_PINS[scheduler]
+
+
+# -- the analytic tier at paper scale ---------------------------------------
+
+#: 2-quantum analytic cells on ``SystemConfig()``, the first of
+#: ``default_mixes(1, cores, seed=42)``. On this LLC most reuses sit far
+#: below capacity, where the co-runner bound of ``analytic.llc`` decides
+#: them without the insertion sum.
+ANALYTIC_PINS = {
+    4: "b1de9efa83883f147862caf31ab0a00a80f4575e76d33d3ce8a58b90bdd1fd8a",
+    8: "3078cb46655bc0c4036439bc44878df2714147fb983787f557bca9da3740228d",
+}
+
+
+@pytest.mark.parametrize("cores", sorted(ANALYTIC_PINS))
+def test_paper_scale_analytic_cell_is_pinned(cores):
+    mix = default_mixes(1, cores, seed=42)[0]
+    result = run_analytic(mix, SystemConfig(), quanta=2)
+    assert _digest(result_to_json(result)) == ANALYTIC_PINS[cores]
