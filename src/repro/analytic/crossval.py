@@ -40,6 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: this; see docs/fidelity.md for the regimes that push toward it.
 ASM_DIVERGENCE_TOLERANCE_PCT = 40.0
 
+#: Analytic cells per survey whose event twin is run.
+CROSSVAL_SAMPLE = 1
+
 
 @dataclass(frozen=True)
 class DivergenceEntry:
@@ -169,10 +172,9 @@ def cross_validate(
     campaign: "Campaign",
     cells: Sequence["CellSpec"],
     results: Sequence[Optional[RunResult]],
-    sample_size: int = 1,
 ) -> Optional[DivergenceReport]:
-    """Cross-validate a sample of analytic cells, drawn with a fixed seed,
-    and persist the report.
+    """Cross-validate :data:`CROSSVAL_SAMPLE` analytic cells, drawn with a
+    fixed seed, and persist the report.
 
     ``cells`` are one analytic survey's cells (one variant) and
     ``results`` their results, ``None`` where a cell failed. Each sampled
@@ -180,10 +182,10 @@ def cross_validate(
     surrogate or twin failed is skipped. Returns ``None``, and persists
     nothing, when no sample is left.
     """
-    if not cells or sample_size <= 0:
+    if not cells:
         return None
     rng = random.Random(0)
-    count = min(sample_size, len(cells))
+    count = min(CROSSVAL_SAMPLE, len(cells))
     surrogates: List[RunResult] = []
     twins: List["CellSpec"] = []
     for index in sorted(rng.sample(range(len(cells)), count)):

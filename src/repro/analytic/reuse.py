@@ -42,7 +42,8 @@ from repro.workloads.mixes import WorkloadMix
 from repro.workloads.synthetic import AppSpec, SyntheticTrace
 
 #: Accesses sampled per core when profiling a generator. Extraction is
-#: linear in this, plus one bisection per reuse; at 32768 a cold
+#: linear in this, plus per reuse one bisection and a memmove of as many
+#: list entries as its stack distance; at 32768 a cold
 #: paper-scale 4-core cell, four profiles plus the solve, takes ~0.13 s
 #: (docs/fidelity.md) while the distance CDFs are already stable to a few
 #: percent.

@@ -67,9 +67,11 @@ def run_analytic(
 ) -> RunResult:
     """Estimate ``quanta`` quanta of ``mix`` in closed form.
 
-    Wall cost is profile extraction (O(sample · log sample) per core,
-    memoised per process) plus a fixed-round solve — independent of
-    ``quantum_cycles``, which is the entire point of the tier.
+    Wall cost is profile extraction (per core, one pass over the sample
+    plus, per reuse, a bisection and a memmove of as many list entries as
+    its stack distance; memoised per process) plus a fixed-round solve —
+    independent of ``quantum_cycles``, which is the entire point of the
+    tier.
     """
     config = dataclasses.replace(
         config, num_cores=mix.num_cores, engine="analytic"

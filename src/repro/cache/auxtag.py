@@ -57,14 +57,10 @@ class AuxiliaryTagStore:
         self.associativity = config.associativity
         if sampled_sets is None or sampled_sets >= self.num_sets:
             self.sample_stride = 1
-            self.num_sampled_sets = self.num_sets
         else:
             if sampled_sets <= 0:
                 raise ValueError("sampled_sets must be positive")
             self.sample_stride = max(1, self.num_sets // sampled_sets)
-            self.num_sampled_sets = len(
-                range(0, self.num_sets, self.sample_stride)
-            )
         self._sets: Dict[int, List[int]] = {
             idx: [] for idx in range(0, self.num_sets, self.sample_stride)
         }

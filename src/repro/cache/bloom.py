@@ -13,6 +13,9 @@ _MULT1 = 0x9E3779B97F4A7C15
 _MULT2 = 0xC2B2AE3D27D4EB4F
 _MASK64 = (1 << 64) - 1
 
+#: Hash functions per key.
+NUM_HASHES = 4
+
 
 def _mix(value: int, mult: int) -> int:
     value = (value * mult) & _MASK64
@@ -25,19 +28,16 @@ def _mix(value: int, mult: int) -> int:
 class CountingBloomFilter:
     """Counting Bloom filter over non-negative integer keys."""
 
-    def __init__(self, num_counters: int, num_hashes: int = 4) -> None:
+    def __init__(self, num_counters: int) -> None:
         if num_counters <= 0:
             raise ValueError("num_counters must be positive")
-        if num_hashes <= 0:
-            raise ValueError("num_hashes must be positive")
         self.num_counters = num_counters
-        self.num_hashes = num_hashes
         self._counters = [0] * num_counters
 
     def _indices(self, key: int):
         h1 = _mix(key, _MULT1)
         h2 = _mix(key, _MULT2) | 1
-        for i in range(self.num_hashes):
+        for i in range(NUM_HASHES):
             yield (h1 + i * h2) % self.num_counters
 
     def insert(self, key: int) -> None:

@@ -25,7 +25,6 @@ class AdmissionController:
         self.max_queue = max_queue
         self.floor = floor
         self._queue: List[Tenant] = []
-        self.admitted = 0
         self.shed = 0
 
     @property
@@ -68,7 +67,6 @@ class AdmissionController:
             return []
         admitted = self._queue[:free_cores]
         del self._queue[: len(admitted)]
-        self.admitted += len(admitted)
         return admitted
 
 

@@ -342,7 +342,6 @@ class FleetSupervisor:
                         confidence=confidence,
                         bound=bound,
                         actual=actual,
-                        quanta=spec.quanta_per_round,
                     )
                     served[tenant_id] += spec.quanta_per_round
                     node_pressure.append(decision.effective_slowdown)

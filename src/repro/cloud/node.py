@@ -95,7 +95,6 @@ class NodeState:
     tenants: List[int] = field(default_factory=list)
     #: First round in which the node is up again (0 = always was).
     down_until: int = 0
-    kills: int = 0
 
     def is_up(self, round_index: int) -> bool:
         """Whether the node can serve ``round_index``."""
@@ -107,11 +106,10 @@ class NodeState:
         return self.cores - len(self.tenants)
 
     def kill(self, round_index: int, restart_rounds: int) -> List[int]:
-        """Crash the node: evacuate tenants, stay down, count the kill."""
+        """Crash the node: evacuate tenants and stay down."""
         evacuated = list(self.tenants)
         self.tenants.clear()
         self.down_until = round_index + restart_rounds
-        self.kills += 1
         return evacuated
 
 

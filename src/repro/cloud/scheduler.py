@@ -31,7 +31,11 @@ import math
 from typing import Dict, List, Optional
 
 from repro.cloud.node import NodeState
-from repro.cloud.spec import MIGRATION_BACKOFF_ROUNDS, FleetSpec
+from repro.cloud.spec import (
+    MIGRATION_BACKOFF_ROUNDS,
+    MIGRATION_MAX_ATTEMPTS,
+    FleetSpec,
+)
 from repro.cloud.tenants import Tenant
 from repro.durability.retry import CircuitBreaker, RetryPolicy
 
@@ -52,7 +56,7 @@ class FleetScheduler:
         ]
         self.breaker = CircuitBreaker()
         self.migration_policy = RetryPolicy(
-            max_attempts=max(2, spec.migration_max_attempts + 1),
+            max_attempts=MIGRATION_MAX_ATTEMPTS + 1,
             backoff_s=MIGRATION_BACKOFF_ROUNDS,
             seed=spec.seed,
         )
@@ -155,7 +159,7 @@ class FleetScheduler:
         exponential-backoff cooldown (delay measured in rounds).
         """
         attempts = self._migration_attempts.get(tenant_id, 0)
-        if attempts >= self.spec.migration_max_attempts:
+        if attempts >= MIGRATION_MAX_ATTEMPTS:
             self.migration_denied += 1
             return False
         if round_index < self._cooldown_until.get(tenant_id, 0):

@@ -58,7 +58,6 @@ def effective_slowdown(
 class TenantSla:
     """Cumulative SLA account for one tenant."""
 
-    served_quanta: int = 0
     violations: int = 0
     oracle_violations: int = 0
     bound_decisions: int = 0
@@ -90,14 +89,12 @@ class SlaTracker:
         confidence: float,
         bound: float,
         actual: float,
-        quanta: int,
     ) -> SlaDecision:
         """Evaluate one tenant-round and update the account."""
         picked = effective_slowdown(estimate, confidence, bound, self.floor)
         violated = picked.effective_slowdown > self.sla_slowdown
         oracle = math.isfinite(actual) and actual > self.sla_slowdown
         account = self.account(tenant_id)
-        account.served_quanta += quanta
         if picked.basis == "bound":
             account.bound_decisions += 1
         if violated:

@@ -31,6 +31,9 @@ BASE_RATE = 1.0
 #: First migration backoff in rounds; it doubles with each attempt.
 MIGRATION_BACKOFF_ROUNDS = 1.0
 
+#: Migrations one tenant may be granted in a fleet run.
+MIGRATION_MAX_ATTEMPTS = 3
+
 #: Rounds a killed node stays down before it restarts.
 RESTART_ROUNDS = 1
 
@@ -94,7 +97,6 @@ class FleetSpec:
     # surrogate (repro.analytic): placement/SLA/billing still read the
     # "asm" estimates, but telemetry chaos has nothing to corrupt.
     fidelity: str = "event"
-    migration_max_attempts: int = 3
     chaos: FleetChaosSpec = field(default_factory=FleetChaosSpec)
     recipe: Optional[Callable[..., Dict[str, Any]]] = None
     recipe_args: Tuple[Any, ...] = ()
@@ -135,8 +137,6 @@ class FleetSpec:
                 f"unknown fidelity {self.fidelity!r}; "
                 f"valid: {', '.join(FIDELITY_TIERS)}"
             )
-        if self.migration_max_attempts < 1:
-            raise ValueError("migration_max_attempts must be >= 1")
 
 
 __all__ = [
@@ -146,6 +146,7 @@ __all__ = [
     "FleetSpec",
     "MAX_QUEUE",
     "MIGRATION_BACKOFF_ROUNDS",
+    "MIGRATION_MAX_ATTEMPTS",
     "PLACEMENT_POLICIES",
     "RESTART_ROUNDS",
 ]

@@ -28,7 +28,6 @@ class StridePrefetcher:
         self._confident = False
         self._recent: Set[int] = set()
         self._recent_order: Deque[int] = deque()
-        self.issued = 0
 
     def observe(self, line_addr: int) -> List[int]:
         """Feed one demand access; return line addresses to prefetch."""
@@ -50,7 +49,6 @@ class StridePrefetcher:
                 if target >= 0 and target not in self._recent:
                     self._remember(target)
                     candidates.append(target)
-        self.issued += len(candidates)
         return candidates
 
     def _remember(self, line_addr: int) -> None:

@@ -57,6 +57,9 @@ CRASH_POINTS: Tuple[str, ...] = (
 #: Supported IO fault shapes.
 IO_FAULTS: Tuple[str, ...] = ("enospc", "partial_write", "slow_fsync")
 
+#: Seconds the ``slow_fsync`` fault sleeps before each fsync.
+SLOW_FSYNC_S = 0.01
+
 
 class ChaosSpecError(ValueError):
     """The ``REPRO_CHAOS`` spec string could not be parsed."""
@@ -69,7 +72,7 @@ class FaultPlan:
     ``kill_point``/``kill_file``/``kill_nth`` select a self-SIGKILL at a
     named crash point; ``io_fault``/``io_file``/``io_rate`` select a
     write-path fault. A plan may carry both (the kill typically fires
-    first). ``slow_fsync_s`` is the injected fsync latency.
+    first).
     """
 
     kill_point: Optional[str] = None
@@ -79,7 +82,6 @@ class FaultPlan:
     io_file: str = ""
     io_rate: float = 1.0
     seed: int = 0
-    slow_fsync_s: float = 0.01
 
     def __post_init__(self) -> None:
         if self.kill_point is not None and self.kill_point not in CRASH_POINTS:
@@ -231,7 +233,7 @@ class FaultPlan:
 
     def sleep_fsync(self) -> None:
         """Injected fsync latency for the ``slow_fsync`` fault."""
-        time.sleep(self.slow_fsync_s)
+        time.sleep(SLOW_FSYNC_S)
 
 
 #: Per-process crash-point hit counters (``(point, file_pattern)`` keys).

@@ -13,8 +13,9 @@ experiment's store (``results/.campaign/fig09``) or the campaign root
   killed before their replace. Exit 0 (a subsequent ``verify`` must
   pass).
 * ``compact`` — repair plus last-record-wins deduplication by each
-  record's resume ``key`` (superseded checkpoints from re-runs are
-  dropped; keyless records, e.g. failures, are kept).
+  record's ``key`` (superseded records from re-runs are dropped; keyless
+  records, such as failures written before failures carried a key, are
+  kept).
 """
 
 from __future__ import annotations
@@ -45,10 +46,11 @@ def _store_files(root: str) -> List[str]:
 
 
 def _record_key(payload: Any) -> Optional[str]:
-    """Resume key of one campaign payload (``None`` = always keep).
+    """Key of one campaign payload (``None`` = always keep).
 
-    Run/alone/metrics records all carry their resume key in ``key``;
-    failure records are an append-only history with no key.
+    Every campaign record carries its key in ``key``: runs, alone
+    prefixes and metrics their resume key, failures their cell's run key,
+    divergence reports ``experiment:variant``.
     """
     if isinstance(payload, dict):
         key = payload.get("key")

@@ -32,6 +32,11 @@ from repro.experiments.common import (
 )
 from repro.harness import metrics
 from repro.harness.runner import RunResult
+from repro.models.asm import AsmModel
+from repro.models.fst import FstModel
+from repro.models.mise import MiseModel
+from repro.models.ptca import PtcaModel
+from repro.models.stfm import StfmModel
 from repro.telemetry import FAULT_CLASSES, TelemetrySpec
 
 #: Default fault rates: the acceptance sweep (1% and 10%).
@@ -45,42 +50,12 @@ def chaos_model_factories(config: SystemConfig) -> Dict[str, Any]:
     out across worker processes."""
     sets = config.ats_sampled_sets
     return {"model_factories": {
-        "asm": lambda: _asm(sets),
-        "mise": lambda: _mise(),
-        "fst": lambda: _fst(),
-        "ptca": lambda: _ptca(sets),
-        "stfm": lambda: _stfm(),
+        "asm": lambda: AsmModel(sampled_sets=sets),
+        "mise": lambda: MiseModel(),
+        "fst": lambda: FstModel(filter_counters=EQUAL_OVERHEAD_FILTER_COUNTERS),
+        "ptca": lambda: PtcaModel(sampled_sets=sets),
+        "stfm": lambda: StfmModel(),
     }}
-
-
-def _asm(sets: int):
-    from repro.models.asm import AsmModel
-
-    return AsmModel(sampled_sets=sets)
-
-
-def _mise():
-    from repro.models.mise import MiseModel
-
-    return MiseModel()
-
-
-def _fst():
-    from repro.models.fst import FstModel
-
-    return FstModel(filter_counters=EQUAL_OVERHEAD_FILTER_COUNTERS)
-
-
-def _ptca(sets: int):
-    from repro.models.ptca import PtcaModel
-
-    return PtcaModel(sampled_sets=sets)
-
-
-def _stfm():
-    from repro.models.stfm import StfmModel
-
-    return StfmModel()
 
 
 @dataclass

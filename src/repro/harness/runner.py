@@ -397,7 +397,6 @@ def run_workload(
     scheduler_factory: Optional[SchedulerFactory] = None,
     quanta: int = 1,
     alone_cache: Optional[AloneRunCache] = None,
-    enable_epochs: bool = True,
     epoch_assignment: str = "random",
     check_invariants: bool = False,
     wall_clock_budget_s: Optional[float] = None,
@@ -432,7 +431,6 @@ def run_workload(
     config.validate()
     scheduler = scheduler_factory() if scheduler_factory else None
     system = System(config, mix.traces(), scheduler=scheduler, seed=mix.seed,
-                    enable_epochs=enable_epochs,
                     epoch_assignment=epoch_assignment,
                     telemetry=telemetry, obs=obs)
 

@@ -96,7 +96,6 @@ class MemoryController:
         self.queueing_cycles = [0] * num_cores
         self._last_account_time = [0] * config.channels
         self.completion_listeners: List[CompletionListener] = []
-        self.refreshes_performed = 0
         if config.refresh_enabled:
             self.engine.schedule(config.trefi, self._refresh)
 
@@ -154,7 +153,6 @@ class MemoryController:
                 bank.last_opener = -1
             if self.read_queues[channel_idx] or self.write_queues[channel_idx]:
                 self.engine.schedule_at(done, lambda ch=channel_idx: self._wake(ch))
-        self.refreshes_performed += 1
         self.engine.schedule(self.config.trefi, self._refresh)
 
     def _wake(self, channel: int) -> None:

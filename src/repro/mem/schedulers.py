@@ -27,6 +27,20 @@ from repro.mem.request import MemRequest
 # clustering window's requests.
 TCM_CLUSTER_THRESHOLD = 0.2
 
+# TCM re-clusters every this many cycles and reshuffles the bandwidth
+# cluster's ranks every TCM_SHUFFLE_PERIOD, from a TCM_SEED-seeded RNG.
+TCM_CLUSTER_PERIOD = 1_000_000
+TCM_SHUFFLE_PERIOD = 10_000
+TCM_SEED = 1
+
+# PAR-BS marks at most this many oldest requests per (core, bank) a batch.
+PARBS_MARKING_CAP = 5
+
+# BLISS blacklists a core after this many consecutive served requests and
+# clears the blacklist every BLISS_CLEARING_INTERVAL cycles.
+BLISS_BLACKLIST_THRESHOLD = 4
+BLISS_CLEARING_INTERVAL = 10_000
+
 
 class Scheduler:
     """Interface: pick one request to issue among issuable candidates."""
@@ -73,17 +87,16 @@ class ParbsScheduler(Scheduler):
     """Parallelism-Aware Batch Scheduling.
 
     When no marked requests remain, a new batch is formed by marking up to
-    ``marking_cap`` oldest requests per (core, bank) across the queues the
-    controller exposes through :meth:`register_queues`. Cores are ranked by
-    the max-total rule: fewest requests in their busiest bank first (ties by
-    total), so "shorter jobs" finish their batch quickly, preserving
-    bank-level parallelism.
+    :data:`PARBS_MARKING_CAP` oldest requests per (core, bank) across the
+    queues the controller exposes through :meth:`register_queues`. Cores
+    are ranked by the max-total rule: fewest requests in their busiest bank
+    first (ties by total), so "shorter jobs" finish their batch quickly,
+    preserving bank-level parallelism.
     """
 
     name = "parbs"
 
-    def __init__(self, marking_cap: int = 5) -> None:
-        self.marking_cap = marking_cap
+    def __init__(self) -> None:
         self._queues: List[List[MemRequest]] = []
         self._rank: Dict[int, int] = {}
 
@@ -101,7 +114,7 @@ class ParbsScheduler(Scheduler):
             for request in sorted(queue, key=lambda r: r.arrival_time):
                 key = (request.core, request.channel, request.bank)
                 count = per_core_bank.get(key, 0)
-                if count < self.marking_cap:
+                if count < PARBS_MARKING_CAP:
                     request.marked = True
                     per_core_bank[key] = count + 1
                     batch.append(request)
@@ -136,8 +149,9 @@ class BlissScheduler(Scheduler):
     """The Blacklisting memory scheduler (BLISS) [65].
 
     Observes the stream of scheduled requests: an application that gets
-    ``blacklist_threshold`` requests served consecutively is blacklisted
-    for ``clearing_interval`` cycles. Non-blacklisted applications'
+    :data:`BLISS_BLACKLIST_THRESHOLD` requests served consecutively is
+    blacklisted until the blacklist is cleared, every
+    :data:`BLISS_CLEARING_INTERVAL` cycles. Non-blacklisted applications'
     requests are prioritised over blacklisted ones; within a class,
     row hits first, then oldest first. A deliberately simple scheme that
     approaches application-aware schedulers' fairness at far lower cost.
@@ -145,22 +159,15 @@ class BlissScheduler(Scheduler):
 
     name = "bliss"
 
-    def __init__(
-        self,
-        num_cores: int,
-        blacklist_threshold: int = 4,
-        clearing_interval: int = 10_000,
-    ) -> None:
+    def __init__(self, num_cores: int) -> None:
         self.num_cores = num_cores
-        self.blacklist_threshold = blacklist_threshold
-        self.clearing_interval = clearing_interval
         self._blacklisted = [False] * num_cores
         self._last_core = -1
         self._streak = 0
         self._last_clear = 0
 
     def update(self, now: int, per_core_requests: Sequence[int]) -> None:
-        if now - self._last_clear >= self.clearing_interval:
+        if now - self._last_clear >= BLISS_CLEARING_INTERVAL:
             self._last_clear = now
             self._blacklisted = [False] * self.num_cores
 
@@ -175,7 +182,7 @@ class BlissScheduler(Scheduler):
         )
         if choice.core == self._last_core:
             self._streak += 1
-            if self._streak >= self.blacklist_threshold:
+            if self._streak >= BLISS_BLACKLIST_THRESHOLD:
                 self._blacklisted[choice.core] = True
         else:
             self._last_core = choice.core
@@ -186,28 +193,20 @@ class BlissScheduler(Scheduler):
 class TcmScheduler(Scheduler):
     """Thread Cluster Memory scheduling.
 
-    Cores are re-clustered every ``cluster_period`` cycles: cores are sorted
-    by memory intensity (requests issued in the elapsed window) and the
-    least intensive cores whose combined traffic stays below
+    Cores are re-clustered every :data:`TCM_CLUSTER_PERIOD` cycles: cores
+    are sorted by memory intensity (requests issued in the elapsed window)
+    and the least intensive cores whose combined traffic stays below
     :data:`TCM_CLUSTER_THRESHOLD` of the total form the latency-sensitive
     cluster.
     Ranks within the bandwidth cluster are shuffled every
-    ``shuffle_period`` cycles.
+    :data:`TCM_SHUFFLE_PERIOD` cycles.
     """
 
     name = "tcm"
 
-    def __init__(
-        self,
-        num_cores: int,
-        cluster_period: int = 1_000_000,
-        shuffle_period: int = 10_000,
-        seed: int = 1,
-    ) -> None:
+    def __init__(self, num_cores: int) -> None:
         self.num_cores = num_cores
-        self.cluster_period = cluster_period
-        self.shuffle_period = shuffle_period
-        self._rng = random.Random(seed)
+        self._rng = random.Random(TCM_SEED)
         self._latency_cluster = set(range(num_cores))
         self._bw_rank: Dict[int, int] = {c: c for c in range(num_cores)}
         self._last_cluster_time = 0
@@ -215,7 +214,7 @@ class TcmScheduler(Scheduler):
         self._last_counts = [0] * num_cores
 
     def update(self, now: int, per_core_requests: Sequence[int]) -> None:
-        if now - self._last_cluster_time >= self.cluster_period:
+        if now - self._last_cluster_time >= TCM_CLUSTER_PERIOD:
             window = [
                 per_core_requests[c] - self._last_counts[c]
                 for c in range(self.num_cores)
@@ -233,7 +232,7 @@ class TcmScheduler(Scheduler):
                         used += window[core]
             else:
                 self._latency_cluster = set(range(self.num_cores))
-        if now - self._last_shuffle_time >= self.shuffle_period:
+        if now - self._last_shuffle_time >= TCM_SHUFFLE_PERIOD:
             self._last_shuffle_time = now
             order = list(range(self.num_cores))
             self._rng.shuffle(order)

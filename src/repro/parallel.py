@@ -341,6 +341,10 @@ def _settle(
             cache.keep(key, prefix)
         cell.result = payload["result"]
         if campaign.store is not None:
+            # The run record goes last: a resume recomputes a cell without
+            # one, so a kill before it loses none of the cell's records.
+            if payload.get("trace"):
+                campaign.store.put_metrics(cell.key, payload["trace"])
             campaign.store.put_run(cell.key, result_to_json(payload["result"]))
         campaign.computed += 1
         if cell.fingerprint:
@@ -350,8 +354,6 @@ def _settle(
                 spec.mix.name, spec.variant, spec.quanta,
                 payload["wall_s"], payload["events"],
             )
-        if campaign.store is not None and payload.get("trace"):
-            campaign.store.put_metrics(cell.key, payload["trace"])
         return None
     failure = _failure_from_payload(campaign, spec, payload, cell.attempts)
     cell.fingerprint = failure.fingerprint()
@@ -359,11 +361,11 @@ def _settle(
         cell.fingerprint, failure.error_type, failure.message
     )
     if campaign.may_retry(cell.fingerprint, cell.attempts, cell.spent_s):
-        campaign.note_retry(cell.fingerprint)
+        campaign.retry_attempts += 1
         delay = campaign.retry_policy.delay_s(cell.attempts, cell.fingerprint)
         cell.spent_s += delay
         return delay
-    campaign.record_give_up(failure, cell.spent_s)
+    campaign.record_give_up(cell.key, failure, cell.spent_s)
     if not campaign.keep_going:
         raise payload.get("exc") or WorkerRunError(failure)
     return None

@@ -16,17 +16,19 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
+#: Ways every application receives (a zero-way application could never
+#: cache anything).
+MIN_WAYS = 1
+
 
 def lookahead_partition(
-    utilities: Sequence[Sequence[float]],
-    total_ways: int,
-    min_ways: int = 1,
+    utilities: Sequence[Sequence[float]], total_ways: int
 ) -> List[int]:
     """Partition ``total_ways`` among applications.
 
     ``utilities[i][n]`` is application ``i``'s utility with ``n`` ways and
     must have length ``total_ways + 1``. Every application receives at least
-    ``min_ways`` (a zero-way application could never cache anything).
+    :data:`MIN_WAYS`.
     """
     num_apps = len(utilities)
     if num_apps == 0:
@@ -36,14 +38,14 @@ def lookahead_partition(
             raise ValueError(
                 f"utility curves must have {total_ways + 1} entries"
             )
-    if min_ways * num_apps > total_ways:
+    if MIN_WAYS * num_apps > total_ways:
         raise ValueError(
-            f"cannot give {num_apps} applications {min_ways} ways each "
+            f"cannot give {num_apps} applications {MIN_WAYS} way each "
             f"out of {total_ways}"
         )
 
-    allocation = [min_ways] * num_apps
-    remaining = total_ways - min_ways * num_apps
+    allocation = [MIN_WAYS] * num_apps
+    remaining = total_ways - MIN_WAYS * num_apps
 
     while remaining > 0:
         best_app = -1

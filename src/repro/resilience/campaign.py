@@ -17,7 +17,7 @@ Store layout::
         alone.jsonl      alone-run prefixes (the longest is the last)
         failures.jsonl   captured RunFailure records (replayable)
         metrics.jsonl    each profiled cell's per-quantum trace events
-                         (``--profile``) and the supervision counters
+                         (``--profile``)
         divergence.jsonl fidelity cross-validation reports (analytic vs
                          event oracle — see repro.analytic.crossval)
 
@@ -27,12 +27,12 @@ and monotonic sequence numbers, appended atomically (single write →
 flush → fsync). A crash tears at most the trailing line, which load
 recovers by skipping; checksum-mismatched records are skipped too and
 ``repro campaign verify|repair`` reports/quarantines them. Legacy (v1)
-plain-JSONL stores load transparently and upgrade on repair. Runs, alone
-prefixes and metrics are keyed logs
-(:class:`~repro.durability.store.KeyedLog`): the last record under a key
-wins, and a record equal to it is not appended again, so re-running a
-finished cell leaves the store as it was. Failures and divergence
-reports are append-only histories.
+plain-JSONL stores load transparently and upgrade on repair. Every file
+is a keyed log (:class:`~repro.durability.store.KeyedLog`): the last
+record under a key wins, and a record equal to it is not appended again,
+so re-running a finished cell, or a cell that fails the same way again,
+leaves the store as it was. A failure is keyed by its cell's run key, a
+divergence report by ``experiment:variant``.
 
 Retry supervision (``retry_policy``): failed cells are re-attempted
 under a :class:`~repro.durability.retry.RetryPolicy` with a per-cell
@@ -54,7 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
 
 from repro.config import SystemConfig
 from repro.durability.retry import CircuitBreaker, RetryPolicy
-from repro.durability.store import ChecksummedLog, KeyedLog, read_payloads
+from repro.durability.store import KeyedLog
 from repro.harness.runner import (
     AloneProfile,
     AloneRunCache,
@@ -148,8 +148,7 @@ class CellTiming:
 
 class CampaignStore:
     """Checksummed JSONL store for one campaign's state: keyed logs for
-    runs, alone prefixes and metrics, append-only logs for failures and
-    divergence reports."""
+    runs, alone prefixes, metrics, failures and divergence reports."""
 
     def __init__(self, root: str) -> None:
         self.root = root
@@ -157,10 +156,8 @@ class CampaignStore:
         self._runs = KeyedLog(os.path.join(root, "runs.jsonl"))
         self._alone = KeyedLog(os.path.join(root, "alone.jsonl"))
         self._metrics = KeyedLog(os.path.join(root, "metrics.jsonl"))
-        self._failures = ChecksummedLog(os.path.join(root, "failures.jsonl"))
-        self._divergence = ChecksummedLog(
-            os.path.join(root, "divergence.jsonl")
-        )
+        self._failures = KeyedLog(os.path.join(root, "failures.jsonl"))
+        self._divergence = KeyedLog(os.path.join(root, "divergence.jsonl"))
 
     # -- per-mix results ------------------------------------------------
     def get_run(self, key: str) -> Optional[dict]:
@@ -191,8 +188,7 @@ class CampaignStore:
     def put_metrics(self, key: str, records: List[dict]) -> None:
         """Persist a profiled run's per-quantum trace events
         (:meth:`~repro.obs.events.TraceEvent.to_json` records) next to its
-        checkpoint (same ``key`` as :meth:`put_run`); under
-        ``__supervisor__``, the campaign's supervision counters."""
+        checkpoint (same ``key`` as :meth:`put_run`)."""
         self._metrics.put(key, {"records": records})
 
     def get_metrics(self, key: str) -> Optional[List[dict]]:
@@ -201,29 +197,24 @@ class CampaignStore:
         return None if record is None else list(record["records"])
 
     # -- failures -------------------------------------------------------
-    def append_failure(self, failure: RunFailure) -> None:
-        self._failures.append(failure.to_json())
+    def put_failure(self, key: str, failure: RunFailure) -> None:
+        """Persist a cell's final failure under its run ``key``."""
+        self._failures.put(key, failure.to_json())
 
     def load_failures(self) -> List[RunFailure]:
-        return [
-            RunFailure.from_json(r)
-            for r in read_payloads(self._failures.path)
-            if isinstance(r, dict)
-        ]
+        """The latest failure of each failed cell, in key order."""
+        return [RunFailure.from_json(r) for r in self._failures.records()]
 
     # -- fidelity divergence reports ------------------------------------
     def put_divergence(self, record: dict) -> None:
-        """Append one fidelity cross-validation report (see
-        :mod:`repro.analytic.crossval`). The payload carries no wall
-        clocks, so equal seeds append byte-equal records."""
-        self._divergence.append(record)
+        """Persist one fidelity cross-validation report (see
+        :mod:`repro.analytic.crossval`) under its ``key``. The payload
+        carries no wall clocks, so a repeated survey appends nothing."""
+        self._divergence.put(record["key"], record)
 
     def load_divergence(self) -> List[dict]:
-        """Every divergence report recorded for this campaign."""
-        return [
-            r for r in read_payloads(self._divergence.path)
-            if isinstance(r, dict)
-        ]
+        """The latest divergence report under each key, in key order."""
+        return self._divergence.records()
 
 
 class PersistentAloneRunCache(AloneRunCache):
@@ -404,20 +395,17 @@ class Campaign:
             and self.retry_policy.within_budget(elapsed_s)
         )
 
-    def note_retry(self, cell_fingerprint: str) -> None:
-        """Account one retry attempt."""
-        self.retry_attempts += 1
-        self._snap_supervisor()
-
     def note_retry_success(self, cell_fingerprint: str) -> None:
         """A cell that had failed succeeded on retry."""
         self.retried_cells += 1
         self.breaker.record_success(cell_fingerprint)
-        self._snap_supervisor()
 
-    def record_give_up(self, failure: RunFailure, elapsed_s: float) -> None:
-        """Record a cell's final failure; when the policy could have
-        retried, first set why retrying stopped (``failure.reason``)."""
+    def record_give_up(
+        self, key: str, failure: RunFailure, elapsed_s: float
+    ) -> None:
+        """Record the final failure of the cell under run ``key``; when the
+        policy could have retried, first set why retrying stopped
+        (``failure.reason``)."""
         if self.retry_policy.supervised:
             if not self.breaker.allows(failure.fingerprint()):
                 failure.reason = "circuit_open"
@@ -427,23 +415,11 @@ class Campaign:
                 failure.reason = "attempts_exhausted"
         self.failures.append(failure)
         if self.store is not None:
-            self.store.append_failure(failure)
-        if failure.reason is not None:
-            self._snap_supervisor()
+            self.store.put_failure(key, failure)
 
     def _degraded_cells(self) -> int:
         """Cells given up on with a reason: the policy could have retried."""
         return sum(1 for f in self.failures if f.reason is not None)
-
-    def _snap_supervisor(self) -> None:
-        """Write the supervision counters to the store's metrics.jsonl
-        (last record wins under the ``__supervisor__`` key)."""
-        if self.store is not None:
-            self.store.put_metrics("__supervisor__", [{
-                "supervisor.degraded_cells": self._degraded_cells(),
-                "supervisor.retried_cells": self.retried_cells,
-                "supervisor.retry_attempts": self.retry_attempts,
-            }])
 
     # ------------------------------------------------------------------
     def record_timing(

@@ -169,7 +169,6 @@ class CounterBank:
         self.salt = salt
         self.vecs: Dict[str, CounterVec] = {}
         self.externals: Dict[str, ExternalSample] = {}
-        self.faults_injected = 0
         self._flags: List[List[str]] = [[] for _ in range(num_cores)]
         self._epoch_index = 0
 
@@ -241,7 +240,6 @@ class CounterBank:
             if fault_u01(spec.seed, self.salt, name, core, "read", index) < spec.rate:
                 # Silent: a corrupted set sample just reads wrong. Only the
                 # hits <= accesses invariant can expose it.
-                self.faults_injected += 1
                 magnitude = fault_u01(spec.seed, self.salt, name, core, "mag", index)
                 return value + 1 + int(magnitude * (_CORRUPTION_SPAN - 1))
         return value
@@ -280,7 +278,6 @@ class CounterBank:
         flags = self._flags[core]
         if reason not in flags:
             flags.append(reason)
-        self.faults_injected += 1
 
     def collect_flags(self, core: int) -> List[str]:
         """Pop and return the detected-fault flags for ``core``."""

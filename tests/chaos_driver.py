@@ -28,6 +28,8 @@ from repro.resilience.campaign import Campaign, result_to_json
 from repro.resilience.inject import exploding_model_factories
 from repro.workloads.mixes import make_mix
 
+CONFIG = scaled_config().with_quantum(50_000, 5_000)
+
 
 def build_mixes():
     return [
@@ -51,7 +53,7 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    config = scaled_config().with_quantum(50_000, 5_000)
+    config = CONFIG
     mixes = build_mixes()
     if args.faults:
         campaign = Campaign(

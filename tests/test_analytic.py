@@ -18,6 +18,7 @@ from repro.analytic import cpi
 from repro.analytic.cpi import solve_alone, solve_shared
 from repro.analytic.crossval import (
     ASM_DIVERGENCE_TOLERANCE_PCT,
+    CROSSVAL_SAMPLE,
     DivergenceEntry,
     DivergenceReport,
     compare_results,
@@ -437,9 +438,7 @@ def test_survey_at_analytical_fidelity():
 def test_crossval_within_documented_tolerance(tmp_path):
     campaign = Campaign("xval", str(tmp_path / "camp"))
     cells = _analytic_cells(default_mixes(2, CONFIG.num_cores, seed=42))
-    report = cross_validate(
-        campaign, cells, campaign.run_cells(cells), sample_size=2
-    )
+    report = cross_validate(campaign, cells, campaign.run_cells(cells))
     assert report is not None
     assert report.summary()["asm"]["mean_abs_pct"] < ASM_DIVERGENCE_TOLERANCE_PCT
     # The report also landed in the store, next to the other records.
@@ -447,7 +446,7 @@ def test_crossval_within_documented_tolerance(tmp_path):
     assert len(records) == 1
     assert records[0]["key"] == "xval:"
     assert records[0]["summary"]["asm"]["count"] == float(
-        2 * CONFIG.num_cores
+        CROSSVAL_SAMPLE * CONFIG.num_cores
     )
 
 
@@ -497,6 +496,17 @@ def test_analytic_survey_leaves_event_resume_intact(tmp_path):
     resumed = Campaign("fig02", store, resume=True)
     assert _fig02_errors(campaign=resumed) == _fig02_errors()
     assert resumed.resumed == 1
+
+
+def test_repeated_analytic_survey_leaves_divergence_log_unchanged(tmp_path):
+    # The report is keyed by experiment and variant, and a repeated survey
+    # computes the same one, so it appends nothing.
+    store = tmp_path / "camp"
+    _fig02_errors(campaign=Campaign("fig02", str(store)), fidelity="analytical")
+    first = (store / "divergence.jsonl").read_bytes()
+    resumed = Campaign("fig02", str(store), resume=True)
+    _fig02_errors(campaign=resumed, fidelity="analytical")
+    assert (store / "divergence.jsonl").read_bytes() == first
 
 
 def test_analytic_survey_computes_one_twin_per_sample(tmp_path):

@@ -28,7 +28,7 @@ def test_no_false_negatives():
 
 
 def test_false_positive_rate_reasonable():
-    bloom = CountingBloomFilter(4096, num_hashes=4)
+    bloom = CountingBloomFilter(4096)
     for key in range(200):
         bloom.insert(key)
     false_positives = sum(1 for key in range(10_000, 20_000) if key in bloom)
@@ -37,7 +37,7 @@ def test_false_positive_rate_reasonable():
 
 def test_small_filter_aliases():
     """A tiny filter saturates — the degradation FST suffers in Fig 3."""
-    bloom = CountingBloomFilter(32, num_hashes=2)
+    bloom = CountingBloomFilter(32)
     for key in range(100):
         bloom.insert(key)
     assert bloom.load > 0.9
@@ -71,5 +71,3 @@ def test_clear():
 def test_invalid_params():
     with pytest.raises(ValueError):
         CountingBloomFilter(0)
-    with pytest.raises(ValueError):
-        CountingBloomFilter(16, num_hashes=0)

@@ -21,12 +21,19 @@ from pathlib import Path
 import pytest
 
 from repro.durability.store import ChecksummedLog, read_log, verify_log
+from repro.experiments.common import scheme_recipe
+from repro.experiments.fig10_asm_mem import _schemes
+from repro.parallel import CellSpec
+from repro.resilience.campaign import Campaign
+from tests.chaos_driver import CONFIG, build_mixes
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DRIVER = Path(__file__).resolve().parent / "chaos_driver.py"
 
 
-def run_driver(store, *, chaos="", resume=False, workers=1, faults=False):
+def run_driver(
+    store, *, chaos="", resume=False, workers=1, faults=False, quanta=1
+):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env.pop("REPRO_CHAOS", None)
@@ -39,6 +46,8 @@ def run_driver(store, *, chaos="", resume=False, workers=1, faults=False):
         cmd.extend(["--workers", str(workers)])
     if faults:
         cmd.append("--faults")
+    if quanta != 1:
+        cmd.extend(["--quanta", str(quanta)])
     return subprocess.run(
         cmd, env=env, cwd=REPO_ROOT, capture_output=True, text=True
     )
@@ -100,21 +109,26 @@ def test_resume_after_sigkill_is_bit_identical(tmp_path, baseline, spec):
 
 
 @pytest.fixture(scope="module")
-def faulted_baseline(tmp_path_factory):
-    """Digest of an uninterrupted ``--faults`` run: profiled cells
-    (metrics.jsonl populated) plus one deterministically-failing mix
-    (failures.jsonl populated)."""
+def faulted_pristine(tmp_path_factory):
+    """Store and digest of an uninterrupted ``--faults`` run: profiled
+    cells (metrics.jsonl populated) plus one deterministically-failing
+    mix (failures.jsonl populated)."""
     store = tmp_path_factory.mktemp("pristine-faults")
     proc = run_driver(store, faults=True)
     assert proc.returncode == 0, proc.stderr
     for name in ("metrics.jsonl", "failures.jsonl"):
         assert (store / name).exists(), f"--faults run never wrote {name}"
-    return proc.stdout.strip().splitlines()[-1]
+    return store, proc.stdout.strip().splitlines()[-1]
 
 
-#: Crash points against the supervision stores: per-cell metrics
-#: snapshots and the give-up failure records. As above, hit #1 is the
-#: store header and #2 the first real record.
+def store_bytes(store):
+    """Every file of ``store``, name -> bytes."""
+    return {path.name: path.read_bytes() for path in sorted(store.iterdir())}
+
+
+#: Crash points against the supervision stores: per-cell trace records
+#: and the give-up failure records. As above, hit #1 is the store header
+#: and #2 the first real record.
 SUPERVISION_KILL_SPECS = [
     "kill:before_append@metrics.jsonl#1",
     "kill:mid_record@metrics.jsonl#2",
@@ -122,13 +136,15 @@ SUPERVISION_KILL_SPECS = [
     "kill:before_append@failures.jsonl#1",
     "kill:mid_record@failures.jsonl#2",
     "kill:after_append@failures.jsonl#1",
+    "kill:after_append@failures.jsonl#2",
 ]
 
 
 @pytest.mark.parametrize("spec", SUPERVISION_KILL_SPECS)
 def test_resume_after_sigkill_in_supervision_stores(
-    tmp_path, faulted_baseline, spec
+    tmp_path, faulted_pristine, spec
 ):
+    pristine, faulted_baseline = faulted_pristine
     store = tmp_path / "store"
     killed = run_driver(store, chaos=spec, faults=True)
     assert killed.returncode == -signal.SIGKILL, (
@@ -138,7 +154,9 @@ def test_resume_after_sigkill_in_supervision_stores(
     resumed = run_driver(store, resume=True, faults=True)
     assert resumed.returncode == 0, resumed.stderr
     assert resumed.stdout.strip().splitlines()[-1] == faulted_baseline
-    # Every store — including the one the kill tore — must verify clean.
+    # The resumed store holds the uninterrupted run's bytes, file for
+    # file: no record lost with the killed cell, none appended twice.
+    assert store_bytes(store) == store_bytes(pristine)
     verify = run_repro("campaign", "verify", str(store))
     assert verify.returncode == 0, verify.stdout + verify.stderr
 
@@ -186,22 +204,27 @@ def test_verify_repair_cycle_after_torn_write(tmp_path, baseline):
     assert resumed.stdout.strip().splitlines()[-1] == baseline
 
 
-def test_compact_drops_superseded_checkpoints(tmp_path, faulted_baseline):
+def test_compact_drops_superseded_checkpoints(tmp_path):
     store = tmp_path / "store"
-    # Two --faults runs without --resume. A recomputed cell equal to its
-    # stored record is not appended again, but the supervisor's metrics
-    # snapshot is re-put under its one key whenever its counters change,
-    # so metrics.jsonl holds superseded generations of that key.
-    assert run_driver(store, faults=True).returncode == 0
-    assert run_driver(store, faults=True).returncode == 0
+    first = run_driver(store, faults=True, quanta=2)
+    assert first.returncode == 0, first.stderr
+    # A later cell of the first mix under ASM-Mem reads one of its alone
+    # legs further than the bare run did and re-puts the longer prefix
+    # under the same key, so alone.jsonl holds a superseded generation.
+    Campaign("chaos_drill", str(store)).run_cells([
+        CellSpec(
+            mix=build_mixes()[0], config=CONFIG, quanta=2, variant="asm-mem",
+            recipe=scheme_recipe, recipe_args=(_schemes, "asm-mem", CONFIG),
+        )
+    ])
 
     compact = run_repro("campaign", "compact", str(store))
     assert compact.returncode == 0, compact.stdout + compact.stderr
-    [metrics_line] = [
+    [alone_line] = [
         line for line in compact.stdout.splitlines()
-        if line.startswith("metrics.jsonl")
+        if line.startswith("alone.jsonl")
     ]
-    assert "stale dropped" in metrics_line
+    assert "stale dropped" in alone_line
 
     runs = json.loads(
         "["
@@ -209,11 +232,11 @@ def test_compact_drops_superseded_checkpoints(tmp_path, faulted_baseline):
         + "]"
     )
     keys = [r["payload"]["key"] for r in runs if "payload" in r]
-    assert len(keys) == len(set(keys)) == 2
+    assert len(keys) == len(set(keys)) == 3
 
-    resumed = run_driver(store, resume=True, faults=True)
+    resumed = run_driver(store, resume=True, faults=True, quanta=2)
     assert resumed.returncode == 0, resumed.stderr
-    assert resumed.stdout.strip().splitlines()[-1] == faulted_baseline
+    assert resumed.stdout == first.stdout
 
 
 @pytest.mark.parametrize("point", ["before_replace", "after_replace"])

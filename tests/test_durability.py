@@ -186,7 +186,7 @@ def test_injected_partial_write_leaves_torn_prefix(tmp_path):
 
 def test_injected_slow_fsync_still_writes(tmp_path):
     path = tmp_path / "log.jsonl"
-    set_plan(FaultPlan(io_fault="slow_fsync", io_rate=1.0, slow_fsync_s=0.0))
+    set_plan(FaultPlan(io_fault="slow_fsync", io_rate=1.0))
     append_line(str(path), "slow but sure")
     assert path.read_text() == "slow but sure\n"
 
@@ -507,7 +507,7 @@ def test_run_failure_give_up_roundtrip_and_validation():
 
 
 # ---------------------------------------------------------------------------
-# campaign wiring: retries, degradation, supervisor metrics
+# campaign wiring: retries, degradation, retried cells' metrics
 
 
 def test_campaign_recovers_transient_failure_by_retry(tmp_path):
@@ -543,12 +543,10 @@ def test_campaign_circuit_breaker_stops_deterministic_retries(tmp_path):
     assert failure.error_type == "InjectedFault"
     assert "1 DEGRADED" in campaign.summary()
     assert "1 FAILED" in campaign.summary()
-    # The give-up is one persisted record.
+    # The give-up is one persisted record, and the only one.
     store = CampaignStore(str(tmp_path / "store"))
     assert store.load_failures() == [failure]
-    assert sorted(os.listdir(tmp_path / "store")) == [
-        "failures.jsonl", "metrics.jsonl"
-    ]
+    assert os.listdir(tmp_path / "store") == ["failures.jsonl"]
 
 
 def test_campaign_retries_wall_clock_timeouts_as_transient(tmp_path):
@@ -599,20 +597,6 @@ def test_retried_cell_metrics_match_uninterrupted_run(tmp_path):
     retried_metrics = CampaignStore(retried_dir).get_metrics(key)
     assert clean_metrics, "profiled run persisted no metrics"
     assert retried_metrics == clean_metrics
-
-
-def test_supervisor_metrics_persisted_in_store(tmp_path):
-    sentinel = str(tmp_path / "sentinel")
-    store_dir = str(tmp_path / "store")
-    campaign = Campaign(
-        "t", store_dir,
-        retry_policy=RetryPolicy(max_attempts=3, backoff_s=0.0),
-    )
-    _run_one(campaign, _mix(), 1, flaky_model_factories, sentinel, "raise")
-    snapshots = CampaignStore(store_dir).get_metrics("__supervisor__")
-    assert snapshots, "supervisor counters not persisted"
-    assert snapshots[-1]["supervisor.retried_cells"] == 1
-    assert snapshots[-1]["supervisor.retry_attempts"] == 1
 
 
 def test_campaign_store_survives_torn_tail(tmp_path):

@@ -10,7 +10,11 @@ from repro.engine import Engine
 from repro.mem.controller import MemoryController
 from repro.mem.dram import Channel, DramMapping, service_request
 from repro.mem.request import MemRequest
-from repro.mem.schedulers import BlissScheduler
+from repro.mem.schedulers import (
+    BLISS_BLACKLIST_THRESHOLD,
+    BLISS_CLEARING_INTERVAL,
+    BlissScheduler,
+)
 from repro.harness.runner import run_workload
 from repro.harness.system import System
 from repro.models.asm import AsmModel
@@ -33,12 +37,12 @@ def _bliss_setup():
 
 def test_bliss_blacklists_streak_core():
     channel, mapping, req = _bliss_setup()
-    scheduler = BlissScheduler(num_cores=2, blacklist_threshold=3)
+    scheduler = BlissScheduler(num_cores=2)
     # Core 0 has a stream of old requests; core 1's single request is
     # younger, so FCFS order serves core 0 until it gets blacklisted.
-    hog = [req(i, core=0, arrival=i) for i in range(6)]
+    hog = [req(i, core=0, arrival=i) for i in range(BLISS_BLACKLIST_THRESHOLD + 2)]
     victim = req(mapping.lines_per_row * 500, core=1, arrival=100)
-    for _ in range(3):
+    for _ in range(BLISS_BLACKLIST_THRESHOLD):
         pick = scheduler.pick(hog + [victim], channel, 200)
         assert pick.core == 0
         hog.remove(pick)
@@ -48,9 +52,11 @@ def test_bliss_blacklists_streak_core():
 
 
 def test_bliss_clears_blacklist_periodically():
-    scheduler = BlissScheduler(num_cores=2, clearing_interval=1000)
+    scheduler = BlissScheduler(num_cores=2)
     scheduler._blacklisted = [True, True]
-    scheduler.update(2000, [0, 0])
+    scheduler.update(BLISS_CLEARING_INTERVAL - 1, [0, 0])
+    assert scheduler._blacklisted == [True, True]
+    scheduler.update(BLISS_CLEARING_INTERVAL, [0, 0])
     assert scheduler._blacklisted == [False, False]
 
 
@@ -75,9 +81,11 @@ def test_refresh_closes_rows_and_stalls_banks():
     controller = MemoryController(engine, dram, num_cores=1)
     controller.enqueue(MemRequest(core=0, line_addr=0))
     engine.run(until=dram.trefi + 1)
-    assert controller.refreshes_performed >= 1
     bank = controller.channels[0].banks[0]
+    # The refresh at tREFI closed the row the request opened and holds
+    # the bank busy for tRFC.
     assert bank.open_row is None
+    assert bank.busy_until >= dram.trefi + dram.trfc
 
 
 def test_refresh_delays_requests():
@@ -106,7 +114,12 @@ def test_refresh_disabled_by_default():
     engine = Engine()
     controller = MemoryController(engine, DramConfig(), num_cores=1)
     engine.run(until=10_000_000)
-    assert controller.refreshes_performed == 0
+    # A refresh would have held every bank busy for tRFC.
+    assert all(
+        bank.busy_until == 0
+        for channel in controller.channels
+        for bank in channel.banks
+    )
 
 
 # -- epoch warm-up ---------------------------------------------------------

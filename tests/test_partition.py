@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.policies.partition import lookahead_partition
+from repro.policies.partition import MIN_WAYS, lookahead_partition
 
 
 def _linear(slope, ways):
@@ -40,8 +40,8 @@ def test_lookahead_climbs_past_plateau():
 
 def test_min_ways_respected():
     utilities = [[0.0] * 17, _linear(1, 16)]
-    allocation = lookahead_partition(utilities, 16, min_ways=2)
-    assert allocation[0] >= 2
+    allocation = lookahead_partition(utilities, 16)
+    assert allocation == [MIN_WAYS, 16 - MIN_WAYS]
 
 
 def test_validation_errors():
@@ -50,7 +50,7 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         lookahead_partition([[0, 1]], 8)  # wrong curve length
     with pytest.raises(ValueError):
-        lookahead_partition([[0] * 9] * 10, 8)  # min_ways infeasible
+        lookahead_partition([[0] * 9] * 10, 8)  # MIN_WAYS infeasible
 
 
 def test_single_app_gets_everything():

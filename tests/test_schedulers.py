@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 from repro.config import DramConfig
 from repro.mem.dram import Channel, DramMapping, service_request
 from repro.mem.request import MemRequest
-from repro.mem.schedulers import FrFcfsScheduler, ParbsScheduler, TcmScheduler
+from repro.mem.schedulers import (
+    PARBS_MARKING_CAP,
+    TCM_CLUSTER_PERIOD,
+    FrFcfsScheduler,
+    ParbsScheduler,
+    TcmScheduler,
+)
 
 
 def _channel_with_open_row(dram, row_line=0):
@@ -46,20 +52,24 @@ def test_frfcfs_prefers_oldest_among_equals():
 def test_parbs_marks_batch_and_prefers_marked():
     dram = DramConfig()
     channel, mapping = _channel_with_open_row(dram)
-    scheduler = ParbsScheduler(marking_cap=2)
-    queue = [_req(mapping, i * mapping.lines_per_row, core=0, arrival=i) for i in range(4)]
+    scheduler = ParbsScheduler()
+    # More requests on one (core, bank) than a batch may mark.
+    stride = mapping.lines_per_row * dram.banks_per_rank
+    queue = [
+        _req(mapping, i * stride, core=0, arrival=i)
+        for i in range(PARBS_MARKING_CAP + 2)
+    ]
     scheduler.register_queues([queue])
     pick = scheduler.pick(queue, channel, 100)
-    marked = [r for r in queue if r.marked]
-    # cap=2 per (core, bank); requests spread over banks so several marked
+    # The batch marks the oldest PARBS_MARKING_CAP and serves one of them.
+    assert [r.marked for r in queue] == [True] * PARBS_MARKING_CAP + [False] * 2
     assert pick.marked
-    assert marked
 
 
 def test_parbs_ranks_light_core_first():
     dram = DramConfig()
     channel, mapping = _channel_with_open_row(dram)
-    scheduler = ParbsScheduler(marking_cap=5)
+    scheduler = ParbsScheduler()
     # Core 0: 4 requests on one bank; core 1: 1 request on the same bank.
     stride = mapping.lines_per_row * dram.banks_per_rank
     queue = [_req(mapping, i * stride, core=0, arrival=i) for i in range(4)]
@@ -73,29 +83,30 @@ def test_parbs_ranks_light_core_first():
 def test_tcm_prioritises_latency_sensitive_cluster():
     dram = DramConfig()
     channel, mapping = _channel_with_open_row(dram)
-    scheduler = TcmScheduler(num_cores=2, cluster_period=1000, shuffle_period=100)
-    # Core 0 heavy (90 reads), core 1 light (10 reads).
-    scheduler.update(2000, [90, 10])
+    scheduler = TcmScheduler(num_cores=2)
+    # Core 0 heavy (90 reads), core 1 light (10 reads), over the first
+    # clustering period.
+    scheduler.update(TCM_CLUSTER_PERIOD, [90, 10])
     heavy = _req(mapping, mapping.lines_per_row * 10, core=0, arrival=5)
     light = _req(mapping, mapping.lines_per_row * 20, core=1, arrival=50)
-    pick = scheduler.pick([heavy, light], channel, 2000)
+    pick = scheduler.pick([heavy, light], channel, TCM_CLUSTER_PERIOD)
     assert pick.core == 1
 
 
 def test_tcm_shuffles_bandwidth_ranks_deterministically():
-    s1 = TcmScheduler(num_cores=4, seed=9)
-    s2 = TcmScheduler(num_cores=4, seed=9)
+    s1 = TcmScheduler(num_cores=4)
+    s2 = TcmScheduler(num_cores=4)
     s1.update(1_000_001, [10, 20, 30, 40])
     s2.update(1_000_001, [10, 20, 30, 40])
     assert s1._bw_rank == s2._bw_rank
 
 
 def test_tcm_recluster_period():
-    scheduler = TcmScheduler(num_cores=2, cluster_period=1_000_000)
-    scheduler.update(1_000_001, [100, 0])
+    scheduler = TcmScheduler(num_cores=2)
+    scheduler.update(TCM_CLUSTER_PERIOD + 1, [100, 0])
     first = set(scheduler._latency_cluster)
     # Before the next period, updates don't recluster.
-    scheduler.update(1_500_000, [100, 500])
+    scheduler.update(TCM_CLUSTER_PERIOD * 3 // 2, [100, 500])
     assert set(scheduler._latency_cluster) == first
 
 

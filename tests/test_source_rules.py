@@ -1,4 +1,4 @@
-"""Source rules: AST checks over ``src/repro`` that hold five invariants.
+"""Source rules: AST checks over ``src/repro`` that hold six invariants.
 
 Each test walks the modules its rule covers and names every offending
 site as ``module:line name``. A site a rule flags on purpose is waived
@@ -539,6 +539,353 @@ def test_reach001_definitions_have_callers_outside_tests(modules):
         ("repro",),
         skip=REACH001_SKIP,
         waivers=REACH001_WAIVERS,
+    )
+
+
+# ----------------------------------------------------------------------
+# REACH002: a value only tests set, and state only tests read, are
+# deleted too; a setting becomes a module constant. Callers count from
+# the places REACH001 counts (a CI workflow's ``python -c`` programs
+# parsed as code) and match by name, as REACH001's do.
+# * A parameter with a default, a dataclass field's included, must be
+#   passed: by keyword, by position, through dataclasses.replace(),
+#   through cls(...) in its class or super().__init__(...) in a
+#   subclass, or through an unpacked call, where ``*`` passes every
+#   position and ``**`` the keys some dict display or dict() call names.
+#   Code that stores to, or calls a method of, an attribute named like a
+#   dataclass field sets that field too.
+# * An attribute assigned through ``self``, and a dataclass field code
+#   stores to, must be read; a dataclass whose method calls
+#   ``asdict(self)`` reads every field.
+
+PYTHON_C = re.compile(r'python -c "\n(.*?)"', re.S)
+
+#: The injectors REACH001 skips, and repro.config: store keys hash every
+#: config field, so dropping one re-keys every store (ROADMAP item 7).
+REACH002_SKIP = REACH001_SKIP + ("repro.config",)
+
+_TRACED = (
+    "e2ebench's tracer spans Campaign.run_mix by name, so the one-cell "
+    "API stays whole; only the tests and the chaos driver call it"
+)
+_HOOK = (
+    "FleetSpec's test-substitution hook: the fleet determinism tests swap "
+    "in a node recipe that crashes its worker"
+)
+_DIAGNOSIS = "an exception attribute that carries the failure's diagnosis"
+
+#: (module, site) -> why that one parameter, field or attribute stays.
+REACH002_WAIVERS = {
+    ("repro.cli", "main(argv)"): (
+        "entry point: `python -m repro` passes no argv, tests pass theirs"
+    ),
+    ("repro.analysis.report", "build_report(output)"): (
+        "entry point (README's command); tests build the report in a "
+        "temporary directory"
+    ),
+    ("repro.analysis.report", "build_report(results_dir)"): (
+        "entry point (README's command); tests build the report from "
+        "tables in a temporary directory"
+    ),
+    ("repro.resilience.campaign", "Campaign.run_mix(quanta)"): _TRACED,
+    ("repro.resilience.campaign", "Campaign.run_mix(variant)"): _TRACED,
+    ("repro.resilience.campaign", "Campaign.run_mix(telemetry)"): _TRACED,
+    ("repro.cloud.spec", "FleetSpec.recipe"): _HOOK,
+    ("repro.cloud.spec", "FleetSpec.recipe_args"): _HOOK,
+    ("repro.telemetry.spec", "TelemetrySpec.counter_bits"): (
+        "hashed into the run key of every telemetry-fault cell until "
+        "ROADMAP item 7 re-keys the stores"
+    ),
+    ("repro.mem.request", "MemRequest.issue_time"): (
+        "the controller-stream pins of tests/test_result_pins.py read it"
+    ),
+    ("repro.engine", "DeadlineExceeded.overshoot_s"): _DIAGNOSIS,
+    ("repro.parallel", "WorkerRunError.failure"): _DIAGNOSIS,
+    ("repro.resilience.invariants", "InvariantViolation.component"): _DIAGNOSIS,
+    ("repro.resilience.invariants", "InvariantViolation.detail"): _DIAGNOSIS,
+    ("repro.resilience.watchdog", "WatchdogStall.diagnosis"): _DIAGNOSIS,
+}
+
+
+def name_of(expr):
+    return getattr(expr, "id", None) or getattr(expr, "attr", "")
+
+
+class CallerUses(ast.NodeVisitor):
+    """What callers pass, store and read, by name: ``calls`` maps a
+    callee name to ``(positions, keywords, star, starstar)`` per call."""
+
+    def __init__(self):
+        self.calls = {}
+        self.dict_keys = set()
+        self.stored = set()
+        self.read = set()
+        self._classes = []
+
+    def visit_ClassDef(self, node):
+        self._classes.append(node)
+        self.generic_visit(node)
+        self._classes.pop()
+
+    def visit_Call(self, node):
+        func = node.func
+        names = [name_of(func)]
+        if self._classes and names[0] == "cls":
+            names.append(self._classes[-1].name)
+        elif (
+            self._classes
+            and isinstance(func, ast.Attribute)
+            and func.attr == "__init__"
+            and name_of(getattr(func.value, "func", None)) == "super"
+        ):
+            names += [name_of(base) for base in self._classes[-1].bases]
+        keywords = {k.arg for k in node.keywords if k.arg}
+        if names[0] == "dict":
+            self.dict_keys |= keywords
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Attribute):
+            self.stored.add(func.value.attr)  # x.field.append(...)
+        starred = [isinstance(a, ast.Starred) for a in node.args]
+        record = (
+            starred.count(False),
+            keywords,
+            any(starred),
+            any(k.arg is None for k in node.keywords),
+        )
+        for name in names:
+            self.calls.setdefault(name, []).append(record)
+        self.generic_visit(node)
+
+    def visit_Dict(self, node):
+        self.dict_keys |= {
+            k.value for k in node.keys
+            if isinstance(k, ast.Constant) and isinstance(k.value, str)
+        }
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        if isinstance(node.ctx, ast.Load):
+            self.read.add(node.attr)
+        else:
+            self.stored.add(node.attr)
+        self.generic_visit(node)
+
+    def visit_Subscript(self, node):
+        if not isinstance(node.ctx, ast.Load) and isinstance(node.value, ast.Attribute):
+            self.stored.add(node.value.attr)  # x.field[key] = ...
+        self.generic_visit(node)
+
+    def passed(self, callees, name, index):
+        """Whether a call to one of ``callees`` passes parameter ``name``
+        (``index``: its position after self, ``None`` if keyword-only)."""
+        for callee in callees:
+            for positions, keywords, star, starstar in self.calls.get(callee, ()):
+                if name in keywords or (starstar and name in self.dict_keys):
+                    return True
+                if index is not None and (positions > index or star):
+                    return True
+        return False
+
+
+def caller_uses(trees):
+    """:class:`CallerUses` of ``(AST, outside src)`` pairs; outside src, a
+    one-identifier string counts as a read, as REACH001 counts it."""
+    uses = CallerUses()
+    for tree, outside in trees:
+        uses.visit(tree)
+        if outside:
+            uses.read.update(
+                node.value for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and IDENTIFIER.fullmatch(node.value)
+            )
+    return uses
+
+
+def reach002_callers():
+    """Every caller tree REACH002 counts, with whether it is outside src."""
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        yield ast.parse(path.read_text(encoding="utf-8"), str(path)), False
+    for root in REACH_ROOTS:
+        for path in sorted((REPO_ROOT / root).rglob("*.py")):
+            yield ast.parse(path.read_text(encoding="utf-8"), str(path)), True
+    for path in sorted((REPO_ROOT / ".github" / "workflows").glob("*.yml")):
+        for program in PYTHON_C.findall(path.read_text(encoding="utf-8")):
+            yield ast.parse(textwrap.dedent(program)), True
+
+
+def defaulted_params(fn, method):
+    """``(index, name)`` of each parameter of ``fn`` with a default;
+    ``index`` counts positions after a method's self or cls, and is
+    ``None`` for a keyword-only parameter."""
+    positional = fn.args.posonlyargs + fn.args.args
+    if method:
+        positional = positional[1:]
+    first = len(positional) - len(fn.args.defaults)
+    for index, arg in enumerate(positional[first:], first):
+        yield index, arg.arg
+    for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield None, arg.arg
+
+
+def is_dataclass(cls):
+    return any(
+        name_of(d.func if isinstance(d, ast.Call) else d) == "dataclass"
+        for d in cls.decorator_list
+    )
+
+
+def reach002(tree, uses):
+    """Defaulted parameters and fields no caller passes, and attributes
+    and stored fields no caller reads, as ``Class.method(param)``,
+    ``Class(param)`` (``__init__``) or ``Class.field``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for index, name in defaulted_params(node, method=False):
+                if not uses.passed([node.name], name, index):
+                    yield node.lineno, f"{node.name}({name})"
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        methods = [
+            n for n in cls.body
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        for fn in methods:
+            init = fn.name == "__init__"
+            method = "staticmethod" not in map(name_of, fn.decorator_list)
+            for index, name in defaulted_params(fn, method):
+                if not uses.passed([cls.name if init else fn.name], name, index):
+                    qual = cls.name if init else f"{cls.name}.{fn.name}"
+                    yield fn.lineno, f"{qual}({name})"
+        if is_dataclass(cls):
+            serialized = any(
+                isinstance(n, ast.Call)
+                and name_of(n.func) == "asdict"
+                and [name_of(a) for a in n.args] == ["self"]
+                for fn in methods for n in ast.walk(fn)
+            )
+            fields = [
+                n for n in cls.body
+                if isinstance(n, ast.AnnAssign)
+                and "ClassVar" not in ast.unparse(n.annotation)
+            ]
+            for index, node in enumerate(fields):
+                name = node.target.id
+                replaced = any(
+                    name in keywords
+                    for _, keywords, _, _ in uses.calls.get("replace", ())
+                )
+                if node.value is not None and not (
+                    replaced
+                    or name in uses.stored
+                    or uses.passed([cls.name], name, index)
+                ):
+                    yield node.lineno, f"{cls.name}.{name}"
+                elif name in uses.stored and not (serialized or name in uses.read):
+                    yield node.lineno, f"{cls.name}.{name}"
+        assigned = {}
+        for fn in methods:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, ast.AnnAssign):
+                    targets = [node.target]
+                else:
+                    continue
+                for target in targets:
+                    for sub in ast.walk(target):
+                        if isinstance(sub, ast.Attribute) and name_of(sub.value) == "self":
+                            assigned.setdefault(sub.attr, sub.lineno)
+        for name, line in assigned.items():
+            if name not in uses.read:
+                yield line, f"{cls.name}.{name}"
+
+
+def test_reach002_defaults_are_passed_and_attributes_read(modules):
+    bad = """
+        from dataclasses import dataclass
+
+        @dataclass
+        class Spec:
+            name: str
+            attempts: int = 3
+            served: int = 0
+
+        class Filter:
+            def __init__(self, counters, hashes=4):
+                self.counters = counters
+                self.inserted = 0
+
+            def insert(self, spec):
+                spec.served += 1
+                self.inserted += 1
+                return self.counters
+
+        def partition(curves, ways, min_ways=1):
+            return Filter(curves).insert(Spec(ways))
+    """
+    good = """
+        import dataclasses
+        from dataclasses import asdict, dataclass
+
+        @dataclass
+        class Spec:
+            name: str
+            attempts: int = 3
+            rounds: int = 0
+            log: list = dataclasses.field(default_factory=list)
+
+            @classmethod
+            def parse(cls, text):
+                return cls(text, len(text))
+
+            def to_json(self):
+                return asdict(self)
+
+        class Base:
+            def __init__(self, size=1):
+                self.size = size
+
+        class Filter(Base):
+            def __init__(self, counters, hashes=4):
+                super().__init__(hashes)
+                self.counters = counters
+
+            def load(self):
+                return self.counters / self.size
+
+        def run(spec, workers=1, seed=0, *, fidelity="event"):
+            spec.rounds += 1
+            spec.log.append(workers)
+            return dataclasses.replace(spec, attempts=seed), Filter(spec, 2)
+
+        def main(*args):
+            options = {"fidelity": "analytical"}
+            return run(*args, **options), run(Spec.parse("x"), 2, seed=1)
+    """
+
+    def flagged(source):
+        tree = ast.parse(textwrap.dedent(source))
+        return snippet_names(
+            partial(reach002, uses=caller_uses([(tree, False)])), source
+        )
+
+    assert flagged(bad) == [
+        "Spec.attempts",
+        "Spec.served",
+        "Filter(hashes)",
+        "Filter.inserted",
+        "partition(min_ways)",
+    ]
+    assert flagged(good) == []
+    assert_no_sites(
+        modules,
+        partial(reach002, uses=caller_uses(reach002_callers())),
+        ("repro",),
+        skip=REACH002_SKIP,
+        waivers=REACH002_WAIVERS,
     )
 
 
